@@ -47,9 +47,9 @@ class RunConfig:
     out: str | None = None
 
     def validate(self):
-        n = self.grid_res
-        if not isinstance(n, int) or n < 8 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid_res must be a power of two >= 8, got {n}")
+        if not isinstance(self.grid_res, int):
+            raise ValueError(f"grid_res must be an integer, got {self.grid_res!r}")
+        _periodization._validate_grid(self.grid_res)
         for name in ("target_tail", "eps_zero"):
             v = getattr(self, name)
             if v is not None and v <= 0:

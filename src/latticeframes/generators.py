@@ -2,11 +2,12 @@
 
 Transform convention: fhat(xi) = integral f(x) exp(-2*pi*i*xi.x) dx.
 
-Every generator can evaluate its transform pointwise, report its squared L2
-norm, and certify how fast |fhat|^2 decays.  The decay data is what lets
-lattice sums of |fhat|^2 be truncated with a guaranteed error bound, so the
-catalog is deliberately small: boxes, sincs, B-splines, Gaussians, and
-uniformly sampled compactly supported data.
+Every generator can evaluate its transform pointwise, report its
+autocorrelation <f, f(. + t)> (and from it the squared L2 norm), and certify
+how fast |fhat|^2 decays.  The decay data is what lets lattice sums of
+|fhat|^2 be truncated with a guaranteed error bound, so the catalog is
+deliberately small: boxes, sincs, B-splines, Gaussians, and uniformly sampled
+compactly supported data.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integrate import grid_nodes
 from .errors import NoDecayInfo, NonFiniteInput, ZeroGenerator
 from .lattice import LatticeSpec, operator_inf_norm, spectral_norm
 
@@ -78,9 +80,25 @@ class Generator(ABC):
     def spatial(self, x: np.ndarray) -> np.ndarray:
         """Evaluate f at an (m, d) array of spatial points."""
 
-    @abstractmethod
+    def autocorrelation(self, t: np.ndarray) -> np.ndarray:
+        """<f, f(. + t)> at an (m, d) array of spatial shifts t.
+
+        Equals integral |fhat(xi)|^2 exp(-2 pi i xi . t) d xi.  This default
+        is tensor-grid quadrature over the decay-truncated frequency box, one
+        rule per shift; catalog kinds override it with closed forms.
+        """
+        t = np.asarray(t, dtype=float)
+        r = self.fourier_tail_radius(1e-10)
+        out = np.empty(t.shape[0], dtype=complex)
+        for i, ti in enumerate(t):
+            pts, w = grid_nodes(self.dim, r, osc_freq=float(np.max(np.abs(ti))) + 4.0)
+            phase = np.exp(-2j * np.pi * (pts @ ti))
+            out[i] = np.sum(w * np.abs(self.fourier(pts)) ** 2 * phase)
+        return out
+
     def norm_squared(self) -> float:
-        """The squared L2 norm of f."""
+        """The squared L2 norm of f: the autocorrelation at shift zero."""
+        return float(self.autocorrelation(np.zeros((1, self.dim)))[0].real)
 
     def decay_bound(self) -> DecayBound:
         raise NoDecayInfo(f"no decay information for {self.label}")
@@ -157,8 +175,9 @@ class FrequencyBox(Generator):
         vals = width * np.sinc(width * x) * np.exp(2j * np.pi * center * x)
         return np.prod(vals, axis=-1)
 
-    def norm_squared(self):
-        return float(np.prod(self.upper - self.lower))
+    def autocorrelation(self, t):
+        # |fhat|^2 = fhat, so the autocorrelation is f reflected
+        return self.spatial(-np.asarray(t, dtype=float))
 
     def decay_bound(self):
         radius = float(np.max(np.maximum(np.abs(self.lower), np.abs(self.upper))))
@@ -177,15 +196,18 @@ def _bspline_values(order: int, x: np.ndarray) -> np.ndarray:
     """Centered cardinal B-spline of the given order, evaluated pointwise.
 
     order m is the polynomial degree: m = 0 is the box, m = 1 the hat.
-    Uses the divided-difference form sum_j (-1)^j C(m+1, j) (x + (m+1)/2 - j)_+^m / m!.
+    Uses the divided-difference form sum_j (-1)^j C(m+1, j) (x + (m+1)/2 - j)_+^m / m!
+    at -|x| (the spline is even): on the left half only the small leading
+    terms are active, so the sum does not cancel catastrophically.
     """
     m = order
-    acc = np.zeros_like(x, dtype=float)
     shift = 0.5 * (m + 1)
+    y = -np.abs(np.asarray(x, dtype=float))
+    acc = np.zeros_like(y)
     for j in range(m + 2):
-        t = np.maximum(x + shift - j, 0.0)
+        t = np.maximum(y + shift - j, 0.0)
         acc += ((-1) ** j) * math.comb(m + 1, j) * t**m
-    return acc / math.factorial(m)
+    return np.where(y > -shift, acc / math.factorial(m), 0.0)
 
 
 class BSpline(Generator):
@@ -210,10 +232,9 @@ class BSpline(Generator):
         x = np.asarray(x, dtype=float)
         return np.prod(_bspline_values(self.order, x), axis=-1).astype(complex)
 
-    def norm_squared(self):
-        # integral of b_m^2 equals the order-(2m+1) B-spline at the origin
-        per_axis = float(_bspline_values(2 * self.order + 1, np.zeros(1))[0])
-        return per_axis**self.dim
+    def autocorrelation(self, t):
+        # b_m * b_m(-.) = b_(2m+1) per axis (Unser, IEEE SPM 1999)
+        return np.prod(_bspline_values(2 * self.order + 1, t), axis=-1).astype(complex)
 
     def decay_bound(self):
         p = 2 * (self.order + 1)
@@ -244,8 +265,11 @@ class Gaussian(Generator):
         x = np.asarray(x, dtype=float)
         return np.exp(-np.pi * np.sum((x / self.width) ** 2, axis=-1)).astype(complex)
 
-    def norm_squared(self):
-        return float((self.width / math.sqrt(2.0)) ** self.dim)
+    def autocorrelation(self, t):
+        t = np.asarray(t, dtype=float)
+        s = self.width
+        return ((s / math.sqrt(2.0)) ** self.dim
+                * np.exp(-np.pi * np.sum(t**2, axis=-1) / (2.0 * s**2))).astype(complex)
 
     def decay_bound(self):
         s = self.width
@@ -321,8 +345,17 @@ class SampledSpatial(Generator):
                 out[ok] += w[ok] * vals
         return out.reshape(x.shape[:-1])
 
-    def norm_squared(self):
-        return float(np.sum(np.abs(self.values) ** 2) * self.step**self.dim)
+    def autocorrelation(self, t):
+        # discrete overlap: the Riemann transform is periodic, so the
+        # frequency integral does not converge
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape[0], dtype=complex)
+        block = max(1, self._CHUNK // max(1, self._flat.size))
+        for start in range(0, t.shape[0], block):
+            sl = slice(start, start + block)
+            shifted = self.spatial(self._coords + t[sl, None, :])
+            out[sl] = np.conj(shifted) @ self._flat
+        return out * self.step**self.dim
 
     def decay_bound(self):
         if self.support_radius is None:

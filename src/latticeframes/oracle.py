@@ -18,7 +18,6 @@ from .generators import CompactFrequencySupport, Generator
 from .lattice import LatticeSpec, integer_box
 from .periodization import (
     PeriodizationTable,
-    autocorrelation,
     choose_truncation,
     cross_phi_values,
     grid_gamma,
@@ -75,9 +74,9 @@ class GramMatrix:
 def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatrix:
     """Gram matrix of translates with indices in the sup-norm box of radius M.
 
-    Entries come from the autocorrelation (one evaluation per difference
-    vector), so the Toeplitz structure holds by construction and Hermitian
-    symmetry is enforced via conjugation.
+    Entries come from one batched autocorrelation call over the difference
+    vectors up to their mirror images, so the Toeplitz structure holds by
+    construction and Hermitian symmetry is enforced via conjugation.
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
@@ -85,14 +84,14 @@ def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatr
     if size > MAX_GRAM_SIZE:
         raise TooLarge(f"gram matrix of size {size} exceeds cap {MAX_GRAM_SIZE}")
 
+    # the box is symmetric and in lex order, so entry i mirrors entry -1 - i
+    box = integer_box(lattice.dim, 2 * half_width)
+    keys = [tuple(int(v) for v in dv) for dv in box]
+    half = (len(keys) + 1) // 2
+    vals = g.autocorrelation(np.array(box[:half], dtype=float) @ lattice.basis.T)
     diffs = {}
-    for dv in integer_box(lattice.dim, 2 * half_width):
-        key = tuple(int(v) for v in dv)
-        mirror = tuple(-v for v in key)
-        if mirror in diffs:
-            diffs[key] = np.conj(diffs[mirror])
-        else:
-            diffs[key] = complex(autocorrelation(g, lattice, dv))
+    for i, key in enumerate(keys):
+        diffs[key] = complex(vals[i]) if i < half else diffs[keys[-1 - i]].conjugate()
     return GramMatrix(half_width=half_width, dim=lattice.dim, diffs=diffs)
 
 

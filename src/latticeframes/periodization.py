@@ -14,22 +14,13 @@ its tolerances accordingly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import sici
 
-from ._integrate import grid_nodes, panel_nodes
+from ._integrate import grid_nodes
 from .errors import AliasRisk, TailNotAchievable
-from .generators import (
-    BSpline,
-    FrequencyBox,
-    Gaussian,
-    Generator,
-    SampledSpatial,
-    tail_bound,
-)
+from .generators import Generator, SampledSpatial, tail_bound
 from .lattice import LatticeSpec, integer_box
 
 # truncation radius caps per dimension
@@ -232,90 +223,15 @@ def autocorrelation(g: Generator, lattice: LatticeSpec, n) -> complex:
     """Inner product of f with its translate by -B n.
 
     Equals the n-th Fourier coefficient of the periodized power spectrum:
-    c_n = integral |fhat(xi)|^2 exp(-2 pi i xi . (B n)) d xi.  Closed forms
-    are used for boxes and Gaussians; B-splines go through oscillatory
-    frequency quadrature (absolute error <= 1e-9); sampled data uses the
-    discrete spatial overlap, since its Riemann transform is periodic and the
-    frequency integral does not converge.
+    c_n = integral |fhat(xi)|^2 exp(-2 pi i xi . (B n)) d xi.  The value comes
+    from ``g.autocorrelation``: closed forms for boxes, sincs, B-splines and
+    Gaussians, the discrete overlap for sampled data, and frequency quadrature
+    for other generators.
     """
     nvec = np.atleast_1d(np.asarray(n, dtype=int))
     if nvec.shape != (lattice.dim,):
         raise ValueError(f"shift index must have dimension {lattice.dim}")
-    t = lattice.basis @ nvec
-
-    if isinstance(g, FrequencyBox):
-        out = 1.0 + 0.0j
-        for i in range(g.dim):
-            width = g.upper[i] - g.lower[i]
-            center = 0.5 * (g.upper[i] + g.lower[i])
-            out *= width * np.sinc(width * t[i]) * np.exp(-2j * np.pi * center * t[i])
-        return complex(out)
-
-    if isinstance(g, Gaussian):
-        s = g.width
-        out = 1.0
-        for i in range(g.dim):
-            out *= (s / np.sqrt(2.0)) * np.exp(-np.pi * t[i] ** 2 / (2.0 * s**2))
-        return complex(out)
-
-    if isinstance(g, BSpline):
-        p = 2 * (g.order + 1)
-        out = 1.0
-        for i in range(g.dim):
-            out *= _sinc_power_transform(p, float(t[i]))
-        return complex(out)
-
-    if isinstance(g, SampledSpatial):
-        shifted = g.spatial(g._coords + t)
-        return complex(np.sum(g._flat * np.conj(shifted)) * g.step**g.dim)
-
-    return _autocorr_quadrature(g, t)
-
-
-def _cos_tail(n: int, c: float, r: float) -> float:
-    """integral of cos(c x) / x^n over [r, inf), by recurrence from Si/Ci."""
-    if c < 1e-300:
-        return r ** (1 - n) / (n - 1)
-    si, ci = sici(c * r)
-    cval = -ci
-    sval = np.pi / 2 - si
-    for k in range(2, n + 1):
-        ck = math.cos(c * r) * r ** (1 - k) / (k - 1) - (c / (k - 1)) * sval
-        sk = math.sin(c * r) * r ** (1 - k) / (k - 1) + (c / (k - 1)) * cval
-        cval, sval = ck, sk
-    return cval
-
-
-def _sinc_power_transform(p: int, t: float, head_radius: float = 16.0) -> float:
-    """integral of sinc(xi)^p * exp(-2 pi i xi t) d xi (real by symmetry).
-
-    Quadrature over [0, head_radius] plus an exact tail: sin^p(pi x) is a
-    finite cosine sum, so the tail reduces to cosine-integral recurrences.
-    """
-    nodes, w = panel_nodes(0.0, head_radius, osc_freq=abs(t) + p / 2 + 1.0)
-    head = float(np.sum(w * np.sinc(nodes) ** p * np.cos(2 * np.pi * t * nodes)))
-
-    half_p = p // 2
-    coeffs = {0: math.comb(p, half_p) / 2**p}
-    for m in range(1, half_p + 1):
-        coeffs[m] = 2 * (-1) ** m * math.comb(p, half_p - m) / 2**p
-    tail = 0.0
-    for m, am in coeffs.items():
-        tail += am * 0.5 * (
-            _cos_tail(p, 2 * np.pi * abs(m + t), head_radius)
-            + _cos_tail(p, 2 * np.pi * abs(m - t), head_radius)
-        )
-    tail /= np.pi**p
-    return 2.0 * (head + tail)
-
-
-def _autocorr_quadrature(g: Generator, t: np.ndarray) -> complex:
-    """Generic fallback: tensor-grid quadrature over the decay-truncated box."""
-    r = g.fourier_tail_radius(1e-10)
-    pts, w = grid_nodes(g.dim, r, osc_freq=float(np.max(np.abs(t))) + 4.0)
-    vals = np.abs(g.fourier(pts)) ** 2
-    phase = np.exp(-2j * np.pi * (pts @ t))
-    return complex(np.sum(w * vals * phase))
+    return complex(g.autocorrelation((lattice.basis @ nvec)[None, :])[0])
 
 
 def phi_fourier_coeffs(table: PeriodizationTable, n_max: int) -> CoefficientTable:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import latticeframes
 from latticeframes.cli import main, preset_config
 
 
@@ -201,3 +205,15 @@ def test_unknown_config_key_is_exit_2(capsys, tmp_path):
     code, _, err = _run(capsys, ["classify", "--config", str(path)])
     assert code == 2
     assert "grid_rez" in err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; a cold import must not pull it in
+    src = os.path.dirname(os.path.dirname(latticeframes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, latticeframes; "
+            "print([k for k in sys.modules if k.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

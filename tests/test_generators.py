@@ -43,6 +43,12 @@ def test_spatial_values():
     assert lf.eval_spatial(b1, [0.5]) == pytest.approx(0.5)
 
 
+def test_bspline_spatial_zero_right_of_support():
+    # the divided-difference sum cancels catastrophically right of the support
+    assert lf.BSpline(13).spatial([[50.0]]) == 0
+    assert lf.BSpline(11).spatial([[50.0]]) == 0
+
+
 def test_box_spatial_inverse_transform():
     g = lf.FrequencyBox([-1.0 / 3.0], [1.0 / 3.0])
     assert lf.eval_spatial(g, [0.0]) == pytest.approx(2.0 / 3.0)

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -148,12 +151,67 @@ def test_autocorrelation_bspline_overlaps(unit_lattice):
     assert abs(lf.autocorrelation(b1, unit_lattice, [2])) < 1e-9
 
 
+def _exact_bspline(order, x):
+    """Centered B-spline of the given degree at x, in exact rational arithmetic."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for j in range(order + 2):
+        t = x + Fraction(order + 1, 2) - j
+        if t > 0:
+            acc += (-1) ** j * math.comb(order + 1, j) * t**order
+    return acc / math.factorial(order)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.7])
+def test_autocorrelation_bspline_exact(a):
+    # b_m * b_m(-.) = b_(2m+1): autocorrelations and Gram entries are exact values
+    L = lf.new_lattice([[a]])
+    for m in range(1, 8):
+        g = lf.BSpline(m)
+        gram = lf.gram_matrix(g, L, 10)
+        for n in range(-20, 21):
+            ref = float(_exact_bspline(2 * m + 1, a * n))
+            assert abs(lf.autocorrelation(g, L, [n]) - ref) <= 1e-14
+            assert abs(gram.diffs[(n,)] - ref) <= 1e-14
+
+
+# catalog generators with closed-form autocorrelations, the lattice they are
+# checked on, and shift indices
+_REFERENCE_CASES = [
+    (lf.FrequencyBox([-1 / 3], [1 / 3]), [[1.0]], [[n] for n in range(-3, 4)]),
+    (lf.Sinc(2), [[1.0, 1.0], [0.0, 1.0]], [[0, 0], [1, 0], [0, 1], [1, -1], [-1, 2]]),
+    (lf.Gaussian(1.0, 2), np.eye(2), [[0, 0], [1, 0], [1, 1], [-2, 1]]),
+    (lf.BSpline(1), [[0.7]], [[n] for n in range(-4, 5)]),
+    (lf.BSpline(2), [[0.7]], [[n] for n in range(-4, 5)]),
+    (lf.BSpline(3), [[0.7]], [[n] for n in range(-4, 5)]),
+]
+
+
 def test_autocorrelation_zero_is_norm(unit_lattice):
     for g in (lf.Sinc(1), lf.BSpline(1), lf.BSpline(3), lf.Gaussian(1.0),
               lf.FrequencyBox([-1 / 3], [1 / 3])):
         c0 = lf.autocorrelation(g, unit_lattice, [0])
         assert c0.real == pytest.approx(g.norm_squared(), abs=1e-9)
         assert abs(c0.imag) < 1e-12
+    for g, basis, _ in _REFERENCE_CASES:
+        c0 = lf.autocorrelation(g, lf.new_lattice(basis), [0] * g.dim)
+        assert c0.real == pytest.approx(g.norm_squared(), abs=1e-15)
+        # the base-class quadrature is the reference route for the norm too
+        ref = lf.Generator.autocorrelation(g, np.zeros((1, g.dim)))[0]
+        assert c0 == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("case", range(len(_REFERENCE_CASES)))
+def test_autocorrelation_matches_quadrature_route(case):
+    # closed forms against the generic frequency quadrature, which stays
+    # accurate to about 4e-11 on these inputs
+    g, basis, ns = _REFERENCE_CASES[case]
+    L = lf.new_lattice(basis)
+    t = np.array(ns, dtype=float) @ L.basis.T
+    ref = lf.Generator.autocorrelation(g, t)
+    np.testing.assert_allclose(g.autocorrelation(t), ref, rtol=0, atol=1e-9)
+    for n, r in zip(ns, ref):
+        assert lf.autocorrelation(g, L, n) == pytest.approx(r, abs=1e-9)
 
 
 def test_autocorrelation_gaussian_oracle(unit_lattice):
@@ -196,7 +254,7 @@ def test_coeffs_bspline(bspline1_table, unit_lattice):
     assert coeffs.get([1]).real == pytest.approx(1 / 6, abs=1e-8)
     assert coeffs.get([-1]).real == pytest.approx(1 / 6, abs=1e-8)
     assert abs(coeffs.get([2])) < 1e-8
-    # duality: matches the autocorrelation computed by quadrature
+    # duality: matches the closed-form autocorrelation
     for n in (-2, -1, 0, 1, 2):
         auto = lf.autocorrelation(lf.BSpline(1), unit_lattice, [n])
         assert coeffs.get([n]) == pytest.approx(auto, abs=1e-6)
