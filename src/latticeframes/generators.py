@@ -96,6 +96,14 @@ class Generator(ABC):
             out[i] = np.sum(w * np.abs(self.fourier(pts)) ** 2 * phase)
         return out
 
+    def autocorrelation_radius(self) -> float | None:
+        """Sup-norm radius outside which ``autocorrelation`` vanishes, or None.
+
+        A radius makes phi a trigonometric polynomial, which ``compute_phi``
+        then evaluates exactly from finitely many autocorrelations.
+        """
+        return None
+
     def norm_squared(self) -> float:
         """The squared L2 norm of f: the autocorrelation at shift zero."""
         return float(self.autocorrelation(np.zeros((1, self.dim)))[0].real)
@@ -235,6 +243,10 @@ class BSpline(Generator):
     def autocorrelation(self, t):
         # b_m * b_m(-.) = b_(2m+1) per axis (Unser, IEEE SPM 1999)
         return np.prod(_bspline_values(2 * self.order + 1, t), axis=-1).astype(complex)
+
+    def autocorrelation_radius(self):
+        # b_(2m+1) vanishes outside [-(m+1), m+1]
+        return float(self.order + 1)
 
     def decay_bound(self):
         p = 2 * (self.order + 1)

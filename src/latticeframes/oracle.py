@@ -232,7 +232,10 @@ def project_onto_span(g: Generator, lattice: LatticeSpec, psi: Generator,
         raise DegenerateSpan("periodization vanishes on the entire grid")
 
     radius_psi, _ = choose_truncation(psi, lattice, max(table.tail, 1e-12))
-    radius = max(table.trunc_radius, radius_psi)
+    # a dual-route table's radius counts Fourier coefficients, not lattice
+    # terms, so the cross sum also needs g's own truncation radius
+    radius_g, _ = choose_truncation(g, lattice, 1e-10 * float(table.values.max()))
+    radius = max(table.trunc_radius, radius_g, radius_psi)
     cross = cross_phi_values(g, psi, lattice, table.grid_res, radius)
 
     f_samples = np.full(table.values.shape, np.nan + 0j, dtype=complex)

@@ -7,13 +7,26 @@ For a generator f and lattice basis B, the central object is
     phi(gamma) = (1/|det B|) * sum_k |fhat(inv(B.T) (gamma + k))|^2,
 
 a Z^d-periodic function of gamma sampled on the uniform grid j/N over
-[0, 1)^d.  Every table records the truncation radius actually used and a
-certified bound on the dropped tail, so downstream classification can widen
+[0, 1)^d.  By Poisson summation it is also the Fourier series
+
+    phi(gamma) = sum_n c_n exp(2 pi i n . gamma),   c_n = <f, f(. + B n)>,
+
+and ``compute_phi`` takes one of two routes:
+
+* dual -- when the generator declares a radius outside which its
+  autocorrelation vanishes (B-splines), only finitely many c_n are nonzero
+  and one inverse FFT of them gives the grid values exactly;
+* direct -- otherwise, the lattice sum above truncated at a radius whose
+  certified tail bound is below a target.
+
+Every table records the radius it used and a certified bound on what it
+dropped (zero on the dual route), so downstream classification can widen
 its tolerances accordingly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +34,7 @@ import numpy as np
 from ._integrate import grid_nodes
 from .errors import AliasRisk, TailNotAchievable
 from .generators import Generator, SampledSpatial, tail_bound
-from .lattice import LatticeSpec, integer_box
+from .lattice import LatticeSpec, integer_box, operator_inf_norm
 
 # truncation radius caps per dimension
 K_CAP = {1: 10_000, 2: 1_000, 3: 100}
@@ -37,8 +50,10 @@ class PeriodizationTable:
     """Samples of the periodized power spectrum on the grid j/N in [0,1)^d.
 
     ``values`` is an (N,)*d array of nonnegative reals; true values exceed the
-    stored ones by at most ``tail`` (the certified truncation bound for the
-    radius ``trunc_radius`` that was summed).
+    stored ones by at most ``tail``.  On the direct route ``trunc_radius`` is
+    the sup-norm radius of the summed lattice terms and ``tail`` the certified
+    bound on the rest; on the dual route it is the radius of the Fourier
+    coefficient box (every c_n beyond it vanishes) and ``tail`` is 0.
     """
 
     lattice: LatticeSpec
@@ -96,44 +111,104 @@ def _lattice_sum(eval_fn, lattice: LatticeSpec, pts: np.ndarray, radius: int,
 
 
 def choose_truncation(g: Generator, lattice: LatticeSpec, target_tail: float):
-    """Smallest radius whose certified tail is at most target_tail."""
+    """Smallest radius whose certified tail is at most target_tail.
+
+    ``tail_bound`` is non-increasing in the radius, so once the cap is known
+    to reach the target, doubling from 1 and bisecting the last step finds the
+    smallest radius in about 2 log2(radius) calls.
+    """
     cap = K_CAP[lattice.dim]
-    for k in range(1, cap + 1):
-        t = tail_bound(g, lattice, k)
-        if t <= target_tail:
-            return k, t
-    raise TailNotAchievable(
-        f"tail {tail_bound(g, lattice, cap):.3e} at radius cap {cap} "
-        f"exceeds target {target_tail:.3e}"
-    )
+    tails = {cap: tail_bound(g, lattice, cap)}
+    if tails[cap] > target_tail:
+        raise TailNotAchievable(
+            f"tail {tails[cap]:.3e} at radius cap {cap} exceeds target {target_tail:.3e}"
+        )
+
+    def fits(k):
+        if k not in tails:
+            tails[k] = tail_bound(g, lattice, k)
+        return tails[k] <= target_tail
+
+    lo, hi = 0, 1
+    while not fits(hi):
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, tails[hi]
+
+
+def _coefficient_radius(g: Generator, lattice: LatticeSpec) -> int | None:
+    """Sup-norm radius of the box of n holding every nonzero c_n, or None.
+
+    c_n vanishes for |B n|_inf beyond ``g.autocorrelation_radius()``, hence
+    for |n|_inf > ceil(radius * |inv(B)|_inf).  None (take the direct route)
+    when the generator declares no radius, or when the box holds more terms
+    than one block of the lattice sum: very fine lattices, whose lattice sums
+    need only a few terms.
+    """
+    support = g.autocorrelation_radius()
+    if support is None:
+        return None
+    n_max = math.ceil(support * operator_inf_norm(lattice.dual_basis.T))
+    return n_max if (2 * n_max + 1) ** lattice.dim <= _BLOCK_BUDGET else None
+
+
+def _dual_values(g: Generator, lattice: LatticeSpec, grid_res: int,
+                 radius: int) -> np.ndarray:
+    """Grid samples of sum_{|n|_inf <= radius} c_n exp(2 pi i n . gamma).
+
+    Exponents alias mod N exactly on the grid, so the coefficients are
+    scattered into an N^d array and summed by one inverse FFT.
+    """
+    ns = np.array(integer_box(lattice.dim, radius))
+    coeffs = np.zeros((grid_res,) * lattice.dim, dtype=complex)
+    np.add.at(coeffs, tuple((ns % grid_res).T), g.autocorrelation(ns @ lattice.basis.T))
+    return np.maximum(coeffs.size * np.fft.ifftn(coeffs).real, 0.0)
 
 
 def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
                 target_tail: float | None = None) -> PeriodizationTable:
     """Tabulate the periodized power spectrum of ``g`` on the [0,1)^d grid.
 
-    The truncation radius is chosen from the generator's certified decay so
-    the dropped tail is at most ``target_tail``.  When ``target_tail`` is
-    omitted it defaults to 1e-10 times the grid maximum of a cheap pilot pass,
-    which keeps the tail negligible against classification tolerances.
+    Dual route: when ``g.autocorrelation_radius()`` bounds the nonzero c_n to
+    a box (see ``_coefficient_radius``), the table is their exact
+    trigonometric polynomial, with ``trunc_radius`` the box radius and
+    ``tail`` 0; ``target_tail`` is then not needed.
+
+    Direct route: the lattice sum of |fhat|^2 is truncated at the radius
+    chosen from the generator's certified decay so the dropped tail is at most
+    ``target_tail``.  When ``target_tail`` is omitted it defaults to 1e-10
+    times the grid maximum of the k = 0 term alone: every term is >= 0, so
+    that maximum is a lower bound on max phi, and the tail stays negligible
+    against classification tolerances.
     """
     _validate_grid(grid_res)
     if target_tail is not None and target_tail <= 0:
         raise ValueError("target_tail must be positive")
     d = lattice.dim
-    pts = grid_gamma(d, grid_res)
-    dual = lattice.dual_basis
 
-    def power(args):
-        return np.abs(g.fourier(args)) ** 2
+    n_max = _coefficient_radius(g, lattice)
+    if n_max is not None:
+        radius, tail = n_max, 0.0
+        values = _dual_values(g, lattice, grid_res, n_max)
+    else:
+        pts = grid_gamma(d, grid_res)
+        dual = lattice.dual_basis
 
-    if target_tail is None:
-        pilot = _lattice_sum(power, lattice, pts, min(8, K_CAP[d]), dual).real
-        target_tail = 1e-10 * max(float(pilot.max()) / lattice.det_abs, 1e-30)
+        def power(args):
+            return np.abs(g.fourier(args)) ** 2
 
-    radius, tail = choose_truncation(g, lattice, target_tail)
-    acc = _lattice_sum(power, lattice, pts, radius, dual).real
-    values = (acc / lattice.det_abs).reshape((grid_res,) * d)
+        if target_tail is None:
+            k0 = _lattice_sum(power, lattice, pts, 0, dual).real
+            target_tail = 1e-10 * max(float(k0.max()) / lattice.det_abs, 1e-30)
+
+        radius, tail = choose_truncation(g, lattice, target_tail)
+        acc = _lattice_sum(power, lattice, pts, radius, dual).real
+        values = (acc / lattice.det_abs).reshape((grid_res,) * d)
     return PeriodizationTable(
         lattice=lattice,
         grid_res=grid_res,

@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latticeframes as lf
 from latticeframes.classify import Verdict
@@ -41,9 +46,11 @@ def test_bounds_bspline(bspline1_table):
     assert b.inf_all <= b.inf_offzero <= b.sup_all
 
 
-def test_bounds_epsilon_guard(bspline1_table):
+def test_bounds_epsilon_guard(gauss_table):
+    # the Gaussian table has a positive tail (B-spline tables are exact)
+    assert gauss_table.tail > 0.0
     with pytest.raises(EpsilonTooSmall):
-        lf.spectral_bounds(bspline1_table, eps_zero=bspline1_table.tail)
+        lf.spectral_bounds(gauss_table, eps_zero=gauss_table.tail)
 
 
 def test_classify_example(example_table):
@@ -216,6 +223,12 @@ def test_scaling_equivariance(unit_lattice):
         def spatial(self, x):
             return self.c * self.base.spatial(x)
 
+        def autocorrelation(self, t):
+            return self.c**2 * self.base.autocorrelation(t)
+
+        def autocorrelation_radius(self):
+            return self.base.autocorrelation_radius()
+
         def norm_squared(self):
             return self.c**2 * self.base.norm_squared()
 
@@ -230,7 +243,9 @@ def test_scaling_equivariance(unit_lattice):
                                            peak=self.c**2 * db.peak)
             return dataclasses.replace(db, constant=self.c**2 * db.constant)
 
-    for base in (lf.BSpline(1), lf.FrequencyBox([-1 / 3], [1 / 3])):
+    # forwarding the autocorrelation keeps both sides on one route: dual for
+    # the B-spline, direct for the box and the Gaussian
+    for base in (lf.BSpline(1), lf.FrequencyBox([-1 / 3], [1 / 3]), lf.Gaussian(1.0)):
         plain = lf.classify_table(lf.compute_phi(base, unit_lattice, 512))
         scaled = lf.classify_table(lf.compute_phi(Scaled(base, 2.0), unit_lattice, 512))
         assert _family(scaled.verdict) == _family(plain.verdict)
@@ -271,3 +286,34 @@ def test_weighted_engine_matches_translate_engine(sinc_table, bspline1_table,
         assert weighted.verdict is base.verdict
         if base.lower is not None:
             assert weighted.lower == pytest.approx(base.lower, rel=1e-9, abs=1e-12)
+
+
+# integer 2x2 matrices with entries in [-3, 3] and determinant +-1
+_UNIMODULAR = [
+    np.array(e, dtype=float).reshape(2, 2)
+    for e in itertools.product(range(-3, 4), repeat=4)
+    if abs(e[0] * e[3] - e[1] * e[2]) == 1
+]
+_ROTATION = np.array([[math.cos(0.37), -math.sin(0.37)],
+                      [math.sin(0.37), math.cos(0.37)]])
+_BASIS_CHANGE_GENERATORS = (lf.BSpline(2, 2), lf.Gaussian(1.0, 2))
+
+
+@pytest.fixture(scope="module")
+def rotated_classifications():
+    L = lf.new_lattice(_ROTATION)
+    return [lf.classify_table(lf.compute_phi(g, L, 64)) for g in _BASIS_CHANGE_GENERATORS]
+
+
+@settings(max_examples=20, deadline=None)
+@given(u=st.sampled_from(_UNIMODULAR))
+def test_unimodular_basis_change_keeps_verdict(u, rotated_classifications):
+    # B and BU generate the same lattice; phi moves by gamma -> inv(U.T) gamma,
+    # which permutes the grid, so the verdict and bounds stay put
+    L = lf.new_lattice(_ROTATION @ u)
+    for g, plain in zip(_BASIS_CHANGE_GENERATORS, rotated_classifications):
+        moved = lf.classify_table(lf.compute_phi(g, L, 64))
+        assert moved.verdict is plain.verdict
+        assert moved.lower == pytest.approx(plain.lower, rel=1e-9)
+        assert moved.upper == pytest.approx(plain.upper, rel=1e-9)
+        assert moved.evidence["zero_fraction"] == plain.evidence["zero_fraction"]

@@ -132,17 +132,21 @@ def test_bad_grid_is_exit_2(capsys):
 
 
 def test_numeric_failure_is_exit_3(capsys, tmp_path):
+    # sampled data without a declared band has no certified decay: NoDecayInfo
+    # (no catalog generator reaches TailNotAchievable at the default target)
+    csv_path = tmp_path / "bump.csv"
+    csv_path.write_text("-0.5,0.5,0.0\n0.0,1.0,0.0\n0.5,0.5,0.0\n")
     cfg = {
-        "generator": {"kind": "bspline", "order": 1, "dim": 1},
+        "generator": {"kind": "sampled", "csv": str(csv_path)},
         "lattice": [[1.0]],
         "grid_res": 64,
-        "target_tail": 1e-30,
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code, _, err = _run(capsys, ["classify", "--config", str(path)])
     assert code == 3
     assert "numerical failure" in err
+    assert "support_radius" in err
 
 
 def test_config_file_round_trip(capsys, tmp_path):

@@ -274,3 +274,45 @@ def test_synthesis_shear_lattice_orthonormal():
     ref = np.zeros(9)
     ref[4] = 1.0
     assert np.max(np.abs(vals - ref)) < 1e-9
+
+
+def _hat_projection_reference(values, origin, step, grid_res):
+    """Squared distance of 1-d samples from the span of hat translates on Z.
+
+    psihat (a Riemann sum) has period P = 1/step, so the cross periodization
+    groups k by residue r mod P, and the Fejer-type closed form
+    sum_m sinc^2(x + P m) = sin^2(pi x) / (P^2 sin^2(pi x / P)) sums each
+    group exactly: no truncation.
+    """
+    period = int(round(1.0 / step))
+    gamma = np.arange(grid_res) / grid_res
+    xs = origin + step * np.arange(len(values))
+    cross = np.zeros(grid_res, dtype=complex)
+    for r in range(period):
+        x = gamma + r
+        psihat = step * np.exp(-2j * np.pi * np.outer(x, xs)) @ values
+        den = period**2 * np.sin(np.pi * x / period) ** 2
+        safe = np.where(den == 0.0, 1.0, den)
+        weight = np.where(den == 0.0, 1.0, np.sin(np.pi * x) ** 2 / safe)
+        cross += psihat * weight
+    phi = (2.0 + np.cos(2 * np.pi * gamma)) / 3.0
+    norm = step * float(np.sum(np.abs(values) ** 2))
+    return norm - float(np.mean(np.abs(cross) ** 2 / phi)), norm
+
+
+def test_project_sampled_onto_hat_matches_exact_cross_sum(unit_lattice):
+    # the hat table is exact with coefficient radius 2; the cross sum must
+    # still run to the hat's own lattice-sum radius (about 400), or the
+    # residual drifts by ~1e-4 of ||psi||^2
+    rng = np.random.default_rng(RNG_SEED)
+    step, origin = 1.0 / 16, -4.0
+    x = step * (np.arange(129) - 64)
+    samples = np.maximum(1.0 - np.abs(x) / 4.0, 0.0) + 0.3 * rng.standard_normal(129)
+    g = lf.BSpline(1)
+    table = lf.compute_phi(g, unit_lattice, 256)
+    assert table.trunc_radius == 2 and table.tail == 0.0
+    psi = lf.SampledSpatial(samples, [origin], step, support_radius=8.0)
+    res = lf.project_onto_span(g, unit_lattice, psi, table)
+    ref, norm = _hat_projection_reference(samples, origin, step, 256)
+    assert not res.is_member
+    assert abs(res.residual_norm_sq - ref) <= 1e-5 * norm

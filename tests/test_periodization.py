@@ -7,6 +7,20 @@ from scipy.integrate import quad
 
 import latticeframes as lf
 from latticeframes.errors import AliasRisk, NoDecayInfo, TailNotAchievable
+from latticeframes.generators import tail_bound
+from latticeframes.periodization import (
+    K_CAP,
+    _lattice_sum,
+    choose_truncation,
+    grid_gamma,
+)
+
+_SHEAR = [[1.0, 1.0], [0.0, 1.0]]
+
+
+def _rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return [[c, -s], [s, c]]
 
 
 def test_phi_example_box(example_table):
@@ -47,9 +61,105 @@ def test_phi_rejects_bad_grid(unit_lattice):
         lf.compute_phi(lf.Sinc(1), unit_lattice, 4)
 
 
-def test_phi_tail_not_achievable(unit_lattice):
+def test_phi_tail_not_achievable(unit_lattice, translate_sum):
+    # B-spline tables take the exact dual route, so the unreachable target is
+    # checked on the truncation itself and on a direct-route generator
     with pytest.raises(TailNotAchievable):
-        lf.compute_phi(lf.BSpline(1), unit_lattice, 64, target_tail=1e-30)
+        choose_truncation(lf.BSpline(1), unit_lattice, 1e-30)
+    with pytest.raises(TailNotAchievable):
+        lf.compute_phi(translate_sum(lf.BSpline(1), unit_lattice, [1]), unit_lattice, 64,
+                       target_tail=1e-30)
+
+
+def _scan(g, lattice, target, tails):
+    """The plain linear scan k = 1, 2, ..., cap; ``tails`` caches tail_bound(k)."""
+    for k in range(1, K_CAP[lattice.dim] + 1):
+        if k > len(tails):
+            tails.append(tail_bound(g, lattice, k))
+        if tails[k - 1] <= target:
+            return k, tails[k - 1]
+    return None
+
+
+def _sampled_bump():
+    x = np.arange(-8, 9) * 0.25
+    return lf.SampledSpatial(np.maximum(1 - np.abs(x) / 2, 0.0), [-2.0], 0.25,
+                             support_radius=2.5)
+
+
+@pytest.mark.parametrize("basis", [[[1.0]], [[0.7]], _SHEAR, _rotation(0.37)])
+def test_choose_truncation_bisection_matches_linear_scan(basis):
+    L = lf.new_lattice(basis)
+    if L.dim == 1:
+        gens = [lf.FrequencyBox([-1 / 3], [1 / 3]), lf.Sinc(1), lf.BSpline(1),
+                lf.BSpline(3), lf.Gaussian(1.0), lf.Gaussian(0.3), _sampled_bump()]
+    else:
+        gens = [lf.FrequencyBox([-1 / 3] * 2, [1 / 3] * 2), lf.Sinc(2), lf.BSpline(1, 2),
+                lf.BSpline(2, 2), lf.Gaussian(1.0, 2), lf.Gaussian(0.3, 2)]
+    for g in gens:
+        tails = []
+        for target in 10.0 ** -np.arange(4, 15):
+            expected = _scan(g, L, target, tails)
+            if expected is None:
+                with pytest.raises(TailNotAchievable):
+                    choose_truncation(g, L, target)
+            else:
+                assert choose_truncation(g, L, target) == expected, (g.label, target)
+
+
+def test_choose_truncation_unreachable_fails_fast(unit_lattice, monkeypatch):
+    # the cap is checked first, so an unreachable target costs one tail bound
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tail_bound(*args)
+
+    monkeypatch.setattr(lf.periodization, "tail_bound", counted)
+    with pytest.raises(TailNotAchievable):
+        choose_truncation(lf.BSpline(1), unit_lattice, 1e-30)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("basis", [[[1.0]], [[0.7]], np.eye(2).tolist(),
+                                   (0.7 * np.eye(2)).tolist(), _SHEAR, _rotation(0.37)])
+def test_dual_route_matches_direct_sum(order, basis):
+    # the direct lattice sum stays the oracle for the exact dual route; its
+    # radius is capped in d = 2 to keep the oracle cheap, at a larger tail
+    L = lf.new_lattice(basis)
+    d = L.dim
+    g = lf.BSpline(order, d)
+    n = 64 if d == 1 else 16
+    table = lf.compute_phi(g, L, n)
+    assert table.tail == 0.0
+    radius = 1
+    while radius < (1000 if d == 1 else 64) and tail_bound(g, L, radius) > 1e-10:
+        radius += 1
+    tail = tail_bound(g, L, radius)
+    direct = _lattice_sum(lambda a: np.abs(g.fourier(a)) ** 2, L, grid_gamma(d, n),
+                          radius, L.dual_basis).real / L.det_abs
+    assert np.max(np.abs(table.values.ravel() - direct)) <= tail + 1e-13
+
+
+def test_phi_bspline_d2_exact_bounds():
+    # the hat in d = 2 decays too slowly for a certified lattice-sum tail at
+    # the default target; its table is a trigonometric polynomial instead
+    table = lf.compute_phi(lf.BSpline(1, 2), lf.new_lattice(np.eye(2)), 32)
+    assert table.tail == 0.0 and table.trunc_radius == 2
+    cls = lf.classify_table(table)
+    assert cls.verdict.value == "RieszSequence"
+    assert cls.lower == pytest.approx(1 / 9, abs=1e-12)
+    assert cls.upper == pytest.approx(1.0, abs=1e-12)
+
+
+def test_phi_dual_route_falls_back_on_huge_coefficient_box():
+    # on a very fine lattice the coefficient box would have radius 400 and
+    # hold 801^3 terms, while the lattice sum needs a few: the direct route
+    L = lf.new_lattice(0.005 * np.eye(3))
+    table = lf.compute_phi(lf.BSpline(1, 3), L, 8)
+    assert table.tail > 0.0
+    assert table.trunc_radius < 10
 
 
 def test_phi_propagates_no_decay(unit_lattice):
