@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,15 +60,7 @@ class RunConfig:
             raise ValueError("gram_half_width must be >= 1")
 
     def resolved(self) -> dict:
-        return {
-            "generator": self.generator,
-            "lattice": self.lattice,
-            "grid_res": self.grid_res,
-            "target_tail": self.target_tail,
-            "eps_zero": self.eps_zero,
-            "class_tol": self.class_tol,
-            "gram_half_width": self.gram_half_width,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
 
 def preset_config(name: str) -> RunConfig:
@@ -170,12 +162,7 @@ def _round_floats(obj):
 
 
 def dump_report(report: dict, out: str | None):
-    text = json.dumps(_round_floats(report), indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    dump_text(json.dumps(_round_floats(report), indent=2) + "\n", out)
 
 
 def dump_text(text: str, out: str | None):

@@ -8,7 +8,6 @@ live on ``basis @ k`` for integer vectors k.  The dual lattice has basis
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -96,12 +95,13 @@ def wrap_to_unit_cell(gamma) -> np.ndarray:
     return r
 
 
-def integer_box(dim: int, radius: int):
-    """All integer vectors with sup-norm <= radius, lexicographically ascending."""
+def integer_box(dim: int, radius: int) -> np.ndarray:
+    """(n, dim) array of all integer vectors with sup-norm <= radius, rows
+    lexicographically ascending."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    rng = range(-radius, radius + 1)
-    return [np.array(k, dtype=int) for k in product(rng, repeat=dim)]
+    axes = np.meshgrid(*[np.arange(-radius, radius + 1)] * dim, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, dim)
 
 
 def lattice_points_in_box(lattice: LatticeSpec, radius: int, side: str = "spatial"):
@@ -117,10 +117,8 @@ def lattice_points_in_box(lattice: LatticeSpec, radius: int, side: str = "spatia
         mat = lattice.dual_basis
     else:
         raise ValueError(f"side must be 'spatial' or 'frequency', got {side!r}")
-    return [
-        LatticePoint(index=k, coords=mat @ k)
-        for k in integer_box(lattice.dim, radius)
-    ]
+    ks = integer_box(lattice.dim, radius)
+    return [LatticePoint(index=k, coords=x) for k, x in zip(ks, ks @ mat.T)]
 
 
 def operator_inf_norm(mat: np.ndarray) -> float:

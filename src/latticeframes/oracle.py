@@ -49,26 +49,37 @@ class CoefficientVector:
 class GramMatrix:
     """Hermitian block-Toeplitz matrix of translate inner products.
 
-    Only the difference entries are stored; ``dense()`` materializes the full
-    ((2M+1)^d)^2 matrix in lexicographic index order.
+    Only the difference entries are stored: ``diffs`` has shape (4M+1,)^d and
+    holds c_n at n + 2M for |n|_inf <= 2M, and entry [j, k] is c_(k-j).
+    ``dense()`` materializes the full ((2M+1)^d)^2 matrix in lexicographic
+    index order.
     """
 
     half_width: int
     dim: int
-    diffs: dict
+    diffs: np.ndarray
+
+    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entries [j, k] for (p, d) index rows j and (q, d) columns k.
+
+        Differences index ``diffs`` through their linear offsets, which are
+        linear in the index, so no (p, q, d) difference array is formed.
+        """
+        rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+        r = 2 * self.half_width
+        if (np.any(cols.max(axis=0) - rows.min(axis=0) > r)
+                or np.any(cols.min(axis=0) - rows.max(axis=0) < -r)):
+            raise KeyError(f"index difference beyond the stored radius {r}")
+        strides = (2 * r + 1) ** np.arange(self.dim - 1, -1, -1)
+        offsets = (cols @ strides)[None, :] - (rows @ strides)[:, None]
+        return self.diffs.reshape(-1)[offsets + r * int(strides.sum())]
 
     def entry(self, j, k) -> complex:
-        dv = tuple(int(b) - int(a) for a, b in zip(j, k))
-        return self.diffs[dv]
+        return complex(self._block(np.atleast_1d(j)[None], np.atleast_1d(k)[None])[0, 0])
 
     def dense(self) -> np.ndarray:
         idx = integer_box(self.dim, self.half_width)
-        m = len(idx)
-        out = np.empty((m, m), dtype=complex)
-        for a, j in enumerate(idx):
-            for b, k in enumerate(idx):
-                out[a, b] = self.diffs[tuple(k - j)]
-        return out
+        return self._block(idx, idx)
 
 
 def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatrix:
@@ -86,13 +97,10 @@ def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatr
 
     # the box is symmetric and in lex order, so entry i mirrors entry -1 - i
     box = integer_box(lattice.dim, 2 * half_width)
-    keys = [tuple(int(v) for v in dv) for dv in box]
-    half = (len(keys) + 1) // 2
-    vals = g.autocorrelation(np.array(box[:half], dtype=float) @ lattice.basis.T)
-    diffs = {}
-    for i, key in enumerate(keys):
-        diffs[key] = complex(vals[i]) if i < half else diffs[keys[-1 - i]].conjugate()
-    return GramMatrix(half_width=half_width, dim=lattice.dim, diffs=diffs)
+    vals = g.autocorrelation(box[: (len(box) + 1) // 2] @ lattice.basis.T).astype(complex)
+    diffs = np.concatenate([vals, vals[:-1][::-1].conj()])
+    return GramMatrix(half_width=half_width, dim=lattice.dim,
+                      diffs=diffs.reshape((4 * half_width + 1,) * lattice.dim))
 
 
 def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
@@ -110,14 +118,10 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _synthesis_weight(c: CoefficientVector, lattice: LatticeSpec,
-                      xi: np.ndarray) -> np.ndarray:
-    """sum_k c_k exp(-2 pi i xi . (B k)) at an (m, d) array of frequencies."""
-    out = np.zeros(xi.shape[0], dtype=complex)
-    for k, ck in c.entries.items():
-        shift = lattice.basis @ np.asarray(k, dtype=float)
-        out += ck * np.exp(-2j * np.pi * (xi @ shift))
-    return out
+def _trig_sum(cs: np.ndarray, shifts: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """sum_k c_k exp(-2 pi i xi . s_k) at an (m, d) array of points xi, for
+    coefficients c_k and their (n, d) shifts s_k."""
+    return np.exp(-2j * np.pi * (xi @ shifts.T)) @ cs
 
 
 def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
@@ -133,27 +137,24 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     table and the Gram entries.  A precomputed ``gram`` (covering the support
     of c) avoids rebuilding the difference entries on repeated calls.
     """
+    ks = np.array(list(c.entries), dtype=int)
+    cs = np.array(list(c.entries.values()), dtype=complex)
+    shifts = ks @ lattice.basis.T
     # direct route: the dropped tail is below sup|weight|^2 * target, so
     # scaling the target by the squared coefficient mass keeps the absolute
     # error under 1e-9 for any c
-    mass = sum(abs(v) for v in c.entries.values())
+    mass = float(np.sum(np.abs(cs)))
     radius = g.fourier_tail_radius(1e-9 / (1.0 + mass**2))
-    osc = max(
-        float(np.max(np.abs(lattice.basis @ np.asarray(k, dtype=float))))
-        for k in c.entries
-    )
+    osc = float(np.max(np.abs(shifts)))
     # |weight|^2 has twice the bandwidth of the weight itself
     pts, w = grid_nodes(lattice.dim, radius, osc_freq=2.0 * osc + 1.0, density=0.8)
-    weight = _synthesis_weight(c, lattice, pts)
+    weight = _trig_sum(cs, shifts, pts)
     direct = float(
         np.sum(w * np.abs(weight) ** 2 * np.abs(g.fourier(pts)) ** 2).real
     )
 
     # spectral route on the table grid
-    gamma = grid_gamma(table.dim, table.grid_res)
-    poly = np.zeros(gamma.shape[0], dtype=complex)
-    for k, ck in c.entries.items():
-        poly += ck * np.exp(-2j * np.pi * (gamma @ np.asarray(k, dtype=float)))
+    poly = _trig_sum(cs, ks, grid_gamma(table.dim, table.grid_res))
     spectral = float(np.mean(np.abs(poly) ** 2 * table.values.ravel()))
 
     # quadratic form through the Gram matrix
@@ -161,11 +162,7 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
         gram = gram_matrix(g, lattice, max(1, c.support_radius()))
     elif gram.half_width < c.support_radius():
         raise ValueError("supplied gram matrix does not cover the support of c")
-    quadratic = 0.0 + 0.0j
-    for j, cj in c.entries.items():
-        for k, ck in c.entries.items():
-            dv = tuple(int(b) - int(a) for a, b in zip(j, k))
-            quadratic += cj * np.conj(ck) * gram.diffs[dv]
+    quadratic = cs @ gram._block(ks, ks) @ cs.conj()
     return direct, spectral, float(quadratic.real)
 
 
@@ -189,18 +186,10 @@ def analysis_coefficients(g: Generator, lattice: LatticeSpec, h: Generator,
     compact = [r for kind, r in radii if kind == "compact"]
     radius = min(compact) if compact else max(r for _, r in radii)
 
-    ks = integer_box(lattice.dim, half_width)
-    osc = max(
-        (float(np.max(np.abs(lattice.basis @ k.astype(float)))) for k in ks),
-        default=0.0,
-    )
-    pts, w = grid_nodes(lattice.dim, radius, osc_freq=osc + 1.0)
+    shifts = integer_box(lattice.dim, half_width) @ lattice.basis.T
+    pts, w = grid_nodes(lattice.dim, radius, osc_freq=float(np.max(np.abs(shifts))) + 1.0)
     base = w * h.fourier(pts) * np.conj(g.fourier(pts))
-    out = np.empty(len(ks), dtype=complex)
-    for i, k in enumerate(ks):
-        shift = lattice.basis @ k.astype(float)
-        out[i] = np.sum(base * np.exp(2j * np.pi * (pts @ shift)))
-    return out
+    return np.array([np.sum(base * np.exp(2j * np.pi * (pts @ s))) for s in shifts])
 
 
 @dataclass(frozen=True, eq=False)

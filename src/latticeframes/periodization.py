@@ -97,7 +97,7 @@ def _validate_grid(n: int):
 def _lattice_sum(eval_fn, lattice: LatticeSpec, pts: np.ndarray, radius: int,
                  matrix: np.ndarray) -> np.ndarray:
     """sum_{|k|_inf <= radius} eval_fn(matrix @ (pts + k)) in fixed lex order."""
-    ks = np.array(integer_box(lattice.dim, radius), dtype=float)
+    ks = integer_box(lattice.dim, radius)
     m = pts.shape[0]
     acc = np.zeros(m, dtype=complex)
     block = max(1, _BLOCK_BUDGET // max(1, m))
@@ -164,7 +164,7 @@ def _dual_values(g: Generator, lattice: LatticeSpec, grid_res: int,
     Exponents alias mod N exactly on the grid, so the coefficients are
     scattered into an N^d array and summed by one inverse FFT.
     """
-    ns = np.array(integer_box(lattice.dim, radius))
+    ns = integer_box(lattice.dim, radius)
     coeffs = np.zeros((grid_res,) * lattice.dim, dtype=complex)
     np.add.at(coeffs, tuple((ns % grid_res).T), g.autocorrelation(ns @ lattice.basis.T))
     return np.maximum(coeffs.size * np.fft.ifftn(coeffs).real, 0.0)
@@ -320,9 +320,9 @@ def phi_fourier_coeffs(table: PeriodizationTable, n_max: int) -> CoefficientTabl
     if n_max > n // 4:
         raise AliasRisk(f"n_max {n_max} exceeds alias-safe bound {n // 4}")
     spec = np.fft.fftn(table.values) / table.values.size
-    entries = {}
-    for k in integer_box(table.dim, n_max):
-        entries[tuple(int(v) for v in k)] = complex(spec[tuple(k % n)])
+    ks = integer_box(table.dim, n_max)
+    vals = spec[tuple((ks % n).T)]
+    entries = {tuple(k): complex(v) for k, v in zip(ks.tolist(), vals)}
     return CoefficientTable(entries=entries, n_max=n_max)
 
 

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 import latticeframes as lf
 from latticeframes.errors import ConvergenceFailure, DegenerateSpan, TooLarge
+from latticeframes.lattice import integer_box
 from latticeframes.oracle import GramMatrix
 from latticeframes.periodization import PeriodizationTable
 
@@ -49,6 +50,59 @@ def test_gram_2d(unit_lattice):
     assert np.max(np.abs(gram.dense() - np.eye(9))) < 1e-9
 
 
+# an off-centre frequency box has complex autocorrelations that are not even,
+# so its Gram matrix differs from its transpose (by 0.10 to 0.28 here)
+_COMPLEX_GRAM_LATTICES = [[[0.7]], [[1.0, 1.0], [0.0, 1.0]], (0.9 * np.eye(3)).tolist()]
+
+
+@pytest.mark.parametrize("basis", _COMPLEX_GRAM_LATTICES)
+def test_gram_orientation_complex_generator(basis):
+    d = len(basis)
+    L = lf.new_lattice(basis)
+    g = lf.FrequencyBox([-0.2] * d, [0.35] * d)
+    dense = lf.gram_matrix(g, L, 1).dense()
+    assert np.max(np.abs(dense - dense.T)) > 0.1
+    idx = integer_box(d, 1)
+    for a in range(len(idx)):
+        for b in range(len(idx)):
+            ref = lf.autocorrelation(g, L, idx[b] - idx[a])
+            assert abs(dense[a, b] - ref) <= 1e-14
+
+
+@pytest.mark.parametrize("basis", _COMPLEX_GRAM_LATTICES)
+def test_synthesis_quadratic_complex_generator(basis):
+    d = len(basis)
+    L = lf.new_lattice(basis)
+    g = lf.FrequencyBox([-0.2] * d, [0.35] * d)
+    rng = np.random.default_rng(RNG_SEED)
+    ks = [tuple(int(v) for v in k) for k in integer_box(d, 1)]
+    c = {k: complex(rng.standard_normal(), rng.standard_normal()) for k in ks}
+    explicit = sum(
+        c[j] * np.conj(c[k]) * lf.autocorrelation(g, L, np.subtract(k, j))
+        for j in ks for k in ks
+    )
+    table = lf.compute_phi(g, L, 16)
+    _, _, q = lf.synthesis_norm(g, L, lf.CoefficientVector(c), table)
+    assert abs(explicit.imag) <= 1e-12
+    assert q == pytest.approx(explicit.real, abs=1e-12)
+
+
+def test_gram_entry_beyond_stored_radius(unit_lattice):
+    gram = lf.gram_matrix(lf.BSpline(1), unit_lattice, 3)
+    assert gram.entry(0, 6) == pytest.approx(0.0, abs=1e-15)
+    for n in (7, -7):
+        with pytest.raises(KeyError):
+            gram.entry(0, n)
+
+
+def test_synthesis_gram_too_small(unit_lattice, bspline1_table):
+    c = lf.CoefficientVector({(0,): 1.0, (2,): 1.0})
+    assert c.support_radius() == 2
+    with pytest.raises(ValueError):
+        lf.synthesis_norm(lf.BSpline(1), unit_lattice, c, bspline1_table,
+                          gram=lf.gram_matrix(lf.BSpline(1), unit_lattice, 1))
+
+
 def test_eigen_bounds_bspline(unit_lattice):
     lo, hi = lf.gram_eigen_bounds(lf.gram_matrix(lf.BSpline(1), unit_lattice, 32))
     assert 1 / 3 < lo < 1 / 3 + 0.01
@@ -90,9 +144,7 @@ def test_eigen_envelope_all_presets(unit_lattice):
 
 
 def test_eigen_convergence_failure():
-    bad = GramMatrix(half_width=1, dim=1, diffs={(-2,): np.nan, (-1,): np.nan,
-                                                 (0,): np.nan, (1,): np.nan,
-                                                 (2,): np.nan})
+    bad = GramMatrix(half_width=1, dim=1, diffs=np.full(5, np.nan + 0j))
     with pytest.raises(ConvergenceFailure):
         lf.gram_eigen_bounds(bad)
 
