@@ -11,15 +11,19 @@ from functools import lru_cache
 
 import numpy as np
 
+# points of the Gauss-Legendre rule on each panel
+ORDER = 16
+# panels per unit length for slowly oscillating integrands
+MIN_PANELS_PER_UNIT = 3.0
 
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    # numpy.polynomial loads on first use, not with the package
+    return np.polynomial.legendre.leggauss(ORDER)
 
 
-def panel_nodes(a: float, b: float, osc_freq: float, order: int = 16,
-                min_panels_per_unit: float = 3.0, density: float = 3.0):
+def panel_nodes(a: float, b: float, osc_freq: float, density: float = 3.0):
     """Composite Gauss-Legendre nodes and weights on [a, b].
 
     ``osc_freq`` is the highest frequency of the integrand in cycles per unit;
@@ -28,9 +32,9 @@ def panel_nodes(a: float, b: float, osc_freq: float, order: int = 16,
     """
     if b <= a:
         raise ValueError("empty integration interval")
-    per_unit = max(min_panels_per_unit, density * (abs(osc_freq) + 1.0))
+    per_unit = max(MIN_PANELS_PER_UNIT, density * (abs(osc_freq) + 1.0))
     n_panels = max(1, int(np.ceil((b - a) * per_unit)))
-    x, w = _gl_nodes(order)
+    x, w = _gl_nodes()
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -39,19 +43,11 @@ def panel_nodes(a: float, b: float, osc_freq: float, order: int = 16,
     return nodes, weights
 
 
-def grid_nodes(dim: int, radius: float, osc_freq: float, order: int = 16,
-               density: float = 3.0):
+def grid_nodes(dim: int, radius: float, osc_freq: float, density: float = 3.0):
     """Tensor-product panel rule on [-radius, radius]^dim.
 
     Returns (points, weights) with points of shape (m, dim).
     """
-    n1, w1 = panel_nodes(-radius, radius, osc_freq, order, density=density)
-    if dim == 1:
-        return n1[:, None], w1
-    axes = [n1] * dim
-    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    wgrids = np.meshgrid(*([w1] * dim), indexing="ij")
-    w = np.ones_like(wgrids[0])
-    for wg in wgrids:
-        w = w * wg
-    return pts, w.ravel()
+    n1, w1 = panel_nodes(-radius, radius, osc_freq, density=density)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*[n1] * dim, indexing="ij")], axis=-1)
+    return pts, np.prod(np.meshgrid(*[w1] * dim, indexing="ij"), axis=0).ravel()

@@ -47,8 +47,10 @@ class RunConfig:
     out: str | None = None
 
     def validate(self):
-        if not isinstance(self.grid_res, int):
-            raise ValueError(f"grid_res must be an integer, got {self.grid_res!r}")
+        for name in ("grid_res", "gram_half_width"):
+            v = getattr(self, name)
+            if not isinstance(v, int):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         _periodization._validate_grid(self.grid_res)
         for name in ("target_tail", "eps_zero"):
             v = getattr(self, name)
@@ -67,37 +69,14 @@ def preset_config(name: str) -> RunConfig:
     """Built-in configurations; no external files needed."""
     third = 1.0 / 3.0
     presets = {
-        "example": RunConfig(
-            generator={"kind": "frequency_box", "lower": [-third], "upper": [third]},
-            lattice=[[1.0]],
-            grid_res=1024,
-        ),
-        "sinc": RunConfig(
-            generator={"kind": "sinc", "dim": 1},
-            lattice=[[1.0]],
-            grid_res=4096,
-        ),
-        "bspline1": RunConfig(
-            generator={"kind": "bspline", "order": 1, "dim": 1},
-            lattice=[[1.0]],
-            grid_res=4096,
-        ),
-        "bspline3": RunConfig(
-            generator={"kind": "bspline", "order": 3, "dim": 1},
-            lattice=[[1.0]],
-            grid_res=4096,
-        ),
-        "gauss": RunConfig(
-            generator={"kind": "gaussian", "width": 1.0, "dim": 1},
-            lattice=[[1.0]],
-            grid_res=4096,
-        ),
-        "sinc2d": RunConfig(
-            generator={"kind": "sinc", "dim": 2},
-            lattice=[[1.0, 1.0], [0.0, 1.0]],
-            grid_res=256,
-            gram_half_width=2,
-        ),
+        "example": RunConfig({"kind": "frequency_box", "lower": [-third], "upper": [third]},
+                             [[1.0]], grid_res=1024),
+        "sinc": RunConfig({"kind": "sinc", "dim": 1}, [[1.0]]),
+        "bspline1": RunConfig({"kind": "bspline", "order": 1, "dim": 1}, [[1.0]]),
+        "bspline3": RunConfig({"kind": "bspline", "order": 3, "dim": 1}, [[1.0]]),
+        "gauss": RunConfig({"kind": "gaussian", "width": 1.0, "dim": 1}, [[1.0]]),
+        "sinc2d": RunConfig({"kind": "sinc", "dim": 2}, [[1.0, 1.0], [0.0, 1.0]],
+                            grid_res=256, gram_half_width=2),
     }
     if name not in presets:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(presets)}")
@@ -137,11 +116,6 @@ def load_config(args) -> RunConfig:
     if args.out is not None:
         cfg.out = args.out
     cfg.validate()
-    if cfg.generator.get("kind") == "sampled":
-        import os
-
-        if not os.path.exists(cfg.generator.get("csv", "")):
-            raise ValueError(f"sample CSV not found: {cfg.generator.get('csv')}")
     return cfg
 
 
@@ -174,21 +148,31 @@ def dump_text(text: str, out: str | None):
 
 
 # ---------------------------------------------------------------------------
-# pipeline pieces
+# subcommands: each handler returns a report dict or CSV text
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_table(cfg: RunConfig):
-    g = build_generator(cfg.generator)
-    lattice = new_lattice(np.asarray(cfg.lattice, dtype=float))
-    table = _periodization.compute_phi(g, lattice, cfg.grid_res, cfg.target_tail)
-    return g, lattice, table
+def _generator_lattice(cfg: RunConfig):
+    return build_generator(cfg.generator), new_lattice(np.asarray(cfg.lattice, dtype=float))
 
 
-def _classification_report(cfg: RunConfig, with_oracle: bool = True) -> dict:
-    g, lattice, table = _pipeline_table(cfg)
+def _table(cfg: RunConfig):
+    g, lattice = _generator_lattice(cfg)
+    return g, lattice, _periodization.compute_phi(g, lattice, cfg.grid_res, cfg.target_tail)
+
+
+def _classify_report(cfg: RunConfig, args) -> dict:
+    g, lattice, table = _table(cfg)
     cls = _classify.classify_table(table, cfg.eps_zero, cfg.class_tol)
-    report = {
+    gram = _oracle.gram_matrix(g, lattice, cfg.gram_half_width)
+    lo, hi = _oracle.gram_eigen_bounds(gram)
+    # finite sections see the whole essential range: the upper bound
+    # always applies, the lower one only when there is no zero set
+    # (otherwise sections are expected to be near-singular)
+    consistent = cls.upper is None or hi <= cls.upper + 0.05
+    if cls.verdict in (Verdict.RIESZ_SEQUENCE, Verdict.ORTHONORMAL_SEQUENCE):
+        consistent = consistent and lo >= cls.lower - 0.05
+    return {
         "verdict": cls.verdict.value,
         "lower": cls.lower,
         "upper": cls.upper,
@@ -198,121 +182,91 @@ def _classification_report(cfg: RunConfig, with_oracle: bool = True) -> dict:
         "tail": table.tail,
         "eps_zero": cls.evidence["eps_zero"],
         "class_tol": cfg.class_tol,
-    }
-    if with_oracle:
-        gram = _oracle.gram_matrix(g, lattice, cfg.gram_half_width)
-        lo, hi = _oracle.gram_eigen_bounds(gram)
-        # finite sections see the whole essential range: the upper bound
-        # always applies, the lower one only when there is no zero set
-        # (otherwise sections are expected to be near-singular)
-        consistent = cls.upper is None or hi <= cls.upper + 0.05
-        if cls.verdict in (Verdict.RIESZ_SEQUENCE, Verdict.ORTHONORMAL_SEQUENCE):
-            consistent = consistent and lo >= cls.lower - 0.05
-        report["oracle"] = {
+        "oracle": {
             "half_width": cfg.gram_half_width,
             "lambda_min": lo,
             "lambda_max": hi,
             "consistent": consistent,
-        }
-    report["config"] = cfg.resolved()
-    return report
+        },
+    }
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    dump_report(_classification_report(cfg), cfg.out)
-    return EXIT_OK
+def _phi_csv(cfg: RunConfig, args) -> str:
+    return _periodization.table_to_csv(_table(cfg)[2])
 
 
-def cmd_phi(cfg: RunConfig) -> int:
-    _, _, table = _pipeline_table(cfg)
-    dump_text(_periodization.table_to_csv(table), cfg.out)
-    return EXIT_OK
+def _gram_csv(cfg: RunConfig, args) -> str:
+    dense = _oracle.gram_matrix(*_generator_lattice(cfg), cfg.gram_half_width).dense()
+    return "".join(",".join(f"{v.real:.12g},{v.imag:.12g}" for v in row) + "\n"
+                   for row in dense)
 
 
-def cmd_gram(cfg: RunConfig) -> int:
-    g = build_generator(cfg.generator)
-    lattice = new_lattice(np.asarray(cfg.lattice, dtype=float))
-    gram = _oracle.gram_matrix(g, lattice, cfg.gram_half_width)
-    dense = gram.dense()
-    lines = []
-    for row in dense:
-        parts = []
-        for v in row:
-            parts.append(f"{v.real:.12g},{v.imag:.12g}")
-        lines.append(",".join(parts))
-    dump_text("\n".join(lines) + "\n", cfg.out)
-    return EXIT_OK
+def _coeffs_report(cfg: RunConfig, args) -> dict:
+    coeffs = _periodization.phi_fourier_coeffs(_table(cfg)[2], args.nmax)
+    entries = [{"n": list(n), "re": coeffs.entries[n].real, "im": coeffs.entries[n].imag}
+               for n in sorted(coeffs.entries)]
+    return {"n_max": args.nmax, "coefficients": entries}
 
 
-def cmd_coeffs(cfg: RunConfig, n_max: int) -> int:
-    g, lattice, table = _pipeline_table(cfg)
-    coeffs = _periodization.phi_fourier_coeffs(table, n_max)
-    entries = []
-    for n in sorted(coeffs.entries):
-        v = coeffs.entries[n]
-        entries.append({"n": list(n), "re": v.real, "im": v.imag})
-    dump_report({"n_max": n_max, "coefficients": entries, "config": cfg.resolved()},
-                cfg.out)
-    return EXIT_OK
-
-
-def cmd_perturb(cfg: RunConfig, n_vec: list[int]) -> int:
-    g, lattice, table = _pipeline_table(cfg)
-    check = _classify.perturbation_frame_check(table, n_vec, cfg.eps_zero, cfg.class_tol)
+def _perturb_report(cfg: RunConfig, args) -> dict:
+    table = _table(cfg)[2]
+    check = _classify.perturbation_frame_check(table, args.n, cfg.eps_zero, cfg.class_tol)
     cls = check.classification
-    dump_report(
-        {
-            "shift_index": list(n_vec),
-            "verdict": cls.verdict.value,
-            "lower": cls.lower,
-            "upper": cls.upper,
-            "zero_fraction": cls.evidence["zero_fraction"],
-            "frame_for_original": check.frame_for_original,
-            "inf_on_original_support": check.inf_on_original_support,
-            "config": cfg.resolved(),
-        },
-        cfg.out,
-    )
-    return EXIT_OK
+    return {
+        "shift_index": list(args.n),
+        "verdict": cls.verdict.value,
+        "lower": cls.lower,
+        "upper": cls.upper,
+        "zero_fraction": cls.evidence["zero_fraction"],
+        "frame_for_original": check.frame_for_original,
+        "inf_on_original_support": check.inf_on_original_support,
+    }
 
 
-def cmd_project(cfg: RunConfig, psi_spec: str) -> int:
-    g, lattice, table = _pipeline_table(cfg)
-    if psi_spec.strip().startswith("{"):
-        psi = build_generator(json.loads(psi_spec))
+def _project_report(cfg: RunConfig, args) -> dict:
+    g, lattice, table = _table(cfg)
+    if args.psi.strip().startswith("{"):
+        psi = build_generator(json.loads(args.psi))
     else:
-        psi = build_generator(preset_config(psi_spec).generator)
+        psi = build_generator(preset_config(args.psi).generator)
     result = _oracle.project_onto_span(g, lattice, psi, table, cfg.eps_zero)
-    dump_report(
-        {
-            "residual_norm_sq": result.residual_norm_sq,
-            "is_member": result.is_member,
-            "psi": psi.label,
-            "config": cfg.resolved(),
-        },
-        cfg.out,
-    )
-    return EXIT_OK
+    return {
+        "residual_norm_sq": result.residual_norm_sq,
+        "is_member": result.is_member,
+        "psi": psi.label,
+    }
 
 
-def cmd_example(out: str | None) -> int:
-    """Run the built-in box example end to end and assert its verdict."""
-    cfg = preset_config("example")
-    cfg.out = out
-    report = _classification_report(cfg, with_oracle=True)
+# name -> (handler, extra argparse arguments as flag -> keyword arguments)
+COMMANDS = {
+    "classify": (_classify_report, {}),
+    "phi": (_phi_csv, {}),
+    "gram": (_gram_csv, {}),
+    "coeffs": (_coeffs_report, {"--nmax": {"type": int, "default": 2}}),
+    "perturb": (_perturb_report, {
+        "--n": {"type": int, "nargs": "+", "required": True,
+                "help": "integer shift index (one value per dimension)"}}),
+    "project": (_project_report, {
+        "--psi": {"required": True, "help": "preset name or inline generator JSON"}}),
+}
+
+
+def _example(out: str | None) -> int:
+    """Run the built-in box example end to end and check its verdict."""
+    report = _classify_report(preset_config("example"), None)
     ok = (
         report["verdict"] == "ParsevalFrameSequence"
         and abs(report["lower"] - 1.0) <= 1e-6
         and abs(report["upper"] - 1.0) <= 1e-6
         and report["zero_fraction"] > 0.25
     )
-    lines = [
+    dump_text(
         f"verdict: {report['verdict']} with bounds "
-        f"({report['lower']:.9f}, {report['upper']:.9f})",
+        f"({report['lower']:.9f}, {report['upper']:.9f})\n"
         "not a Riesz sequence: zero set has fraction "
-        f"{report['zero_fraction']:.6f} of the cell",
-    ]
-    dump_text("\n".join(lines) + "\n", out)
+        f"{report['zero_fraction']:.6f} of the cell\n",
+        out,
+    )
     if not ok:
         print("example verdict deviates from the expected classification",
               file=sys.stderr)
@@ -321,15 +275,8 @@ def cmd_example(out: str | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and the error boundary
 # ---------------------------------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--preset", help="built-in configuration name")
-    p.add_argument("--grid", type=int, default=None, help="grid resolution override")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -339,23 +286,14 @@ def make_parser() -> argparse.ArgumentParser:
         "periodized power spectrum.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("classify", "phi", "gram"):
-        _add_common(sub.add_parser(name))
-
-    p = sub.add_parser("coeffs")
-    _add_common(p)
-    p.add_argument("--nmax", type=int, default=2)
-
-    p = sub.add_parser("perturb")
-    _add_common(p)
-    p.add_argument("--n", type=int, nargs="+", required=True,
-                   help="integer shift index (one value per dimension)")
-
-    p = sub.add_parser("project")
-    _add_common(p)
-    p.add_argument("--psi", required=True,
-                   help="preset name or inline generator JSON")
+    for name, (_, extra) in COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--preset", help="built-in configuration name")
+        p.add_argument("--grid", type=int, default=None, help="grid resolution override")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        for flag, kwargs in extra.items():
+            p.add_argument(flag, **kwargs)
 
     p = sub.add_parser("example")
     p.add_argument("--out", default=None)
@@ -366,32 +304,20 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "example":
-            return cmd_example(args.out)
+            return _example(args.out)
         cfg = load_config(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "phi":
-            return cmd_phi(cfg)
-        if args.command == "gram":
-            return cmd_gram(cfg)
-        if args.command == "coeffs":
-            return cmd_coeffs(cfg, args.nmax)
-        if args.command == "perturb":
-            return cmd_perturb(cfg, args.n)
-        if args.command == "project":
-            return cmd_project(cfg, args.psi)
+        result = COMMANDS[args.command][0](cfg, args)
+        if isinstance(result, dict):
+            dump_report({**result, "config": cfg.resolved()}, cfg.out)
+        else:
+            dump_text(result, cfg.out)
     except LatticeFramesError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError(f"unhandled command {args.command}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

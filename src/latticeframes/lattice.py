@@ -84,6 +84,14 @@ def new_lattice(matrix) -> LatticeSpec:
     return LatticeSpec(dim=d, basis=a.copy(), det_abs=abs(det), dual_basis=dual)
 
 
+def check_dims(lattice: LatticeSpec, *generators):
+    """Raise ValueError unless every generator has the lattice's dimension."""
+    for g in generators:
+        if g.dim != lattice.dim:
+            raise ValueError(f"generator {g.label} has dimension {g.dim} but the "
+                             f"lattice has dimension {lattice.dim}")
+
+
 def wrap_to_unit_cell(gamma) -> np.ndarray:
     """Reduce a point componentwise mod Z^d into [0, 1)^d."""
     g = np.atleast_1d(np.asarray(gamma, dtype=float))

@@ -14,8 +14,8 @@ import numpy as np
 
 from ._integrate import grid_nodes
 from .errors import ConvergenceFailure, DegenerateSpan, TooLarge
-from .generators import CompactFrequencySupport, Generator
-from .lattice import LatticeSpec, integer_box
+from .generators import Generator
+from .lattice import LatticeSpec, check_dims, integer_box
 from .periodization import (
     PeriodizationTable,
     choose_truncation,
@@ -89,6 +89,7 @@ def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatr
     vectors up to their mirror images, so the Toeplitz structure holds by
     construction and Hermitian symmetry is enforced via conjugation.
     """
+    check_dims(lattice, g)
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
     size = (2 * half_width + 1) ** lattice.dim
@@ -137,6 +138,7 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     table and the Gram entries.  A precomputed ``gram`` (covering the support
     of c) avoids rebuilding the difference entries on repeated calls.
     """
+    check_dims(lattice, g)
     ks = np.array(list(c.entries), dtype=int)
     cs = np.array(list(c.entries.values()), dtype=complex)
     shifts = ks @ lattice.basis.T
@@ -171,20 +173,17 @@ def analysis_coefficients(g: Generator, lattice: LatticeSpec, h: Generator,
     """Inner products of h against translates of f, lexicographic in the index.
 
     Computed as frequency integrals of hhat * conj(fhat) * exp(2 pi i xi.(B k)).
-    The integration box uses the tighter of the two decay radii, since a
-    compact factor truncates the product exactly.
+    By Cauchy-Schwarz the part beyond radius R is at most sqrt(T_f(R) T_h(R)),
+    with T the tail integrals of |fhat|^2 and |hhat|^2.  A tail is at most the
+    squared norm, so for tol = 1e-12 R may be where both tails are below tol,
+    or where one is below tol^2 over the other's squared norm; a compact
+    factor gives its support radius for any tol.
     """
-    if h.dim != g.dim:
-        raise ValueError("generators must share a dimension")
-    db_g, db_h = g.decay_bound(), h.decay_bound()
-    radii = []
-    for db, gen in ((db_g, g), (db_h, h)):
-        if isinstance(db, CompactFrequencySupport):
-            radii.append(("compact", db.radius))
-        else:
-            radii.append(("decay", gen.fourier_tail_radius(1e-12)))
-    compact = [r for kind, r in radii if kind == "compact"]
-    radius = min(compact) if compact else max(r for _, r in radii)
+    check_dims(lattice, g, h)
+    tol = 1e-12
+    rg, rh = g.fourier_tail_radius, h.fourier_tail_radius
+    radius = min(max(rg(tol), rh(tol)), rg(tol**2 / h.norm_squared()),
+                 rh(tol**2 / g.norm_squared()))
 
     shifts = integer_box(lattice.dim, half_width) @ lattice.basis.T
     pts, w = grid_nodes(lattice.dim, radius, osc_freq=float(np.max(np.abs(shifts))) + 1.0)
@@ -210,8 +209,7 @@ def project_onto_span(g: Generator, lattice: LatticeSpec, psi: Generator,
     projection residual is ||psi||^2 minus the grid integral of
     |mixed|^2 / phi over that set.
     """
-    if psi.dim != g.dim:
-        raise ValueError("generators must share a dimension")
+    check_dims(lattice, g, psi)
     from .classify import default_eps_zero  # local import to avoid a cycle
 
     if eps_zero is None:

@@ -34,7 +34,7 @@ import numpy as np
 from ._integrate import grid_nodes
 from .errors import AliasRisk, TailNotAchievable
 from .generators import Generator, SampledSpatial, tail_bound
-from .lattice import LatticeSpec, integer_box, operator_inf_norm
+from .lattice import LatticeSpec, check_dims, integer_box, operator_inf_norm
 
 # truncation radius caps per dimension
 K_CAP = {1: 10_000, 2: 1_000, 3: 100}
@@ -187,6 +187,7 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
     against classification tolerances.
     """
     _validate_grid(grid_res)
+    check_dims(lattice, g)
     if target_tail is not None and target_tail <= 0:
         raise ValueError("target_tail must be positive")
     d = lattice.dim
@@ -285,7 +286,7 @@ def _spatial_integral(g: Generator) -> float:
     r = g.spatial_tail_radius(1e-10)
     # panels split units evenly, so B-spline knots (integer offsets from the
     # support edge) land on panel boundaries and each panel stays polynomial
-    pts, w = grid_nodes(g.dim, r, osc_freq=1.0, order=16)
+    pts, w = grid_nodes(g.dim, r, osc_freq=1.0)
     return float(np.sum(w * g.spatial(pts).real))
 
 
@@ -303,6 +304,7 @@ def autocorrelation(g: Generator, lattice: LatticeSpec, n) -> complex:
     Gaussians, the discrete overlap for sampled data, and frequency quadrature
     for other generators.
     """
+    check_dims(lattice, g)
     nvec = np.atleast_1d(np.asarray(n, dtype=int))
     if nvec.shape != (lattice.dim,):
         raise ValueError(f"shift index must have dimension {lattice.dim}")

@@ -221,3 +221,42 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _sinc_config(**overrides):
+    return {"generator": {"kind": "sinc", "dim": 1}, "lattice": [[1.0]],
+            "grid_res": 64, **overrides}
+
+
+# inputs that fail once the command runs: every one is a configuration error
+# (exit 2, one line on stderr), never a traceback
+_CONFIG_ERRORS = {
+    "spec_missing_order": (
+        _sinc_config(generator={"kind": "bspline"}), ["classify"], "'order'"),
+    "psi_missing_order": (
+        None, ["project", "--preset", "sinc", "--psi", '{"kind":"bspline"}'], "'order'"),
+    "unwritable_out": (
+        None, ["classify", "--preset", "sinc", "--out", "/nonexistent/dir/x.json"],
+        "/nonexistent/dir/x.json"),
+    "missing_sample_csv": (
+        _sinc_config(generator={"kind": "sampled", "csv": "/nonexistent/samples.csv"}),
+        ["classify"], "/nonexistent/samples.csv"),
+    "float_gram_half_width": (
+        _sinc_config(gram_half_width=1.5), ["classify"], "gram_half_width"),
+    "generator_lattice_dims": (
+        _sinc_config(generator={"kind": "sinc", "dim": 2}), ["classify"], "dimension"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIG_ERRORS))
+def test_command_stage_errors_are_exit_2(name, capsys, tmp_path):
+    cfg, argv, detail = _CONFIG_ERRORS[name]
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error") and detail in err
+    assert "Traceback" not in err

@@ -115,3 +115,24 @@ def test_wrap_tiny_negative_rounds_into_cell():
     # float mod can round -1e-18 up to exactly 1.0; the wrap must stay in [0,1)
     out = lf.wrap_to_unit_cell([-1e-18])
     assert out[0] == 0.0
+
+
+# every entry point that pairs a generator with a lattice checks that their
+# dimensions agree; ``bad`` is 2-d, ``good`` and the lattice are 1-d
+_DIM_CALLS = {
+    "compute_phi": lambda bad, good, L, t: lf.compute_phi(bad, L, 64),
+    "gram_matrix": lambda bad, good, L, t: lf.gram_matrix(bad, L, 2),
+    "autocorrelation": lambda bad, good, L, t: lf.autocorrelation(bad, L, [1]),
+    "synthesis_norm": lambda bad, good, L, t: lf.synthesis_norm(
+        bad, L, lf.CoefficientVector({(0,): 1.0}), t),
+    "analysis_f": lambda bad, good, L, t: lf.analysis_coefficients(bad, L, good, 2),
+    "analysis_h": lambda bad, good, L, t: lf.analysis_coefficients(good, L, bad, 2),
+    "project_g": lambda bad, good, L, t: lf.project_onto_span(bad, L, good, t),
+    "project_psi": lambda bad, good, L, t: lf.project_onto_span(good, L, bad, t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIM_CALLS))
+def test_generator_lattice_dimension_mismatch(name, unit_lattice, sinc_table):
+    with pytest.raises(ValueError, match="dimension 2 but the lattice has dimension 1"):
+        _DIM_CALLS[name](lf.Sinc(2), lf.Sinc(1), unit_lattice, sinc_table)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -223,6 +225,32 @@ def test_analysis_bessel_inequality(unit_lattice):
     h = lf.Gaussian(1.0)
     vals = lf.analysis_coefficients(lf.Sinc(1), unit_lattice, h, 8)
     assert float(np.sum(np.abs(vals) ** 2)) <= h.norm_squared() + 1e-6
+
+
+def _hat_gauss_overlap(k: int) -> float:
+    """integral of exp(-pi x^2) hat(x - k) dx in closed form."""
+    def e(x):  # antiderivative of exp(-pi x^2)
+        return 0.5 * math.erf(math.sqrt(math.pi) * x)
+
+    def x_e(x):  # antiderivative of x exp(-pi x^2)
+        return -math.exp(-math.pi * x * x) / (2 * math.pi)
+
+    rising = (1 - k) * (e(k) - e(k - 1)) + x_e(k) - x_e(k - 1)
+    falling = (1 + k) * (e(k + 1) - e(k)) - (x_e(k + 1) - x_e(k))
+    return rising + falling
+
+
+def test_analysis_hat_gaussian_closed_form():
+    # the Gaussian factor bounds the integration radius (about 3 per axis),
+    # not the hat's slow polynomial decay
+    ref = np.array([_hat_gauss_overlap(k) for k in (-1, 0, 1)])
+    L = lf.new_lattice(np.eye(2))
+    vals = lf.analysis_coefficients(lf.BSpline(1, 2), L, lf.Gaussian(1.0, 2), 1)
+    assert np.max(np.abs(vals - np.outer(ref, ref).ravel())) <= 1e-12
+    ref = np.array([_hat_gauss_overlap(k) for k in range(-8, 9)])
+    vals = lf.analysis_coefficients(lf.BSpline(1), lf.new_lattice([[1.0]]),
+                                    lf.Gaussian(1.0), 8)
+    assert np.max(np.abs(vals - ref)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
