@@ -135,15 +135,13 @@ def spectral_bounds(table: PeriodizationTable, eps_zero: float | None = None) ->
 
 
 def classify_translates(bounds: SpectralBounds,
-                        class_tol: float = DEFAULT_CLASS_TOL,
-                        frame_floor_frac: float = FRAME_FLOOR_FRAC,
-                        not_bessel_ceiling: float = NOT_BESSEL_CEILING) -> Classification:
+                        class_tol: float = DEFAULT_CLASS_TOL) -> Classification:
     """Decision tree over grid spectral bounds.
 
     The grid sup always exists, so the system is Bessel unless the table blew
-    past the configured ceiling.  A positive infimum off the zero set makes a
-    frame sequence; an empty zero set upgrades it to a Riesz sequence; bounds
-    within ``class_tol`` of one mark the Parseval / orthonormal cases.
+    past the fixed ``NOT_BESSEL_CEILING``.  A positive infimum off the zero set
+    makes a frame sequence; an empty zero set upgrades it to a Riesz sequence;
+    bounds within ``class_tol`` of one mark the Parseval / orthonormal cases.
     """
     evidence = {
         "sup_all": bounds.sup_all,
@@ -153,12 +151,12 @@ def classify_translates(bounds: SpectralBounds,
         "eps_zero": bounds.eps_zero,
         "class_tol": class_tol,
     }
-    if not np.isfinite(bounds.sup_all) or bounds.sup_all > not_bessel_ceiling:
+    if not np.isfinite(bounds.sup_all) or bounds.sup_all > NOT_BESSEL_CEILING:
         return Classification(Verdict.NOT_BESSEL, None, None, evidence)
 
     upper = bounds.sup_all
     degenerate = bounds.sup_all <= 0.0
-    if degenerate or bounds.inf_offzero < frame_floor_frac * bounds.sup_all:
+    if degenerate or bounds.inf_offzero < FRAME_FLOOR_FRAC * bounds.sup_all:
         return Classification(Verdict.BESSEL_NOT_FRAME, None, upper, evidence)
 
     lower = bounds.inf_offzero

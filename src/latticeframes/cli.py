@@ -34,6 +34,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# RunConfig annotation type name -> (accepted Python types, name in error messages)
+_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                "dict": (dict, "an object"), "list": (list, "a list"), "str": (str, "a string")}
+
 
 @dataclass
 class RunConfig:
@@ -47,17 +51,18 @@ class RunConfig:
     out: str | None = None
 
     def validate(self):
-        for name in ("grid_res", "gram_half_width"):
-            v = getattr(self, name)
-            if not isinstance(v, int):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+        # annotations are strings such as "float | None": a type name, maybe optional
+        for f in fields(self):
+            v = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            accepted, noun = _FIELD_TYPES[kind]
+            if isinstance(v, bool) or not (isinstance(v, accepted) or v is None and optional):
+                raise ValueError(f"{f.name} must be {noun}, got {v!r}")
         _periodization._validate_grid(self.grid_res)
-        for name in ("target_tail", "eps_zero"):
+        for name in ("target_tail", "eps_zero", "class_tol"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.class_tol <= 0:
-            raise ValueError("class_tol must be positive")
         if self.gram_half_width < 1:
             raise ValueError("gram_half_width must be >= 1")
 

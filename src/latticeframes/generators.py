@@ -80,21 +80,34 @@ class Generator(ABC):
     def spatial(self, x: np.ndarray) -> np.ndarray:
         """Evaluate f at an (m, d) array of spatial points."""
 
+    def cross_correlation(self, other: Generator, t: np.ndarray) -> np.ndarray:
+        """<other, f(. + t)> at an (m, d) array of spatial shifts t.
+
+        Equals integral otherhat conj(fhat) exp(-2 pi i xi . t) d xi, taken by
+        quadrature on one node set sized for the largest shift.  By
+        Cauchy-Schwarz the part beyond R is at most sqrt(T_f(R) T_o(R)) for the
+        tails T of |fhat|^2 and |otherhat|^2, and a tail is at most its squared
+        norm, so R may be where both tails are below tol or one is below tol^2
+        over the other's squared norm.  For other = f that is where the one
+        tail is below tol, and asking for the norm would recurse.
+        """
+        t = np.asarray(t, dtype=float)
+        tol = 1e-12
+        rf, ro = self.fourier_tail_radius, other.fourier_tail_radius
+        radius = rf(tol) if other is self else min(
+            max(rf(tol), ro(tol)), rf(tol**2 / other.norm_squared()),
+            ro(tol**2 / self.norm_squared()))
+        pts, w = grid_nodes(self.dim, radius, osc_freq=float(np.max(np.abs(t))) + 1.0)
+        base = w * other.fourier(pts) * np.conj(self.fourier(pts))
+        return np.array([np.sum(base * np.exp(-2j * np.pi * (pts @ s))) for s in t])
+
     def autocorrelation(self, t: np.ndarray) -> np.ndarray:
         """<f, f(. + t)> at an (m, d) array of spatial shifts t.
 
-        Equals integral |fhat(xi)|^2 exp(-2 pi i xi . t) d xi.  This default
-        is tensor-grid quadrature over the decay-truncated frequency box, one
-        rule per shift; catalog kinds override it with closed forms.
+        The quadrature of ``cross_correlation`` with f itself; catalog kinds
+        override it with closed forms.
         """
-        t = np.asarray(t, dtype=float)
-        r = self.fourier_tail_radius(1e-10)
-        out = np.empty(t.shape[0], dtype=complex)
-        for i, ti in enumerate(t):
-            pts, w = grid_nodes(self.dim, r, osc_freq=float(np.max(np.abs(ti))) + 4.0)
-            phase = np.exp(-2j * np.pi * (pts @ ti))
-            out[i] = np.sum(w * np.abs(self.fourier(pts)) ** 2 * phase)
-        return out
+        return self.cross_correlation(self, t)
 
     def autocorrelation_radius(self) -> float | None:
         """Sup-norm radius outside which ``autocorrelation`` vanishes, or None.

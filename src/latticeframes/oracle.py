@@ -21,9 +21,11 @@ from .periodization import (
     choose_truncation,
     cross_phi_values,
     grid_gamma,
+    lattice_coefficients,
 )
 
 MAX_GRAM_SIZE = 4096
+MEMBER_TOL = 1e-6  # residual share of ||psi||^2 that still counts as in the span
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,9 @@ class GramMatrix:
 def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatrix:
     """Gram matrix of translates with indices in the sup-norm box of radius M.
 
-    Entries come from one batched autocorrelation call over the difference
-    vectors up to their mirror images, so the Toeplitz structure holds by
-    construction and Hermitian symmetry is enforced via conjugation.
+    The difference entries are the lattice coefficients c_n for
+    |n|_inf <= 2M, so the Toeplitz and Hermitian structure hold by
+    construction.
     """
     check_dims(lattice, g)
     if half_width < 1:
@@ -96,10 +98,7 @@ def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatr
     if size > MAX_GRAM_SIZE:
         raise TooLarge(f"gram matrix of size {size} exceeds cap {MAX_GRAM_SIZE}")
 
-    # the box is symmetric and in lex order, so entry i mirrors entry -1 - i
-    box = integer_box(lattice.dim, 2 * half_width)
-    vals = g.autocorrelation(box[: (len(box) + 1) // 2] @ lattice.basis.T).astype(complex)
-    diffs = np.concatenate([vals, vals[:-1][::-1].conj()])
+    diffs = lattice_coefficients(g, lattice, 2 * half_width)
     return GramMatrix(half_width=half_width, dim=lattice.dim,
                       diffs=diffs.reshape((4 * half_width + 1,) * lattice.dim))
 
@@ -170,25 +169,10 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
 
 def analysis_coefficients(g: Generator, lattice: LatticeSpec, h: Generator,
                           half_width: int) -> np.ndarray:
-    """Inner products of h against translates of f, lexicographic in the index.
-
-    Computed as frequency integrals of hhat * conj(fhat) * exp(2 pi i xi.(B k)).
-    By Cauchy-Schwarz the part beyond radius R is at most sqrt(T_f(R) T_h(R)),
-    with T the tail integrals of |fhat|^2 and |hhat|^2.  A tail is at most the
-    squared norm, so for tol = 1e-12 R may be where both tails are below tol,
-    or where one is below tol^2 over the other's squared norm; a compact
-    factor gives its support radius for any tol.
-    """
+    """Inner products <h, f(. - B k)> for |k|_inf <= half_width, lexicographic
+    in k: one ``Generator.cross_correlation`` call at the shifts -B k."""
     check_dims(lattice, g, h)
-    tol = 1e-12
-    rg, rh = g.fourier_tail_radius, h.fourier_tail_radius
-    radius = min(max(rg(tol), rh(tol)), rg(tol**2 / h.norm_squared()),
-                 rh(tol**2 / g.norm_squared()))
-
-    shifts = integer_box(lattice.dim, half_width) @ lattice.basis.T
-    pts, w = grid_nodes(lattice.dim, radius, osc_freq=float(np.max(np.abs(shifts))) + 1.0)
-    base = w * h.fourier(pts) * np.conj(g.fourier(pts))
-    return np.array([np.sum(base * np.exp(2j * np.pi * (pts @ s))) for s in shifts])
+    return g.cross_correlation(h, -(integer_box(lattice.dim, half_width) @ lattice.basis.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +183,8 @@ class ProjectionResult:
 
 
 def project_onto_span(g: Generator, lattice: LatticeSpec, psi: Generator,
-                      table: PeriodizationTable, eps_zero: float | None = None,
-                      member_tol: float = 1e-6) -> ProjectionResult:
+                      table: PeriodizationTable,
+                      eps_zero: float | None = None) -> ProjectionResult:
     """Project psi onto the closed span of the translates of g.
 
     Membership is equivalent to psihat = F * fhat for a lattice-periodic F;
@@ -237,6 +221,6 @@ def project_onto_span(g: Generator, lattice: LatticeSpec, psi: Generator,
         residual = 0.0
     return ProjectionResult(
         residual_norm_sq=residual,
-        is_member=bool(residual <= member_tol * max(psi_norm, 1e-30)),
+        is_member=bool(residual <= MEMBER_TOL * max(psi_norm, 1e-30)),
         F_samples=f_samples,
     )

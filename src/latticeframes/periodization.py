@@ -31,9 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._integrate import grid_nodes
 from .errors import AliasRisk, TailNotAchievable
-from .generators import Generator, SampledSpatial, tail_bound
+from .generators import Generator, tail_bound
 from .lattice import LatticeSpec, check_dims, integer_box, operator_inf_norm
 
 # truncation radius caps per dimension
@@ -121,7 +120,8 @@ def choose_truncation(g: Generator, lattice: LatticeSpec, target_tail: float):
     tails = {cap: tail_bound(g, lattice, cap)}
     if tails[cap] > target_tail:
         raise TailNotAchievable(
-            f"tail {tails[cap]:.3e} at radius cap {cap} exceeds target {target_tail:.3e}"
+            f"{g.label}: tail {tails[cap]:.3e} at radius cap {cap} exceeds target "
+            f"{target_tail:.3e}"
         )
 
     def fits(k):
@@ -157,6 +157,16 @@ def _coefficient_radius(g: Generator, lattice: LatticeSpec) -> int | None:
     return n_max if (2 * n_max + 1) ** lattice.dim <= _BLOCK_BUDGET else None
 
 
+def lattice_coefficients(g: Generator, lattice: LatticeSpec, radius: int) -> np.ndarray:
+    """c_n = <f, f(. + B n)> for |n|_inf <= radius, in ``integer_box`` order.
+
+    The box is symmetric and in lex order, so entry i mirrors entry -1 - i:
+    one autocorrelation call over the first half gives c_(-n) = conj(c_n)."""
+    box = integer_box(lattice.dim, radius)
+    vals = g.autocorrelation(box[: (len(box) + 1) // 2] @ lattice.basis.T).astype(complex)
+    return np.concatenate([vals, vals[:-1][::-1].conj()])
+
+
 def _dual_values(g: Generator, lattice: LatticeSpec, grid_res: int,
                  radius: int) -> np.ndarray:
     """Grid samples of sum_{|n|_inf <= radius} c_n exp(2 pi i n . gamma).
@@ -166,7 +176,7 @@ def _dual_values(g: Generator, lattice: LatticeSpec, grid_res: int,
     """
     ns = integer_box(lattice.dim, radius)
     coeffs = np.zeros((grid_res,) * lattice.dim, dtype=complex)
-    np.add.at(coeffs, tuple((ns % grid_res).T), g.autocorrelation(ns @ lattice.basis.T))
+    np.add.at(coeffs, tuple((ns % grid_res).T), lattice_coefficients(g, lattice, radius))
     return np.maximum(coeffs.size * np.fft.ifftn(coeffs).real, 0.0)
 
 
@@ -246,9 +256,9 @@ def periodize_l1(g: Generator, lattice: LatticeSpec, sample_points, radius: int)
     """Spatial periodization sum_k f(x + B k) at the given points in the cell.
 
     Returns ``(psi_values, (cell_integral, full_integral))`` where the pair
-    holds a quadrature of the periodization over the fundamental cell and a
-    quadrature of f over R^d; for integrable f the two integrals agree up to
-    truncation and quadrature error.
+    holds a quadrature of the periodization over the fundamental cell and the
+    integral of f over R^d, which is fhat(0); for integrable f the two agree
+    up to truncation and quadrature error.
 
     Raises NoDecayInfo when the generator has no certified spatial decay
     (frequency boxes and sincs are not integrable).
@@ -275,19 +285,8 @@ def periodize_l1(g: Generator, lattice: LatticeSpec, sample_points, radius: int)
     )
     cell_integral = lattice.det_abs * float(np.mean(psi_grid.real))
 
-    full_integral = _spatial_integral(g)
+    full_integral = float(g.fourier(np.zeros((1, lattice.dim)))[0].real)
     return psi, (cell_integral, full_integral)
-
-
-def _spatial_integral(g: Generator) -> float:
-    if isinstance(g, SampledSpatial):
-        # exact integral of the multilinear interpolant with zero boundary
-        return float(np.sum(g.values.real) * g.step**g.dim)
-    r = g.spatial_tail_radius(1e-10)
-    # panels split units evenly, so B-spline knots (integer offsets from the
-    # support edge) land on panel boundaries and each panel stays polynomial
-    pts, w = grid_nodes(g.dim, r, osc_freq=1.0)
-    return float(np.sum(w * g.spatial(pts).real))
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,12 @@ _CONFIG_ERRORS = {
         ["classify"], "/nonexistent/samples.csv"),
     "float_gram_half_width": (
         _sinc_config(gram_half_width=1.5), ["classify"], "gram_half_width"),
+    "bool_gram_half_width": (
+        _sinc_config(gram_half_width=True), ["classify"], "gram_half_width"),
+    "str_class_tol": (_sinc_config(class_tol="x"), ["classify"], "class_tol"),
+    "str_target_tail": (_sinc_config(target_tail="1e-9"), ["classify"], "target_tail"),
+    "str_eps_zero": (_sinc_config(eps_zero="1e-8"), ["classify"], "eps_zero"),
+    "list_generator": (_sinc_config(generator=["sinc"]), ["classify"], "generator"),
     "generator_lattice_dims": (
         _sinc_config(generator={"kind": "sinc", "dim": 2}), ["classify"], "dimension"),
 }

@@ -253,6 +253,41 @@ def test_analysis_hat_gaussian_closed_form():
     assert np.max(np.abs(vals - ref)) <= 1e-12
 
 
+# two overlapping off-centre frequency boxes: hhat * conj(fhat) is the
+# indicator of their intersection, so <h, f(. + t)> is that box's inverse
+# transform at -t, which is neither even nor real
+_CROSS_BOXES = [
+    ([[0.7]], ([-0.2], [0.35]), ([0.1], [0.6]), [[n] for n in range(-3, 4)]),
+    ([[1.0, 1.0], [0.0, 1.0]], ([-0.2, -0.3], [0.35, 0.25]), ([0.1, -0.1], [0.6, 0.45]),
+     [[0, 0], [1, 0], [0, 1], [1, -1], [-1, 2]]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_CROSS_BOXES)))
+def test_cross_correlation_orientation(case, translated):
+    basis, (f_lo, f_hi), (h_lo, h_hi), ns = _CROSS_BOXES[case]
+    L = lf.new_lattice(basis)
+    f, h = lf.FrequencyBox(f_lo, f_hi), lf.FrequencyBox(h_lo, h_hi)
+    meet = lf.FrequencyBox(np.maximum(f_lo, h_lo), np.minimum(f_hi, h_hi))
+    t = np.array(ns, dtype=float) @ L.basis.T
+    ref = meet.spatial(-t)
+    # a flipped shift or a lost conjugate reads meet.spatial(t), 0.15 or more
+    # away; the box edges fall inside quadrature panels, which limits the
+    # rule to about 1e-3
+    assert np.max(np.abs(meet.spatial(t) - ref)) > 0.1
+    vals = f.cross_correlation(h, t)
+    np.testing.assert_allclose(vals, ref, rtol=0, atol=5e-3)
+    np.testing.assert_allclose(vals, np.conj(h.cross_correlation(f, -t)), rtol=0, atol=1e-14)
+    # real indicators cannot tell hhat * conj(fhat) from fhat * conj(hhat); a
+    # translate of h by s is complex, and <h(. - s), f(. + t)> = <h, f(. + t + s)>
+    s = np.full(L.dim, 0.3)
+    np.testing.assert_allclose(f.cross_correlation(translated(h, s), t),
+                               meet.spatial(-(t + s)), rtol=0, atol=5e-3)
+    shifts = integer_box(L.dim, 2) @ L.basis.T
+    np.testing.assert_array_equal(lf.analysis_coefficients(f, L, h, 2),
+                                  f.cross_correlation(h, -shifts))
+
+
 # ---------------------------------------------------------------------------
 # span projection
 # ---------------------------------------------------------------------------

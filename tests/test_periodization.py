@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -64,9 +65,10 @@ def test_phi_rejects_bad_grid(unit_lattice):
 def test_phi_tail_not_achievable(unit_lattice, translate_sum):
     # B-spline tables take the exact dual route, so the unreachable target is
     # checked on the truncation itself and on a direct-route generator
-    with pytest.raises(TailNotAchievable):
+    # and the error names the generator
+    with pytest.raises(TailNotAchievable, match=re.escape("bspline1(d=1): tail")):
         choose_truncation(lf.BSpline(1), unit_lattice, 1e-30)
-    with pytest.raises(TailNotAchievable):
+    with pytest.raises(TailNotAchievable, match=re.escape("bspline1(d=1)+translate: tail")):
         lf.compute_phi(translate_sum(lf.BSpline(1), unit_lattice, [1]), unit_lattice, 64,
                        target_tail=1e-30)
 
@@ -314,7 +316,7 @@ def test_autocorrelation_zero_is_norm(unit_lattice):
 @pytest.mark.parametrize("case", range(len(_REFERENCE_CASES)))
 def test_autocorrelation_matches_quadrature_route(case):
     # closed forms against the generic frequency quadrature, which stays
-    # accurate to about 4e-11 on these inputs
+    # accurate to about 4e-13 on these inputs
     g, basis, ns = _REFERENCE_CASES[case]
     L = lf.new_lattice(basis)
     t = np.array(ns, dtype=float) @ L.basis.T
