@@ -20,15 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpsilonTooSmall, NotCompactlySupported
+from .errors import NotCompactlySupported
 from .generators import BSpline, Generator, SampledSpatial
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, check_table
 from .periodization import PeriodizationTable, grid_gamma, perturbed_phi
 
 DEFAULT_CLASS_TOL = 1e-6
-# zero detection: separates true zeros of indicator-type tables from
-# truncation noise (tails are kept at ~1e-10 of the grid max)
-EPS_ZERO_FRAC = 1e-8
 # below this fraction of the sup, an off-zero infimum is treated as
 # decay-to-zero rather than a genuine positive lower bound
 FRAME_FLOOR_FRAC = 1e-4
@@ -77,10 +74,6 @@ class PerturbationCheck:
     inf_on_original_support: float
 
 
-def default_eps_zero(values: np.ndarray, tail: float) -> float:
-    return max(EPS_ZERO_FRAC * (float(values.max()) + tail), 4.0 * tail, 1e-300)
-
-
 def _jump_excluded(values: np.ndarray) -> np.ndarray:
     """Mask of grid points within one cell of a detected jump.
 
@@ -119,19 +112,9 @@ def _bounds_from_values(values: np.ndarray, tail: float, eps_zero: float) -> Spe
 
 
 def spectral_bounds(table: PeriodizationTable, eps_zero: float | None = None) -> SpectralBounds:
-    """Grid extrema, off-zero infimum and zero-set fraction of a table.
-
-    ``eps_zero`` must dominate the truncation tail (at least 4x) so that a
-    dropped tail cannot flip a zero decision; the default scales with the
-    grid maximum.
-    """
-    if eps_zero is None:
-        eps_zero = default_eps_zero(table.values, table.tail)
-    if eps_zero < 4.0 * table.tail:
-        raise EpsilonTooSmall(
-            f"eps_zero {eps_zero:.3e} below 4 * tail {4.0 * table.tail:.3e}"
-        )
-    return _bounds_from_values(table.values, table.tail, eps_zero)
+    """Grid extrema, off-zero infimum and zero-set fraction of a table, with
+    zeros below ``table.zero_threshold(eps_zero)``."""
+    return _bounds_from_values(table.values, table.tail, table.zero_threshold(eps_zero))
 
 
 def classify_translates(bounds: SpectralBounds,
@@ -218,8 +201,8 @@ def compact_support_riesz_check(g: Generator, lattice: LatticeSpec,
         raise NotCompactlySupported(
             f"{g.label} is not compactly supported in space"
         )
-    if eps_zero is None:
-        eps_zero = default_eps_zero(table.values, table.tail)
+    check_table(lattice, table)
+    eps_zero = table.zero_threshold(eps_zero)
     flat = table.values.ravel()
     idx = int(np.argmin(flat))
     witness = grid_gamma(table.dim, table.grid_res)[idx]
@@ -239,8 +222,7 @@ def perturbation_frame_check(table: PeriodizationTable, n,
     away from zero on the off-zero set of the original table (the perturbation
     factor's zeros must avoid the original support).
     """
-    if eps_zero is None:
-        eps_zero = default_eps_zero(table.values, table.tail)
+    eps_zero = table.zero_threshold(eps_zero)
     pert = perturbed_phi(table, n)
     classification = classify_table(pert, class_tol=class_tol)
 

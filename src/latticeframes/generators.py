@@ -27,8 +27,29 @@ from .lattice import LatticeSpec, operator_inf_norm, spectral_norm
 # ---------------------------------------------------------------------------
 
 
+def _shell_count(dim: int, m: int) -> int:
+    """Number of integer vectors with sup-norm exactly m."""
+    if m == 0:
+        return 1
+    return (2 * m + 1) ** dim - (2 * m - 1) ** dim
+
+# coefficients alpha_d with shell_count(d, m) <= alpha_d * (m-1)^(d-1) for m >= 2
+_SHELL_COEFF = {1: 2.0, 2: 16.0, 3: 98.0}
+
+
 class DecayBound:
-    """Certified envelope for |fhat(xi)|^2 as a function of t = sup-norm of xi."""
+    """Certified envelope for |fhat(xi)|^2 as a function of t = sup-norm of xi.
+
+    Each kind bounds its own lattice-sum tail and integral tail."""
+
+    def lattice_tail(self, lattice: LatticeSpec, radius: int) -> float:
+        """Bound on sup_gamma sum_{|k|_inf > radius} |fhat(dual(gamma+k))|^2 / |det B|
+        for gamma in [0,1)^d."""
+        raise NoDecayInfo(f"unrecognized decay bound {type(self).__name__}")
+
+    def tail_radius(self, dim: int, tol: float) -> float:
+        """Radius R with the integral of |fhat|^2 over {sup-norm > R} at most tol."""
+        raise NoDecayInfo(f"unrecognized decay bound {type(self).__name__}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +58,22 @@ class CompactFrequencySupport(DecayBound):
 
     radius: float
     peak: float = 1.0  # upper bound on |fhat|^2 inside the support
+
+    def lattice_tail(self, lattice, radius):
+        # argument of fhat is dual @ (gamma + k); it stays inside the support
+        # ball only while |gamma + k|_inf <= radius * |B^T|_inf
+        mapped = self.radius * operator_inf_norm(lattice.basis.T)
+        if radius >= mapped:
+            return 0.0
+        total = 0.0
+        m = radius + 1
+        while m - 1 <= mapped:
+            total += _shell_count(lattice.dim, m) * self.peak
+            m += 1
+        return total / lattice.det_abs
+
+    def tail_radius(self, dim, tol):
+        return self.radius
 
 
 @dataclass(frozen=True)
@@ -47,6 +84,32 @@ class PolynomialDecay(DecayBound):
     constant: float
     peak: float = 1.0
 
+    def _excess(self, dim: int) -> float:
+        """order - dim, which must be positive for either tail to be finite."""
+        if self.order <= dim:
+            raise NoDecayInfo(f"polynomial decay order {self.order} too weak for dimension {dim}")
+        return self.order - dim
+
+    def lattice_tail(self, lattice, radius):
+        d, p = lattice.dim, self.order
+        excess = self._excess(d)
+        c_mapped = self.constant * operator_inf_norm(lattice.basis.T) ** p
+        total = 0.0
+        explicit = 64
+        for m in range(radius + 1, radius + explicit + 1):
+            # |gamma + k|_inf >= m - 1 for every gamma in [0,1)^d
+            total += _shell_count(d, m) * min(self.peak, c_mapped / (m - 1) ** p)
+        j = radius + explicit
+        alpha = _SHELL_COEFF[d]
+        total += alpha * c_mapped * (j ** (d - 1 - p) + j ** (d - p) / excess)
+        return total / lattice.det_abs
+
+    def tail_radius(self, dim, tol):
+        excess = self._excess(dim)
+        # integral over {|xi|_inf > R} of C/t^p d xi = d 2^d C R^(d-p)/(p-d)
+        c = dim * (2.0**dim) * self.constant / excess
+        return max(1.0, (c / tol) ** (1.0 / excess))
+
 
 @dataclass(frozen=True)
 class GaussianDecay(DecayBound):
@@ -54,6 +117,37 @@ class GaussianDecay(DecayBound):
 
     rate: float
     constant: float
+
+    def lattice_tail(self, lattice, radius):
+        d = lattice.dim
+        rate = self.rate / spectral_norm(lattice.basis.T) ** 2
+        total = 0.0
+        m = radius + 1
+        while True:
+            term = _shell_count(d, m) * self.constant * math.exp(-rate * (m - 1) ** 2)
+            total += term
+            cnt_ratio = _shell_count(d, m + 1) / _shell_count(d, m)
+            ratio = cnt_ratio * math.exp(-rate * (2 * m - 1))
+            if ratio < 0.5 and (term == 0.0 or term < 1e-18 * max(total, 1e-300)):
+                total += term * ratio / (1.0 - ratio)
+                break
+            m += 1
+            if m > radius + 100_000:
+                raise NoDecayInfo("gaussian tail summation failed to converge")
+        return total / lattice.det_abs
+
+    def tail_radius(self, dim, tol):
+        a, c = self.rate, self.constant
+        r = max(1.0, math.sqrt(dim / a))
+        while True:
+            if dim <= 2:
+                bound = dim * (2.0**dim) * c * r ** (dim - 2) * math.exp(-a * r**2) / (2 * a)
+            else:
+                bound = (dim * (2.0**dim) * c * math.exp(-a * r**2)
+                         * (r / a + 1.0 / (2 * a**2 * r)))
+            if bound <= tol:
+                return r
+            r += 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +165,8 @@ class Generator(ABC):
 
     dim: int
     label: str = "generator"
+    # f is known to lie in L1(R^d); boxes and sincs decay like 1/x and do not
+    integrable: bool = False
 
     @abstractmethod
     def fourier(self, xi: np.ndarray) -> np.ndarray:
@@ -104,8 +200,8 @@ class Generator(ABC):
     def autocorrelation(self, t: np.ndarray) -> np.ndarray:
         """<f, f(. + t)> at an (m, d) array of spatial shifts t.
 
-        The quadrature of ``cross_correlation`` with f itself; catalog kinds
-        override it with closed forms.
+        ``cross_correlation`` with f itself; catalog kinds override one or the
+        other with closed forms.
         """
         return self.cross_correlation(self, t)
 
@@ -126,15 +222,7 @@ class Generator(ABC):
 
     def fourier_tail_radius(self, tol: float) -> float:
         """Radius R with integral of |fhat|^2 over {sup-norm > R} at most tol."""
-        return _tail_radius_from_decay(self.decay_bound(), self.dim, tol)
-
-    def spatial_tail_radius(self, tol: float) -> float:
-        """Radius R with integral of |f| over {sup-norm > R} at most tol.
-
-        Only available for spatially integrable catalog kinds; box/sinc
-        generators decay like 1/x and are rejected.
-        """
-        raise NoDecayInfo(f"spatial decay unknown for {self.label}")
+        return self.decay_bound().tail_radius(self.dim, tol)
 
 
 def _point(x, dim: int) -> np.ndarray:
@@ -196,9 +284,16 @@ class FrequencyBox(Generator):
         vals = width * np.sinc(width * x) * np.exp(2j * np.pi * center * x)
         return np.prod(vals, axis=-1)
 
-    def autocorrelation(self, t):
-        # |fhat|^2 = fhat, so the autocorrelation is f reflected
-        return self.spatial(-np.asarray(t, dtype=float))
+    def cross_correlation(self, other, t):
+        # two indicators multiply to the indicator of their intersection box,
+        # whose inverse transform at -t is the integral
+        if not isinstance(other, FrequencyBox):
+            return super().cross_correlation(other, t)
+        t = np.asarray(t, dtype=float)
+        lo, hi = np.maximum(self.lower, other.lower), np.minimum(self.upper, other.upper)
+        if np.any(lo >= hi):
+            return np.zeros(t.shape[0], dtype=complex)
+        return FrequencyBox(lo, hi).spatial(-t)
 
     def decay_bound(self):
         radius = float(np.max(np.maximum(np.abs(self.lower), np.abs(self.upper))))
@@ -238,6 +333,8 @@ class BSpline(Generator):
     [-(order+1)/2, (order+1)/2]^d.
     """
 
+    integrable = True
+
     def __init__(self, order: int, dim: int = 1):
         if order < 1:
             raise ValueError("B-spline order must be >= 1")
@@ -265,12 +362,11 @@ class BSpline(Generator):
         p = 2 * (self.order + 1)
         return PolynomialDecay(order=p, constant=math.pi**-p, peak=1.0)
 
-    def spatial_tail_radius(self, tol):
-        return 0.5 * (self.order + 1)
-
 
 class Gaussian(Generator):
     """f(x) = exp(-pi |x/width|^2); self-dual when width = 1."""
+
+    integrable = True
 
     def __init__(self, width: float = 1.0, dim: int = 1):
         if width <= 0:
@@ -300,12 +396,6 @@ class Gaussian(Generator):
         s = self.width
         return GaussianDecay(rate=2.0 * np.pi * s**2, constant=s ** (2 * self.dim))
 
-    def spatial_tail_radius(self, tol):
-        # |f| <= exp(-pi (t/width)^2); crude but safe radius for the L1 tail
-        s = self.width
-        r = s * math.sqrt(max(math.log(max(self.dim * 4.0 / tol, 2.0)), 1.0) / math.pi)
-        return r + s
-
 
 class SampledSpatial(Generator):
     """Compactly supported samples on a uniform spatial grid.
@@ -316,6 +406,7 @@ class SampledSpatial(Generator):
     it no lattice-sum truncation can be certified and tail queries fail.
     """
 
+    integrable = True
     _CHUNK = 4_000_000  # max points*samples per vectorized block
 
     def __init__(self, values, origin, step: float, support_radius: float | None = None):
@@ -390,13 +481,6 @@ class SampledSpatial(Generator):
         peak = float((np.sum(np.abs(self.values)) * self.step**self.dim) ** 2)
         return CompactFrequencySupport(radius=self.support_radius, peak=peak)
 
-    def spatial_tail_radius(self, tol):
-        spans = [
-            abs(self.origin[i]) + self.step * self.values.shape[i]
-            for i in range(self.dim)
-        ]
-        return float(max(spans))
-
 
 def load_sampled_csv(path, support_radius: float | None = None) -> SampledSpatial:
     """Read samples from CSV rows ``x_1,...,x_d,re,im`` on a uniform grid.
@@ -436,105 +520,13 @@ def load_sampled_csv(path, support_radius: float | None = None) -> SampledSpatia
 # ---------------------------------------------------------------------------
 
 
-def _shell_count(dim: int, m: int) -> int:
-    """Number of integer vectors with sup-norm exactly m."""
-    if m == 0:
-        return 1
-    return (2 * m + 1) ** dim - (2 * m - 1) ** dim
-
-# coefficients alpha_d with shell_count(d, m) <= alpha_d * (m-1)^(d-1) for m >= 2
-_SHELL_COEFF = {1: 2.0, 2: 16.0, 3: 98.0}
-
-
 def tail_bound(g: Generator, lattice: LatticeSpec, radius: int) -> float:
     """Certified bound on the lattice-sum tail beyond the given sup-norm radius.
 
     Bounds sup_gamma sum_{|k|_inf > radius} |fhat(dual(gamma+k))|^2 / |det B|
-    for gamma in [0,1)^d.  Exactly zero when compact frequency support rules
-    out every excluded term.
+    for gamma in [0,1)^d through the generator's decay envelope.  Exactly zero
+    when compact frequency support rules out every excluded term.
     """
     if radius < 1:
         raise ValueError("truncation radius must be >= 1")
-    db = g.decay_bound()
-    d = lattice.dim
-    det = lattice.det_abs
-    at_norm = operator_inf_norm(lattice.basis.T)
-
-    if isinstance(db, CompactFrequencySupport):
-        # argument of fhat is dual @ (gamma + k); it stays inside the support
-        # ball only while |gamma + k|_inf <= radius * |B^T|_inf
-        mapped = db.radius * at_norm
-        if radius >= mapped:
-            return 0.0
-        total = 0.0
-        m = radius + 1
-        while m - 1 <= mapped:
-            total += _shell_count(d, m) * db.peak
-            m += 1
-        return total / det
-
-    if isinstance(db, PolynomialDecay):
-        p = db.order
-        if p <= d:
-            raise NoDecayInfo(f"polynomial decay order {p} too weak for dimension {d}")
-        c_mapped = db.constant * at_norm**p
-        total = 0.0
-        explicit = 64
-        for m in range(radius + 1, radius + explicit + 1):
-            # |gamma + k|_inf >= m - 1 for every gamma in [0,1)^d
-            total += _shell_count(d, m) * min(db.peak, c_mapped / (m - 1) ** p)
-        j = radius + explicit
-        alpha = _SHELL_COEFF[d]
-        total += alpha * c_mapped * (j ** (d - 1 - p) + j ** (d - p) / (p - d))
-        return total / det
-
-    if isinstance(db, GaussianDecay):
-        s2 = spectral_norm(lattice.basis.T)
-        rate = db.rate / s2**2
-        total = 0.0
-        m = radius + 1
-        while True:
-            term = _shell_count(d, m) * db.constant * math.exp(-rate * (m - 1) ** 2)
-            total += term
-            cnt_ratio = _shell_count(d, m + 1) / _shell_count(d, m)
-            ratio = cnt_ratio * math.exp(-rate * (2 * m - 1))
-            if ratio < 0.5 and (term == 0.0 or term < 1e-18 * max(total, 1e-300)):
-                total += term * ratio / (1.0 - ratio)
-                break
-            m += 1
-            if m > radius + 100_000:
-                raise NoDecayInfo("gaussian tail summation failed to converge")
-        return total / det
-
-    raise NoDecayInfo(f"unrecognized decay bound {type(db).__name__}")
-
-
-def _tail_radius_from_decay(db: DecayBound, dim: int, tol: float) -> float:
-    """Radius R with the continuum tail integral of |fhat|^2 at most tol."""
-    if isinstance(db, CompactFrequencySupport):
-        return db.radius
-    if isinstance(db, PolynomialDecay):
-        p = db.order
-        if p <= dim:
-            raise NoDecayInfo("polynomial decay too weak to truncate")
-        # integral over {|xi|_inf > R} of C/t^p d xi = d 2^d C R^(d-p)/(p-d)
-        c = dim * (2.0**dim) * db.constant / (p - dim)
-        return max(1.0, (c / tol) ** (1.0 / (p - dim)))
-    if isinstance(db, GaussianDecay):
-        a, c = db.rate, db.constant
-        r = max(1.0, math.sqrt(dim / a))
-        while True:
-            if dim <= 2:
-                bound = dim * (2.0**dim) * c * r ** (dim - 2) * math.exp(-a * r**2) / (2 * a)
-            else:
-                bound = (
-                    dim
-                    * (2.0**dim)
-                    * c
-                    * math.exp(-a * r**2)
-                    * (r / a + 1.0 / (2 * a**2 * r))
-                )
-            if bound <= tol:
-                return r
-            r += 0.25
-    raise NoDecayInfo(f"unrecognized decay bound {type(db).__name__}")
+    return g.decay_bound().lattice_tail(lattice, radius)

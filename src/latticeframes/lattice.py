@@ -92,6 +92,13 @@ def check_dims(lattice: LatticeSpec, *generators):
                              f"lattice has dimension {lattice.dim}")
 
 
+def check_table(lattice: LatticeSpec, table):
+    """Raise ValueError unless the periodization table is on this lattice."""
+    if not np.array_equal(table.lattice.basis, lattice.basis):
+        raise ValueError(f"table lattice {table.lattice.basis.tolist()} differs from "
+                         f"lattice {lattice.basis.tolist()}")
+
+
 def wrap_to_unit_cell(gamma) -> np.ndarray:
     """Reduce a point componentwise mod Z^d into [0, 1)^d."""
     g = np.atleast_1d(np.asarray(gamma, dtype=float))

@@ -15,7 +15,7 @@ import numpy as np
 from ._integrate import grid_nodes
 from .errors import ConvergenceFailure, DegenerateSpan, TooLarge
 from .generators import Generator
-from .lattice import LatticeSpec, check_dims, integer_box
+from .lattice import LatticeSpec, check_dims, check_table, integer_box
 from .periodization import (
     PeriodizationTable,
     choose_truncation,
@@ -138,6 +138,7 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     of c) avoids rebuilding the difference entries on repeated calls.
     """
     check_dims(lattice, g)
+    check_table(lattice, table)
     ks = np.array(list(c.entries), dtype=int)
     cs = np.array(list(c.entries.values()), dtype=complex)
     shifts = ks @ lattice.basis.T
@@ -194,11 +195,8 @@ def project_onto_span(g: Generator, lattice: LatticeSpec, psi: Generator,
     |mixed|^2 / phi over that set.
     """
     check_dims(lattice, g, psi)
-    from .classify import default_eps_zero  # local import to avoid a cycle
-
-    if eps_zero is None:
-        eps_zero = default_eps_zero(table.values, table.tail)
-    mask = table.values >= eps_zero
+    check_table(lattice, table)
+    mask = table.values >= table.zero_threshold(eps_zero)
     if not np.any(mask):
         raise DegenerateSpan("periodization vanishes on the entire grid")
 

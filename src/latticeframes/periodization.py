@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AliasRisk, TailNotAchievable
+from .errors import AliasRisk, EpsilonTooSmall, NoDecayInfo, TailNotAchievable
 from .generators import Generator, tail_bound
 from .lattice import LatticeSpec, check_dims, integer_box, operator_inf_norm
 
@@ -42,6 +42,10 @@ K_CAP = {1: 10_000, 2: 1_000, 3: 100}
 _BLOCK_BUDGET = 4_000_000
 
 _MIN_GRID = 8
+
+# default zero threshold over the grid max: separates true zeros of
+# indicator-type tables from truncation noise (tails are ~1e-10 of the max)
+EPS_ZERO_FRAC = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +72,17 @@ class PeriodizationTable:
     @property
     def dim(self) -> int:
         return self.lattice.dim
+
+    def zero_threshold(self, eps_zero: float | None = None) -> float:
+        """``eps_zero``, or by default a fraction of the grid maximum; it must be
+        at least 4 * tail so that a dropped tail cannot flip a zero decision."""
+        if eps_zero is None:
+            return max(EPS_ZERO_FRAC * (float(self.values.max()) + self.tail),
+                       4.0 * self.tail, 1e-300)
+        if eps_zero < 4.0 * self.tail:
+            raise EpsilonTooSmall(
+                f"eps_zero {eps_zero:.3e} below 4 * tail {4.0 * self.tail:.3e}")
+        return eps_zero
 
 
 @dataclass(frozen=True)
@@ -260,12 +275,13 @@ def periodize_l1(g: Generator, lattice: LatticeSpec, sample_points, radius: int)
     integral of f over R^d, which is fhat(0); for integrable f the two agree
     up to truncation and quadrature error.
 
-    Raises NoDecayInfo when the generator has no certified spatial decay
-    (frequency boxes and sincs are not integrable).
+    Raises NoDecayInfo unless the generator kind is known to be integrable
+    (frequency boxes and sincs are not).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    g.spatial_tail_radius(1e-9)  # rejects non-integrable kinds up front
+    if not g.integrable:
+        raise NoDecayInfo(f"{g.label} is not known to be integrable in space")
 
     x = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if x.shape[1] != lattice.dim:
@@ -275,14 +291,12 @@ def periodize_l1(g: Generator, lattice: LatticeSpec, sample_points, radius: int)
         raise ValueError("sample points must lie in the fundamental cell")
 
     # f(x + B k) = f(B (u + k)) with u the cell coordinates of x
-    psi = _lattice_sum(lambda a: g.spatial(a), lattice, u, radius, lattice.basis)
+    psi = _lattice_sum(g.spatial, lattice, u, radius, lattice.basis)
 
     # cell integral: periodic rectangle rule on the warped unit grid
     m_per_axis = {1: 2048, 2: 128, 3: 32}[lattice.dim]
     ugrid = grid_gamma(lattice.dim, m_per_axis)
-    psi_grid = _lattice_sum(
-        lambda a: g.spatial(a), lattice, ugrid, radius, lattice.basis
-    )
+    psi_grid = _lattice_sum(g.spatial, lattice, ugrid, radius, lattice.basis)
     cell_integral = lattice.det_abs * float(np.mean(psi_grid.real))
 
     full_integral = float(g.fourier(np.zeros((1, lattice.dim)))[0].real)
@@ -292,6 +306,14 @@ def periodize_l1(g: Generator, lattice: LatticeSpec, sample_points, radius: int)
 # ---------------------------------------------------------------------------
 # autocorrelation (Fourier coefficients of the periodization)
 # ---------------------------------------------------------------------------
+
+
+def _shift_index(n, dim: int) -> np.ndarray:
+    """The integer shift index n as a (dim,) array."""
+    nvec = np.atleast_1d(np.asarray(n, dtype=int))
+    if nvec.shape != (dim,):
+        raise ValueError(f"shift index must have dimension {dim}")
+    return nvec
 
 
 def autocorrelation(g: Generator, lattice: LatticeSpec, n) -> complex:
@@ -304,10 +326,8 @@ def autocorrelation(g: Generator, lattice: LatticeSpec, n) -> complex:
     for other generators.
     """
     check_dims(lattice, g)
-    nvec = np.atleast_1d(np.asarray(n, dtype=int))
-    if nvec.shape != (lattice.dim,):
-        raise ValueError(f"shift index must have dimension {lattice.dim}")
-    return complex(g.autocorrelation((lattice.basis @ nvec)[None, :])[0])
+    shift = lattice.basis @ _shift_index(n, lattice.dim)
+    return complex(g.autocorrelation(shift[None, :])[0])
 
 
 def phi_fourier_coeffs(table: PeriodizationTable, n_max: int) -> CoefficientTable:
@@ -334,9 +354,7 @@ def perturbed_phi(table: PeriodizationTable, n) -> PeriodizationTable:
     which on the periodization grid collapses to the k-independent factor
     |1 + exp(-2 pi i gamma . n)|^2 = 4 cos^2(pi gamma . n).
     """
-    nvec = np.atleast_1d(np.asarray(n, dtype=int))
-    if nvec.shape != (table.dim,):
-        raise ValueError(f"shift index must have dimension {table.dim}")
+    nvec = _shift_index(n, table.dim)
     pts = grid_gamma(table.dim, table.grid_res)
     s = pts @ nvec
     factor = 4.0 * np.cos(np.pi * s) ** 2

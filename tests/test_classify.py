@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -51,6 +52,22 @@ def test_bounds_epsilon_guard(gauss_table):
     assert gauss_table.tail > 0.0
     with pytest.raises(EpsilonTooSmall):
         lf.spectral_bounds(gauss_table, eps_zero=gauss_table.tail)
+
+
+def test_every_table_consumer_guards_epsilon(unit_lattice):
+    g = lf.Gaussian(1.0)
+    table = lf.compute_phi(g, unit_lattice, 256)
+    assert table.tail > 0.0
+    with pytest.raises(EpsilonTooSmall):
+        lf.project_onto_span(g, unit_lattice, g, table, eps_zero=table.tail)
+    with pytest.raises(EpsilonTooSmall):
+        lf.perturbation_frame_check(table, [1], eps_zero=table.tail)
+    # B-spline tables are exact; the threshold check reads only the table's tail
+    hat = lf.compute_phi(lf.BSpline(1), unit_lattice, 256)
+    with pytest.raises(EpsilonTooSmall):
+        lf.compact_support_riesz_check(lf.BSpline(1), unit_lattice,
+                                       dataclasses.replace(hat, tail=1e-12),
+                                       eps_zero=1e-12)
 
 
 def test_classify_example(example_table):

@@ -43,6 +43,15 @@ def test_classify_bspline(capsys):
     assert report["upper"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_classify_gauss_pins_direct_route_tail(capsys):
+    # the one preset on the direct route whose certified tail is nonzero
+    code, out, _ = _run(capsys, ["classify", "--preset", "gauss"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["trunc_radius"] == 2
+    assert report["tail"] == 2.43231134188e-11
+
+
 def test_reports_are_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["classify", "--preset", "gauss", "--out", str(a)]) == 0

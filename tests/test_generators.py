@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 import latticeframes as lf
+from latticeframes._integrate import grid_nodes
 from latticeframes.errors import NoDecayInfo, ZeroGenerator
-from latticeframes.generators import CompactFrequencySupport
+from latticeframes.generators import CompactFrequencySupport, DecayBound
 
 
 def test_sinc_fourier_is_indicator():
@@ -68,10 +69,10 @@ def test_norms():
 
 
 def test_plancherel_consistency():
-    # spatial quadrature of |f|^2 matches the closed-form norm
+    # spatial quadrature of |f|^2 matches the closed-form norm; every case is
+    # supported in, or negligible outside, [-8, 8]
     for g in (lf.BSpline(1), lf.BSpline(3), lf.Gaussian(1.0)):
-        r = g.spatial_tail_radius(1e-10)
-        xs = np.linspace(-r, r, 20001)
+        xs = np.linspace(-8.0, 8.0, 20001)
         approx = np.trapezoid(np.abs(g.spatial(xs[:, None])) ** 2, xs)
         assert approx == pytest.approx(g.norm_squared(), rel=1e-6)
 
@@ -148,6 +149,36 @@ def test_tail_bound_needs_decay(unit_lattice):
     sampled = lf.SampledSpatial(np.array([1.0, 1.0]), [0.0], 0.5)
     with pytest.raises(NoDecayInfo):
         lf.tail_bound(sampled, unit_lattice, 4)
+
+
+class _OpaqueDecay(DecayBound):
+    """An envelope kind that bounds neither tail."""
+
+
+class _OpaqueGaussian(lf.Gaussian):
+    def decay_bound(self):
+        return _OpaqueDecay()
+
+
+def test_unknown_envelope_kind_rejected(unit_lattice):
+    g = _OpaqueGaussian(1.0)
+    with pytest.raises(NoDecayInfo, match="_OpaqueDecay"):
+        lf.tail_bound(g, unit_lattice, 4)
+    with pytest.raises(NoDecayInfo, match="_OpaqueDecay"):
+        g.fourier_tail_radius(1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+@pytest.mark.parametrize("g", [
+    lf.BSpline(1), lf.BSpline(3), lf.Gaussian(0.3), lf.Gaussian(1.0), lf.Gaussian(3.0),
+    lf.Gaussian(1.0, dim=2), lf.BSpline(3, dim=2), lf.Sinc(2),
+], ids=lambda g: g.label)
+def test_fourier_tail_radius_certified(g, tol):
+    # the energy of fhat outside [-R, R]^d, by quadrature inside, is at most tol
+    radius = g.fourier_tail_radius(tol)
+    pts, w = grid_nodes(g.dim, radius, osc_freq=0.0)
+    inside = float(np.sum(w * np.abs(g.fourier(pts)) ** 2))
+    assert g.norm_squared() - inside <= tol
 
 
 def _hat_samples(step):

@@ -272,14 +272,15 @@ def test_cross_correlation_orientation(case, translated):
     t = np.array(ns, dtype=float) @ L.basis.T
     ref = meet.spatial(-t)
     # a flipped shift or a lost conjugate reads meet.spatial(t), 0.15 or more
-    # away; the box edges fall inside quadrature panels, which limits the
-    # rule to about 1e-3
+    # away; a box pair takes the intersection closed form
     assert np.max(np.abs(meet.spatial(t) - ref)) > 0.1
     vals = f.cross_correlation(h, t)
-    np.testing.assert_allclose(vals, ref, rtol=0, atol=5e-3)
+    np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(vals, np.conj(h.cross_correlation(f, -t)), rtol=0, atol=1e-14)
     # real indicators cannot tell hhat * conj(fhat) from fhat * conj(hhat); a
-    # translate of h by s is complex, and <h(. - s), f(. + t)> = <h, f(. + t + s)>
+    # translate of h by s is complex, and <h(. - s), f(. + t)> = <h, f(. + t + s)>;
+    # it is not a box, so this checks the quadrature, whose panels do not
+    # split at the box edges and which is good to about 1e-3 here
     s = np.full(L.dim, 0.3)
     np.testing.assert_allclose(f.cross_correlation(translated(h, s), t),
                                meet.spatial(-(t + s)), rtol=0, atol=5e-3)
@@ -352,6 +353,18 @@ def test_project_idempotent(unit_lattice):
     second = lf.project_onto_span(g, unit_lattice, proj, table)
     assert second.residual_norm_sq <= 1e-3
     assert second.residual_norm_sq < 0.01 * first.residual_norm_sq
+
+
+def test_table_from_another_lattice_rejected(bspline1_table):
+    # the table is on Z; read against 0.7 Z it gave a negative residual and
+    # two synthesis routes that disagreed
+    g, L = lf.BSpline(1), lf.new_lattice([[0.7]])
+    with pytest.raises(ValueError, match="differs from lattice"):
+        lf.project_onto_span(g, L, g, bspline1_table)
+    with pytest.raises(ValueError, match="differs from lattice"):
+        lf.synthesis_norm(g, L, lf.CoefficientVector({(0,): 1.0}), bspline1_table)
+    with pytest.raises(ValueError, match="differs from lattice"):
+        lf.compact_support_riesz_check(g, L, bspline1_table)
 
 
 def test_coefficient_vector_validation():
