@@ -1,4 +1,5 @@
-"""Internal quadrature helpers: composite Gauss-Legendre rules.
+"""Internal batched numerics: one block budget, row blocks, a blocked
+exponential sum, flat meshes and composite Gauss-Legendre rules.
 
 Panels are sized to the fastest oscillation of the integrand (in cycles per
 unit length) so a fixed-order rule per panel stays spectrally accurate.
@@ -11,10 +12,33 @@ from functools import lru_cache
 
 import numpy as np
 
+# max entries (rows x row size) of one vectorized block; read at call time
+BLOCK_BUDGET = 4_000_000
 # points of the Gauss-Legendre rule on each panel
 ORDER = 16
 # panels per unit length for slowly oscillating integrands
 MIN_PANELS_PER_UNIT = 3.0
+
+
+def mesh(axes) -> np.ndarray:
+    """Flat (m, len(axes)) array of all combinations of axis values, in lex order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def row_blocks(n_rows: int, row_size: int):
+    """Slices covering ``range(n_rows)``, each holding at most
+    ``BLOCK_BUDGET`` entries of ``row_size`` (and at least one row)."""
+    step = max(1, BLOCK_BUDGET // max(1, row_size))
+    return (slice(start, start + step) for start in range(0, n_rows, step))
+
+
+def exp_sum(coeffs: np.ndarray, shifts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j c_j exp(-2 pi i x . s_j) at (m, d) points x for coefficients c_j
+    and (n, d) shifts s_j; each block of phases is a temporary freed before the next."""
+    out = np.empty(x.shape[0], dtype=complex)
+    for sl in row_blocks(x.shape[0], shifts.shape[0]):
+        out[sl] = np.exp(-2j * np.pi * (x[sl] @ shifts.T)) @ coeffs
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -43,11 +67,10 @@ def panel_nodes(a: float, b: float, osc_freq: float, density: float = 3.0):
     return nodes, weights
 
 
-def grid_nodes(dim: int, radius: float, osc_freq: float, density: float = 3.0):
-    """Tensor-product panel rule on [-radius, radius]^dim.
+def grid_nodes(lower, upper, osc_freq: float, density: float = 3.0):
+    """Tensor-product panel rule on the box prod_i [lower_i, upper_i].
 
-    Returns (points, weights) with points of shape (m, dim).
+    Returns (points, weights) with points of shape (m, d).
     """
-    n1, w1 = panel_nodes(-radius, radius, osc_freq, density=density)
-    pts = np.stack([g.ravel() for g in np.meshgrid(*[n1] * dim, indexing="ij")], axis=-1)
-    return pts, np.prod(np.meshgrid(*[w1] * dim, indexing="ij"), axis=0).ravel()
+    rules = [panel_nodes(a, b, osc_freq, density=density) for a, b in zip(lower, upper)]
+    return mesh([n for n, _ in rules]), np.prod(mesh([w for _, w in rules]), axis=1)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotCompactlySupported
 from .generators import BSpline, Generator, SampledSpatial
-from .lattice import LatticeSpec, check_table
+from .lattice import LatticeSpec, check_positive, check_table
 from .periodization import PeriodizationTable, grid_gamma, perturbed_phi
 
 DEFAULT_CLASS_TOL = 1e-6
@@ -126,6 +126,7 @@ def classify_translates(bounds: SpectralBounds,
     makes a frame sequence; an empty zero set upgrades it to a Riesz sequence;
     bounds within ``class_tol`` of one mark the Parseval / orthonormal cases.
     """
+    check_positive("class_tol", class_tol)
     evidence = {
         "sup_all": bounds.sup_all,
         "inf_all": bounds.inf_all,
@@ -179,6 +180,7 @@ def classify_weighted_exponentials(psi_samples, eps_zero: float,
     |psi|^2, so the same decision tree applies to the squared magnitudes.
     Reported bounds are on |psi|^2.
     """
+    check_positive("eps_zero", eps_zero)
     samples = np.asarray(psi_samples)
     if samples.size == 0:
         raise ValueError("sample list must be nonempty")

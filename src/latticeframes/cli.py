@@ -28,7 +28,7 @@ from .generators import (
     Sinc,
     load_sampled_csv,
 )
-from .lattice import new_lattice
+from .lattice import check_positive, new_lattice
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,9 +60,8 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be {noun}, got {v!r}")
         _periodization._validate_grid(self.grid_res)
         for name in ("target_tail", "eps_zero", "class_tol"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
+            if getattr(self, name) is not None:
+                check_positive(name, getattr(self, name))
         if self.gram_half_width < 1:
             raise ValueError("gram_half_width must be >= 1")
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import grid_nodes
+from ._integrate import exp_sum, grid_nodes, mesh, row_blocks
 from .errors import NoDecayInfo, NonFiniteInput, ZeroGenerator
-from .lattice import LatticeSpec, operator_inf_norm, spectral_norm
+from .lattice import LatticeSpec, check_positive, operator_inf_norm, spectral_norm
 
 # ---------------------------------------------------------------------------
 # decay envelopes
@@ -65,12 +65,9 @@ class CompactFrequencySupport(DecayBound):
         mapped = self.radius * operator_inf_norm(lattice.basis.T)
         if radius >= mapped:
             return 0.0
-        total = 0.0
-        m = radius + 1
-        while m - 1 <= mapped:
-            total += _shell_count(lattice.dim, m) * self.peak
-            m += 1
-        return total / lattice.det_abs
+        # shells radius + 1 .. top telescope to the difference of two boxes
+        top, d = math.floor(mapped) + 1, lattice.dim
+        return ((2 * top + 1) ** d - (2 * radius + 1) ** d) * self.peak / lattice.det_abs
 
     def tail_radius(self, dim, tol):
         return self.radius
@@ -193,7 +190,14 @@ class Generator(ABC):
         radius = rf(tol) if other is self else min(
             max(rf(tol), ro(tol)), rf(tol**2 / other.norm_squared()),
             ro(tol**2 / self.norm_squared()))
-        pts, w = grid_nodes(self.dim, radius, osc_freq=float(np.max(np.abs(t))) + 1.0)
+        # a factor's frequency box cuts the cube, so its faces are panel edges
+        lo, hi = np.full(self.dim, -radius), np.full(self.dim, radius)
+        for box in (self.frequency_box(), other.frequency_box()):
+            if box is not None:
+                lo, hi = np.maximum(lo, box[0]), np.minimum(hi, box[1])
+        if np.any(lo >= hi):
+            return np.zeros(t.shape[0], dtype=complex)
+        pts, w = grid_nodes(lo, hi, osc_freq=float(np.max(np.abs(t))) + 1.0)
         base = w * other.fourier(pts) * np.conj(self.fourier(pts))
         return np.array([np.sum(base * np.exp(-2j * np.pi * (pts @ s))) for s in t])
 
@@ -204,6 +208,10 @@ class Generator(ABC):
         other with closed forms.
         """
         return self.cross_correlation(self, t)
+
+    def frequency_box(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Corners (lower, upper) of a box outside which fhat vanishes, or None."""
+        return None
 
     def autocorrelation_radius(self) -> float | None:
         """Sup-norm radius outside which ``autocorrelation`` vanishes, or None.
@@ -295,6 +303,9 @@ class FrequencyBox(Generator):
             return np.zeros(t.shape[0], dtype=complex)
         return FrequencyBox(lo, hi).spatial(-t)
 
+    def frequency_box(self):
+        return self.lower, self.upper
+
     def decay_bound(self):
         radius = float(np.max(np.maximum(np.abs(self.lower), np.abs(self.upper))))
         return CompactFrequencySupport(radius=radius, peak=1.0)
@@ -369,8 +380,7 @@ class Gaussian(Generator):
     integrable = True
 
     def __init__(self, width: float = 1.0, dim: int = 1):
-        if width <= 0:
-            raise ValueError("Gaussian width must be positive")
+        check_positive("Gaussian width", width)
         self.width = float(width)
         self.dim = int(dim)
         self.label = f"gaussian(width={width},d={dim})"
@@ -407,7 +417,6 @@ class SampledSpatial(Generator):
     """
 
     integrable = True
-    _CHUNK = 4_000_000  # max points*samples per vectorized block
 
     def __init__(self, values, origin, step: float, support_radius: float | None = None):
         v = np.asarray(values, dtype=complex)
@@ -416,30 +425,19 @@ class SampledSpatial(Generator):
         self.origin = np.atleast_1d(np.asarray(origin, dtype=float))
         if self.origin.shape != (self.dim,):
             raise ValueError("origin must have one coordinate per value axis")
-        if step <= 0:
-            raise ValueError("grid step must be positive")
+        check_positive("grid step", step)
         self.step = float(step)
         self.support_radius = None if support_radius is None else float(support_radius)
         if np.sum(np.abs(v) ** 2) * step**self.dim < 1e-14:
             raise ZeroGenerator("sampled generator is numerically zero")
         self.label = f"sampled(h={step},n={v.shape})"
         # flat sample coordinates for transform sums
-        grids = np.meshgrid(
-            *[self.origin[i] + self.step * np.arange(v.shape[i]) for i in range(self.dim)],
-            indexing="ij",
-        )
-        self._coords = np.stack([g.ravel() for g in grids], axis=-1)
+        self._coords = mesh([o + self.step * np.arange(n) for o, n in zip(self.origin, v.shape)])
         self._flat = v.ravel()
 
     def fourier(self, xi):
         xi = np.asarray(xi, dtype=float)
-        flat = xi.reshape(-1, self.dim)
-        out = np.empty(flat.shape[0], dtype=complex)
-        block = max(1, self._CHUNK // max(1, self._flat.size))
-        for start in range(0, flat.shape[0], block):
-            sl = slice(start, start + block)
-            phase = np.exp(-2j * np.pi * (flat[sl] @ self._coords.T))
-            out[sl] = phase @ self._flat
+        out = exp_sum(self._flat, self._coords, xi.reshape(-1, self.dim))
         return (self.step**self.dim) * out.reshape(xi.shape[:-1])
 
     def spatial(self, x):
@@ -466,11 +464,8 @@ class SampledSpatial(Generator):
         # frequency integral does not converge
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape[0], dtype=complex)
-        block = max(1, self._CHUNK // max(1, self._flat.size))
-        for start in range(0, t.shape[0], block):
-            sl = slice(start, start + block)
-            shifted = self.spatial(self._coords + t[sl, None, :])
-            out[sl] = np.conj(shifted) @ self._flat
+        for sl in row_blocks(t.shape[0], self._flat.size):
+            out[sl] = np.conj(self.spatial(self._coords + t[sl, None, :])) @ self._flat
         return out * self.step**self.dim
 
     def decay_bound(self):

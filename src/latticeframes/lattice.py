@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integrate import mesh
 from .errors import NonFiniteInput, SingularMatrix, UnsupportedDimension
 
 MAX_DIM = 3
@@ -92,6 +93,12 @@ def check_dims(lattice: LatticeSpec, *generators):
                              f"lattice has dimension {lattice.dim}")
 
 
+def check_positive(name: str, value: float):
+    """Raise ValueError naming the value unless it is finite and positive."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def check_table(lattice: LatticeSpec, table):
     """Raise ValueError unless the periodization table is on this lattice."""
     if not np.array_equal(table.lattice.basis, lattice.basis):
@@ -115,8 +122,7 @@ def integer_box(dim: int, radius: int) -> np.ndarray:
     lexicographically ascending."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    axes = np.meshgrid(*[np.arange(-radius, radius + 1)] * dim, indexing="ij")
-    return np.stack(axes, axis=-1).reshape(-1, dim)
+    return mesh([np.arange(-radius, radius + 1)] * dim)
 
 
 def lattice_points_in_box(lattice: LatticeSpec, radius: int, side: str = "spatial"):

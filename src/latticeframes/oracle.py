@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import grid_nodes
+from ._integrate import exp_sum, grid_nodes
 from .errors import ConvergenceFailure, DegenerateSpan, TooLarge
 from .generators import Generator
 from .lattice import LatticeSpec, check_dims, check_table, integer_box
@@ -118,12 +118,6 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _trig_sum(cs: np.ndarray, shifts: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """sum_k c_k exp(-2 pi i xi . s_k) at an (m, d) array of points xi, for
-    coefficients c_k and their (n, d) shifts s_k."""
-    return np.exp(-2j * np.pi * (xi @ shifts.T)) @ cs
-
-
 def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
                    table: PeriodizationTable,
                    gram: GramMatrix | None = None) -> tuple[float, float, float]:
@@ -149,14 +143,15 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     radius = g.fourier_tail_radius(1e-9 / (1.0 + mass**2))
     osc = float(np.max(np.abs(shifts)))
     # |weight|^2 has twice the bandwidth of the weight itself
-    pts, w = grid_nodes(lattice.dim, radius, osc_freq=2.0 * osc + 1.0, density=0.8)
-    weight = _trig_sum(cs, shifts, pts)
+    pts, w = grid_nodes(np.full(lattice.dim, -radius), np.full(lattice.dim, radius),
+                        osc_freq=2.0 * osc + 1.0, density=0.8)
+    weight = exp_sum(cs, shifts, pts)
     direct = float(
         np.sum(w * np.abs(weight) ** 2 * np.abs(g.fourier(pts)) ** 2).real
     )
 
     # spectral route on the table grid
-    poly = _trig_sum(cs, ks, grid_gamma(table.dim, table.grid_res))
+    poly = exp_sum(cs, ks, grid_gamma(table.dim, table.grid_res))
     spectral = float(np.mean(np.abs(poly) ** 2 * table.values.ravel()))
 
     # quadratic form through the Gram matrix

@@ -31,15 +31,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _integrate
 from .errors import AliasRisk, EpsilonTooSmall, NoDecayInfo, TailNotAchievable
 from .generators import Generator, tail_bound
-from .lattice import LatticeSpec, check_dims, integer_box, operator_inf_norm
+from .lattice import LatticeSpec, check_dims, check_positive, integer_box, operator_inf_norm
 
 # truncation radius caps per dimension
 K_CAP = {1: 10_000, 2: 1_000, 3: 100}
-
-# points * lattice terms processed per vectorized block
-_BLOCK_BUDGET = 4_000_000
 
 _MIN_GRID = 8
 
@@ -79,6 +77,7 @@ class PeriodizationTable:
         if eps_zero is None:
             return max(EPS_ZERO_FRAC * (float(self.values.max()) + self.tail),
                        4.0 * self.tail, 1e-300)
+        check_positive("eps_zero", eps_zero)
         if eps_zero < 4.0 * self.tail:
             raise EpsilonTooSmall(
                 f"eps_zero {eps_zero:.3e} below 4 * tail {4.0 * self.tail:.3e}")
@@ -98,9 +97,7 @@ class CoefficientTable:
 
 def grid_gamma(dim: int, n: int) -> np.ndarray:
     """Flat (n^dim, dim) array of grid points j/n in lexicographic j order."""
-    axes = [np.arange(n) / n] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return _integrate.mesh([np.arange(n) / n] * dim)
 
 
 def _validate_grid(n: int):
@@ -114,13 +111,9 @@ def _lattice_sum(eval_fn, lattice: LatticeSpec, pts: np.ndarray, radius: int,
     ks = integer_box(lattice.dim, radius)
     m = pts.shape[0]
     acc = np.zeros(m, dtype=complex)
-    block = max(1, _BLOCK_BUDGET // max(1, m))
-    for start in range(0, ks.shape[0], block):
-        chunk = ks[start : start + block]
-        shifted = pts[None, :, :] + chunk[:, None, :]
-        args = shifted.reshape(-1, lattice.dim) @ matrix.T
-        vals = eval_fn(args).reshape(chunk.shape[0], m)
-        acc += np.add.reduce(vals, axis=0)
+    for sl in _integrate.row_blocks(ks.shape[0], m):
+        args = (pts[None, :, :] + ks[sl, None, :]).reshape(-1, lattice.dim) @ matrix.T
+        acc += np.add.reduce(eval_fn(args).reshape(-1, m), axis=0)
     return acc
 
 
@@ -169,7 +162,7 @@ def _coefficient_radius(g: Generator, lattice: LatticeSpec) -> int | None:
     if support is None:
         return None
     n_max = math.ceil(support * operator_inf_norm(lattice.dual_basis.T))
-    return n_max if (2 * n_max + 1) ** lattice.dim <= _BLOCK_BUDGET else None
+    return n_max if (2 * n_max + 1) ** lattice.dim <= _integrate.BLOCK_BUDGET else None
 
 
 def lattice_coefficients(g: Generator, lattice: LatticeSpec, radius: int) -> np.ndarray:
@@ -213,8 +206,8 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
     """
     _validate_grid(grid_res)
     check_dims(lattice, g)
-    if target_tail is not None and target_tail <= 0:
-        raise ValueError("target_tail must be positive")
+    if target_tail is not None:
+        check_positive("target_tail", target_tail)
     d = lattice.dim
 
     n_max = _coefficient_radius(g, lattice)

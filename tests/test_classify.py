@@ -70,6 +70,21 @@ def test_every_table_consumer_guards_epsilon(unit_lattice):
                                        eps_zero=1e-12)
 
 
+def test_parameters_must_be_finite_and_positive(unit_lattice, example_table, sinc_table):
+    # no tail is <= a NaN target, and a zero or negative threshold would flip
+    # the box's Parseval or the sinc's orthonormal verdict
+    with pytest.raises(ValueError, match="target_tail"):
+        lf.compute_phi(lf.Gaussian(1.0), unit_lattice, 64, target_tail=math.nan)
+    with pytest.raises(ValueError, match="eps_zero"):
+        lf.classify_table(example_table, eps_zero=0.0)
+    with pytest.raises(ValueError, match="class_tol"):
+        lf.classify_table(sinc_table, class_tol=-1.0)
+    with pytest.raises(ValueError, match="eps_zero"):
+        lf.classify_weighted_exponentials(np.ones(8), eps_zero=math.inf)
+    with pytest.raises(ValueError, match="step"):
+        lf.SampledSpatial(np.ones(5), [0.0], math.nan)
+
+
 def test_classify_example(example_table):
     cls = lf.classify_table(example_table)
     assert cls.verdict is Verdict.PARSEVAL_FRAME_SEQUENCE

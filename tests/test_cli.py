@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -232,6 +233,10 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+_GAUSS = {"kind": "gaussian", "width": 1.0, "dim": 1}
+_HAT = {"kind": "bspline", "order": 1, "dim": 1}
+
+
 def _sinc_config(**overrides):
     return {"generator": {"kind": "sinc", "dim": 1}, "lattice": [[1.0]],
             "grid_res": 64, **overrides}
@@ -260,6 +265,16 @@ _CONFIG_ERRORS = {
     "list_generator": (_sinc_config(generator=["sinc"]), ["classify"], "generator"),
     "generator_lattice_dims": (
         _sinc_config(generator={"kind": "sinc", "dim": 2}), ["classify"], "dimension"),
+    # json reads NaN and Infinity; no tail bound is <= a NaN target
+    "nan_target_tail": (
+        _sinc_config(generator=_GAUSS, target_tail=math.nan), ["classify"], "target_tail"),
+    "inf_target_tail": (
+        _sinc_config(generator=_GAUSS, target_tail=math.inf), ["classify"], "target_tail"),
+    "nan_eps_zero": (_sinc_config(generator=_HAT, eps_zero=math.nan), ["classify"], "eps_zero"),
+    "inf_eps_zero": (_sinc_config(generator=_HAT, eps_zero=math.inf), ["classify"], "eps_zero"),
+    "nan_class_tol": (_sinc_config(class_tol=math.nan), ["classify"], "class_tol"),
+    "nan_gaussian_width": (
+        _sinc_config(generator={**_GAUSS, "width": math.nan}), ["classify"], "width"),
 }
 
 

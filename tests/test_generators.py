@@ -176,7 +176,7 @@ def test_unknown_envelope_kind_rejected(unit_lattice):
 def test_fourier_tail_radius_certified(g, tol):
     # the energy of fhat outside [-R, R]^d, by quadrature inside, is at most tol
     radius = g.fourier_tail_radius(tol)
-    pts, w = grid_nodes(g.dim, radius, osc_freq=0.0)
+    pts, w = grid_nodes(np.full(g.dim, -radius), np.full(g.dim, radius), osc_freq=0.0)
     inside = float(np.sum(w * np.abs(g.fourier(pts)) ** 2))
     assert g.norm_squared() - inside <= tol
 

@@ -289,6 +289,41 @@ def test_cross_correlation_orientation(case, translated):
                                   f.cross_correlation(h, -shifts))
 
 
+def _quad_on_interval(g1, a, b, s):
+    """integral over [a, b] of g1hat(x) exp(-2 pi i x s) dx for a real g1hat."""
+    def part(trig):
+        return quad(lambda x: float(g1.fourier(np.array([[x]]))[0].real)
+                    * trig(2 * math.pi * x * s), a, b, epsabs=1e-14)[0]
+    return part(math.cos) - 1j * part(math.sin)
+
+
+# a frequency box against a smooth generator g, given with its separable
+# one-dimensional factor g1, on 0.7 Z or the shear
+_BOX_SMOOTH = {
+    "gauss": (([-0.2], [0.35]), lf.Gaussian(1.0), lf.Gaussian(1.0), [[0.7]]),
+    "hat": (([-0.2], [0.35]), lf.BSpline(1), lf.BSpline(1), [[0.7]]),
+    "cubic": (([-0.2], [0.35]), lf.BSpline(3), lf.BSpline(3), [[0.7]]),
+    "gauss_shear": (([-0.2, 0.1], [0.35, 0.6]), lf.Gaussian(1.0, dim=2), lf.Gaussian(1.0),
+                    [[1.0, 1.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOX_SMOOTH))
+def test_cross_correlation_box_against_smooth(name):
+    # <g, box(. + t)> is the integral of ghat exp(-2 pi i xi . t) over the box;
+    # the box faces are panel edges, so both orientations match quad of it
+    (lo, hi), g, g1, basis = _BOX_SMOOTH[name]
+    L, box = lf.new_lattice(basis), lf.FrequencyBox(lo, hi)
+    radius = 3 if L.dim == 1 else 1
+    t = integer_box(L.dim, radius) @ L.basis.T
+    ref = np.array([np.prod([_quad_on_interval(g1, a, b, s) for a, b, s in zip(lo, hi, row)])
+                    for row in t])
+    np.testing.assert_allclose(box.cross_correlation(g, t), ref, rtol=0, atol=1e-12)
+    # the other orientation: <box, g(. - B k)> = conj(<g, box(. + B k)>)
+    np.testing.assert_allclose(lf.analysis_coefficients(g, L, box, radius), ref.conj(),
+                               rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # span projection
 # ---------------------------------------------------------------------------
