@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -59,6 +60,12 @@ class RunConfig:
             if isinstance(v, bool) or not (isinstance(v, accepted) or v is None and optional):
                 raise ValueError(f"{f.name} must be {noun}, got {v!r}")
         _periodization._validate_grid(self.grid_res)
+        # np.asarray(dtype=object) keeps leaves as given, and rows of unequal
+        # length as lists, which are not numbers either
+        leaves = np.asarray(self.lattice, dtype=object).ravel()
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in leaves):
+            raise ValueError(f"lattice must be a matrix of finite numbers, got {self.lattice!r}")
         for name in ("target_tail", "eps_zero", "class_tol"):
             if getattr(self, name) is not None:
                 check_positive(name, getattr(self, name))
@@ -92,11 +99,11 @@ def build_generator(spec: dict) -> Generator:
     if kind == "frequency_box":
         return FrequencyBox(spec["lower"], spec["upper"])
     if kind == "sinc":
-        return Sinc(dim=int(spec.get("dim", 1)))
+        return Sinc(dim=spec.get("dim", 1))
     if kind == "bspline":
-        return BSpline(order=int(spec["order"]), dim=int(spec.get("dim", 1)))
+        return BSpline(order=spec["order"], dim=spec.get("dim", 1))
     if kind == "gaussian":
-        return Gaussian(width=float(spec.get("width", 1.0)), dim=int(spec.get("dim", 1)))
+        return Gaussian(width=float(spec.get("width", 1.0)), dim=spec.get("dim", 1))
     if kind == "sampled":
         return load_sampled_csv(spec["csv"], support_radius=spec.get("support_radius"))
     raise ValueError(f"unknown generator kind {kind!r}")

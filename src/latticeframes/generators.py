@@ -4,10 +4,11 @@ Transform convention: fhat(xi) = integral f(x) exp(-2*pi*i*xi.x) dx.
 
 Every generator can evaluate its transform pointwise, report its
 autocorrelation <f, f(. + t)> (and from it the squared L2 norm), and certify
-how fast |fhat|^2 decays.  The decay data is what lets lattice sums of
-|fhat|^2 be truncated with a guaranteed error bound, so the catalog is
-deliberately small: boxes, sincs, B-splines, Gaussians, and uniformly sampled
-compactly supported data.
+how fast |fhat|^2 decays; B-splines and Gaussians also certify how fast the
+autocorrelation decays.  The decay data is what lets lattice sums of |fhat|^2,
+or Fourier series of autocorrelations, be truncated with a guaranteed error
+bound, so the catalog is deliberately small: boxes, sincs, B-splines,
+Gaussians, and uniformly sampled compactly supported data.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._integrate import exp_sum, grid_nodes, mesh, row_blocks
 from .errors import NoDecayInfo, NonFiniteInput, ZeroGenerator
-from .lattice import LatticeSpec, check_positive, operator_inf_norm, spectral_norm
+from .lattice import LatticeSpec, check_integer, check_positive, operator_inf_norm, spectral_norm
 
 # ---------------------------------------------------------------------------
 # decay envelopes
@@ -35,29 +36,33 @@ def _shell_count(dim: int, m: int) -> int:
 
 # coefficients alpha_d with shell_count(d, m) <= alpha_d * (m-1)^(d-1) for m >= 2
 _SHELL_COEFF = {1: 2.0, 2: 16.0, 3: 98.0}
+# shells past the truncation radius that envelope tails sum term by term
+_EXPLICIT_SHELLS = 64
 
 
 class DecayBound:
-    """Certified envelope for |fhat(xi)|^2 as a function of t = sup-norm of xi.
+    """Certified envelope for a nonnegative function of t = the norm of its
+    argument: |fhat(xi)|^2 in frequency (``Generator.decay_bound``) or
+    |<f, f(. + t)>| in space (``Generator.autocorrelation_decay``).
 
     Each kind bounds its own lattice-sum tail and integral tail."""
 
     def lattice_tail(self, lattice: LatticeSpec, radius: int) -> float:
-        """Bound on sup_gamma sum_{|k|_inf > radius} |fhat(dual(gamma+k))|^2 / |det B|
-        for gamma in [0,1)^d."""
+        """Bound on sup_gamma sum_{|k|_inf > radius} E(dual(gamma+k)) / |det B|
+        for gamma in [0,1)^d and the envelope E."""
         raise NoDecayInfo(f"unrecognized decay bound {type(self).__name__}")
 
     def tail_radius(self, dim: int, tol: float) -> float:
-        """Radius R with the integral of |fhat|^2 over {sup-norm > R} at most tol."""
+        """Radius R with the integral of the envelope over {sup-norm > R} at most tol."""
         raise NoDecayInfo(f"unrecognized decay bound {type(self).__name__}")
 
 
 @dataclass(frozen=True)
 class CompactFrequencySupport(DecayBound):
-    """|fhat|^2 vanishes outside the sup-norm ball of the given radius."""
+    """The function vanishes outside the sup-norm ball of the given radius."""
 
     radius: float
-    peak: float = 1.0  # upper bound on |fhat|^2 inside the support
+    peak: float = 1.0  # upper bound on the function inside the support
 
     def lattice_tail(self, lattice, radius):
         # argument of fhat is dual @ (gamma + k); it stays inside the support
@@ -75,7 +80,7 @@ class CompactFrequencySupport(DecayBound):
 
 @dataclass(frozen=True)
 class PolynomialDecay(DecayBound):
-    """|fhat(xi)|^2 <= min(peak, constant / t^order) for t = sup-norm of xi."""
+    """The function is at most min(peak, constant / t^order), t the sup-norm."""
 
     order: float
     constant: float
@@ -92,11 +97,10 @@ class PolynomialDecay(DecayBound):
         excess = self._excess(d)
         c_mapped = self.constant * operator_inf_norm(lattice.basis.T) ** p
         total = 0.0
-        explicit = 64
-        for m in range(radius + 1, radius + explicit + 1):
+        for m in range(radius + 1, radius + _EXPLICIT_SHELLS + 1):
             # |gamma + k|_inf >= m - 1 for every gamma in [0,1)^d
             total += _shell_count(d, m) * min(self.peak, c_mapped / (m - 1) ** p)
-        j = radius + explicit
+        j = radius + _EXPLICIT_SHELLS
         alpha = _SHELL_COEFF[d]
         total += alpha * c_mapped * (j ** (d - 1 - p) + j ** (d - p) / excess)
         return total / lattice.det_abs
@@ -108,30 +112,40 @@ class PolynomialDecay(DecayBound):
         return max(1.0, (c / tol) ** (1.0 / excess))
 
 
+def _gaussian_moment_sum(k: int, a: float, j: int) -> float:
+    """Bound on sum_{integers u >= j} u^k exp(-a u^2).
+
+    The summand is unimodal, so the sum is at most its integral from j plus
+    its maximum on [j, inf); the integral follows from
+    I_k = (j^(k-1) exp(-a j^2) + (k-1) I_(k-2)) / (2a).
+    """
+    e = math.exp(-a * j * j)
+    integrals = [0.5 * math.sqrt(math.pi / a) * math.erfc(j * math.sqrt(a)), e / (2 * a)]
+    for i in range(2, k + 1):
+        integrals.append((j ** (i - 1) * e + (i - 1) * integrals[i - 2]) / (2 * a))
+    top = max(j, math.sqrt(k / (2 * a)))
+    return integrals[k] + top**k * math.exp(-a * top * top)
+
+
 @dataclass(frozen=True)
 class GaussianDecay(DecayBound):
-    """|fhat(xi)|^2 <= constant * exp(-rate * t^2)."""
+    """The function is at most constant * exp(-rate * t^2), t the Euclidean
+    norm (hence also for t the sup-norm)."""
 
     rate: float
     constant: float
 
     def lattice_tail(self, lattice, radius):
+        # on shell m, m - 1 <= |gamma + k|_2 <= |B^T|_2 |dual(gamma + k)|_2
         d = lattice.dim
-        rate = self.rate / spectral_norm(lattice.basis.T) ** 2
-        total = 0.0
-        m = radius + 1
-        while True:
-            term = _shell_count(d, m) * self.constant * math.exp(-rate * (m - 1) ** 2)
-            total += term
-            cnt_ratio = _shell_count(d, m + 1) / _shell_count(d, m)
-            ratio = cnt_ratio * math.exp(-rate * (2 * m - 1))
-            if ratio < 0.5 and (term == 0.0 or term < 1e-18 * max(total, 1e-300)):
-                total += term * ratio / (1.0 - ratio)
-                break
-            m += 1
-            if m > radius + 100_000:
-                raise NoDecayInfo("gaussian tail summation failed to converge")
-        return total / lattice.det_abs
+        a = self.rate / spectral_norm(lattice.basis.T) ** 2
+        u = np.arange(radius, radius + _EXPLICIT_SHELLS, dtype=float)  # m - 1
+        total = float(np.sum(((2 * u + 3) ** d - (2 * u + 1) ** d) * np.exp(-a * u**2)))
+        # past the explicit shells, shell_count(d, u + 1) = sum_k coef_k u^k
+        j = radius + _EXPLICIT_SHELLS
+        total += sum(math.comb(d, k) * 2**k * (3 ** (d - k) - 1) * _gaussian_moment_sum(k, a, j)
+                     for k in range(d))
+        return self.constant * total / lattice.det_abs
 
     def tail_radius(self, dim, tol):
         a, c = self.rate, self.constant
@@ -213,11 +227,12 @@ class Generator(ABC):
         """Corners (lower, upper) of a box outside which fhat vanishes, or None."""
         return None
 
-    def autocorrelation_radius(self) -> float | None:
-        """Sup-norm radius outside which ``autocorrelation`` vanishes, or None.
+    def autocorrelation_decay(self) -> DecayBound | None:
+        """Certified envelope of |``autocorrelation``(t)| in the shift t, or None.
 
-        A radius makes phi a trigonometric polynomial, which ``compute_phi``
-        then evaluates exactly from finitely many autocorrelations.
+        The autocorrelations at lattice points are the Fourier coefficients
+        of phi; an envelope bounds the ones a finite Fourier sum drops, which
+        lets ``compute_phi`` sum that series instead of the lattice sum.
         """
         return None
 
@@ -315,6 +330,7 @@ class Sinc(FrequencyBox):
     """Tensor product of sin(pi x)/(pi x); fhat is the unit frequency box."""
 
     def __init__(self, dim: int = 1):
+        check_integer("sinc dim", dim, 1)
         super().__init__(np.full(dim, -0.5), np.full(dim, 0.5))
         self.label = f"sinc(d={dim})"
 
@@ -347,8 +363,8 @@ class BSpline(Generator):
     integrable = True
 
     def __init__(self, order: int, dim: int = 1):
-        if order < 1:
-            raise ValueError("B-spline order must be >= 1")
+        check_integer("B-spline order", order, 1)
+        check_integer("B-spline dim", dim, 1)
         self.order = int(order)
         self.dim = int(dim)
         self.label = f"bspline{order}(d={dim})"
@@ -365,9 +381,9 @@ class BSpline(Generator):
         # b_m * b_m(-.) = b_(2m+1) per axis (Unser, IEEE SPM 1999)
         return np.prod(_bspline_values(2 * self.order + 1, t), axis=-1).astype(complex)
 
-    def autocorrelation_radius(self):
-        # b_(2m+1) vanishes outside [-(m+1), m+1]
-        return float(self.order + 1)
+    def autocorrelation_decay(self):
+        # b_(2m+1) vanishes outside [-(m+1), m+1] and is at most 1
+        return CompactFrequencySupport(radius=float(self.order + 1), peak=1.0)
 
     def decay_bound(self):
         p = 2 * (self.order + 1)
@@ -381,6 +397,7 @@ class Gaussian(Generator):
 
     def __init__(self, width: float = 1.0, dim: int = 1):
         check_positive("Gaussian width", width)
+        check_integer("Gaussian dim", dim, 1)
         self.width = float(width)
         self.dim = int(dim)
         self.label = f"gaussian(width={width},d={dim})"
@@ -401,6 +418,12 @@ class Gaussian(Generator):
         s = self.width
         return ((s / math.sqrt(2.0)) ** self.dim
                 * np.exp(-np.pi * np.sum(t**2, axis=-1) / (2.0 * s**2))).astype(complex)
+
+    def autocorrelation_decay(self):
+        # |c(t)| = (s / sqrt 2)^d exp(-pi |t|^2 / (2 s^2))
+        s = self.width
+        return GaussianDecay(rate=math.pi / (2.0 * s**2),
+                             constant=(s / math.sqrt(2.0)) ** self.dim)
 
     def decay_bound(self):
         s = self.width

@@ -7,6 +7,7 @@ live on ``basis @ k`` for integer vectors k.  The dual lattice has basis
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,11 @@ class LatticeSpec:
     def __post_init__(self):
         self.basis.setflags(write=False)
         self.dual_basis.setflags(write=False)
+
+    def dual(self) -> LatticeSpec:
+        """The dual lattice inv(basis.T) Z^d; its dual is this lattice."""
+        return LatticeSpec(dim=self.dim, basis=self.dual_basis, det_abs=1.0 / self.det_abs,
+                           dual_basis=self.basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +103,12 @@ def check_positive(name: str, value: float):
     """Raise ValueError naming the value unless it is finite and positive."""
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_integer(name: str, value, low: int):
+    """Raise ValueError naming the value unless it is an integer >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def check_table(lattice: LatticeSpec, table):

@@ -13,20 +13,22 @@ a Z^d-periodic function of gamma sampled on the uniform grid j/N over
 
 and ``compute_phi`` takes one of two routes:
 
-* dual -- when the generator declares a radius outside which its
-  autocorrelation vanishes (B-splines), only finitely many c_n are nonzero
-  and one inverse FFT of them gives the grid values exactly;
-* direct -- otherwise, the lattice sum above truncated at a radius whose
-  certified tail bound is below a target.
+* dual -- when the generator declares an envelope of its autocorrelation
+  (B-splines, Gaussians), the Fourier series truncated at the smallest
+  coefficient radius whose certified l1 tail sum_{|n|_inf > R} |c_n| meets
+  a target, summed on the grid by one inverse FFT; for B-splines that tail
+  is zero, every dropped c_n vanishing;
+* direct -- otherwise, or when the coefficient box would not fit one block,
+  the lattice sum above truncated at a radius whose certified tail bound is
+  below a target.
 
-Every table records the radius it used and a certified bound on what it
-dropped (zero on the dual route), so downstream classification can widen
-its tolerances accordingly.
+Either way the dropped tail bounds the error at every gamma.  Every table
+records its route, the radius it used and that tail bound, so downstream
+classification can widen its tolerances accordingly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +36,7 @@ import numpy as np
 from . import _integrate
 from .errors import AliasRisk, EpsilonTooSmall, NoDecayInfo, TailNotAchievable
 from .generators import Generator, tail_bound
-from .lattice import LatticeSpec, check_dims, check_positive, integer_box, operator_inf_norm
+from .lattice import LatticeSpec, check_dims, check_positive, integer_box
 
 # truncation radius caps per dimension
 K_CAP = {1: 10_000, 2: 1_000, 3: 100}
@@ -50,11 +52,12 @@ EPS_ZERO_FRAC = 1e-8
 class PeriodizationTable:
     """Samples of the periodized power spectrum on the grid j/N in [0,1)^d.
 
-    ``values`` is an (N,)*d array of nonnegative reals; true values exceed the
-    stored ones by at most ``tail``.  On the direct route ``trunc_radius`` is
-    the sup-norm radius of the summed lattice terms and ``tail`` the certified
-    bound on the rest; on the dual route it is the radius of the Fourier
-    coefficient box (every c_n beyond it vanishes) and ``tail`` is 0.
+    ``values`` is an (N,)*d array of nonnegative reals within ``tail`` of the
+    true ones.  ``route`` is "direct" or "dual".  On the direct route
+    ``trunc_radius`` is the sup-norm radius of the summed lattice terms and
+    ``tail`` the certified bound on the rest; on the dual route it is the
+    radius of the Fourier coefficient box and ``tail`` the certified l1 norm
+    of the coefficients beyond it.
     """
 
     lattice: LatticeSpec
@@ -63,6 +66,7 @@ class PeriodizationTable:
     trunc_radius: int
     tail: float
     generator_tag: str
+    route: str = "direct"
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -117,24 +121,23 @@ def _lattice_sum(eval_fn, lattice: LatticeSpec, pts: np.ndarray, radius: int,
     return acc
 
 
-def choose_truncation(g: Generator, lattice: LatticeSpec, target_tail: float):
-    """Smallest radius whose certified tail is at most target_tail.
+def _smallest_radius(tail, cap: int, target_tail: float, label: str):
+    """Smallest radius in 1..cap whose ``tail(radius)`` is at most target_tail.
 
-    ``tail_bound`` is non-increasing in the radius, so once the cap is known
-    to reach the target, doubling from 1 and bisecting the last step finds the
+    ``tail`` is non-increasing in the radius, so once the cap is known to
+    reach the target, doubling from 1 and bisecting the last step finds the
     smallest radius in about 2 log2(radius) calls.
     """
-    cap = K_CAP[lattice.dim]
-    tails = {cap: tail_bound(g, lattice, cap)}
+    tails = {cap: tail(cap)}
     if tails[cap] > target_tail:
         raise TailNotAchievable(
-            f"{g.label}: tail {tails[cap]:.3e} at radius cap {cap} exceeds target "
+            f"{label}: tail {tails[cap]:.3e} at radius cap {cap} exceeds target "
             f"{target_tail:.3e}"
         )
 
     def fits(k):
         if k not in tails:
-            tails[k] = tail_bound(g, lattice, k)
+            tails[k] = tail(k)
         return tails[k] <= target_tail
 
     lo, hi = 0, 1
@@ -149,20 +152,42 @@ def choose_truncation(g: Generator, lattice: LatticeSpec, target_tail: float):
     return hi, tails[hi]
 
 
-def _coefficient_radius(g: Generator, lattice: LatticeSpec) -> int | None:
-    """Sup-norm radius of the box of n holding every nonzero c_n, or None.
+def choose_truncation(g: Generator, lattice: LatticeSpec, target_tail: float):
+    """Smallest lattice-sum radius whose certified tail is at most target_tail."""
+    return _smallest_radius(lambda k: tail_bound(g, lattice, k), K_CAP[lattice.dim],
+                            target_tail, g.label)
 
-    c_n vanishes for |B n|_inf beyond ``g.autocorrelation_radius()``, hence
-    for |n|_inf > ceil(radius * |inv(B)|_inf).  None (take the direct route)
-    when the generator declares no radius, or when the box holds more terms
-    than one block of the lattice sum: very fine lattices, whose lattice sums
-    need only a few terms.
+
+def _box_cap(dim: int) -> int:
+    """Largest radius R whose coefficient box, (2R+1)^dim terms, fits one block."""
+    cap = int(_integrate.BLOCK_BUDGET ** (1.0 / dim)) // 2
+    while (2 * cap + 1) ** dim > _integrate.BLOCK_BUDGET:
+        cap -= 1
+    return cap
+
+
+def _coefficient_truncation(g: Generator, lattice: LatticeSpec,
+                            target_tail: float | None):
+    """Smallest coefficient radius R whose l1 tail sum_{|n|_inf > R} |c_n| is
+    at most target_tail (default 1e-10 * ||f||^2), with that tail; None when
+    the generator declares no autocorrelation envelope or when the coefficient
+    box would hold more terms than one block (very fine lattices, whose
+    lattice sums need few terms).
+
+    c_n = c(B n), so the envelope's lattice sum on the dual lattice, whose
+    dual basis is B, bounds the tail after the 1 / |det B| it applies is undone.
     """
-    support = g.autocorrelation_radius()
-    if support is None:
+    decay = g.autocorrelation_decay()
+    if decay is None:
         return None
-    n_max = math.ceil(support * operator_inf_norm(lattice.dual_basis.T))
-    return n_max if (2 * n_max + 1) ** lattice.dim <= _integrate.BLOCK_BUDGET else None
+    if target_tail is None:
+        target_tail = 1e-10 * g.norm_squared()
+    dual = lattice.dual()
+    try:
+        return _smallest_radius(lambda k: decay.lattice_tail(dual, k) / lattice.det_abs,
+                                _box_cap(lattice.dim), target_tail, g.label)
+    except TailNotAchievable:
+        return None
 
 
 def lattice_coefficients(g: Generator, lattice: LatticeSpec, radius: int) -> np.ndarray:
@@ -192,17 +217,21 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
                 target_tail: float | None = None) -> PeriodizationTable:
     """Tabulate the periodized power spectrum of ``g`` on the [0,1)^d grid.
 
-    Dual route: when ``g.autocorrelation_radius()`` bounds the nonzero c_n to
-    a box (see ``_coefficient_radius``), the table is their exact
-    trigonometric polynomial, with ``trunc_radius`` the box radius and
-    ``tail`` 0; ``target_tail`` is then not needed.
+    Dual route: when ``g.autocorrelation_decay()`` declares an envelope of
+    |c(t)|, the table is the Fourier series of phi truncated at the smallest
+    coefficient radius whose certified l1 tail is at most ``target_tail``
+    (see ``_coefficient_truncation``), and that tail is the table's ``tail``.
+    The default target is 1e-10 * ||f||^2: phi has mean c_0 = ||f||^2, so
+    that is a lower bound on max phi.  B-spline coefficients vanish past a
+    box, whose radius the search returns, with tail 0.
 
-    Direct route: the lattice sum of |fhat|^2 is truncated at the radius
-    chosen from the generator's certified decay so the dropped tail is at most
-    ``target_tail``.  When ``target_tail`` is omitted it defaults to 1e-10
-    times the grid maximum of the k = 0 term alone: every term is >= 0, so
-    that maximum is a lower bound on max phi, and the tail stays negligible
-    against classification tolerances.
+    Direct route: otherwise the lattice sum of |fhat|^2 is truncated at the
+    radius chosen from the generator's certified decay so the dropped tail is
+    at most ``target_tail``.  When ``target_tail`` is omitted it defaults to
+    1e-10 times the grid maximum of the k = 0 term alone: every term is >= 0,
+    so that maximum is a lower bound on max phi.
+
+    Either way the tail stays negligible against classification tolerances.
     """
     _validate_grid(grid_res)
     check_dims(lattice, g)
@@ -210,11 +239,12 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
         check_positive("target_tail", target_tail)
     d = lattice.dim
 
-    n_max = _coefficient_radius(g, lattice)
-    if n_max is not None:
-        radius, tail = n_max, 0.0
-        values = _dual_values(g, lattice, grid_res, n_max)
+    cut = _coefficient_truncation(g, lattice, target_tail)
+    if cut is not None:
+        route, (radius, tail) = "dual", cut
+        values = _dual_values(g, lattice, grid_res, radius)
     else:
+        route = "direct"
         pts = grid_gamma(d, grid_res)
         dual = lattice.dual_basis
 
@@ -235,6 +265,7 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
         trunc_radius=radius,
         tail=tail,
         generator_tag=g.label,
+        route=route,
     )
 
 

@@ -258,16 +258,19 @@ def test_scaling_equivariance(unit_lattice):
         def autocorrelation(self, t):
             return self.c**2 * self.base.autocorrelation(t)
 
-        def autocorrelation_radius(self):
-            return self.base.autocorrelation_radius()
+        def autocorrelation_decay(self):
+            db = self.base.autocorrelation_decay()
+            return None if db is None else self._scaled(db)
 
         def norm_squared(self):
             return self.c**2 * self.base.norm_squared()
 
         def decay_bound(self):
+            return self._scaled(self.base.decay_bound())
+
+        def _scaled(self, db):
             import dataclasses
 
-            db = self.base.decay_bound()
             if isinstance(db, lf.CompactFrequencySupport):
                 return dataclasses.replace(db, peak=self.c**2 * db.peak)
             if isinstance(db, lf.PolynomialDecay):
@@ -276,7 +279,7 @@ def test_scaling_equivariance(unit_lattice):
             return dataclasses.replace(db, constant=self.c**2 * db.constant)
 
     # forwarding the autocorrelation keeps both sides on one route: dual for
-    # the B-spline, direct for the box and the Gaussian
+    # the B-spline and the Gaussian, direct for the box
     for base in (lf.BSpline(1), lf.FrequencyBox([-1 / 3], [1 / 3]), lf.Gaussian(1.0)):
         plain = lf.classify_table(lf.compute_phi(base, unit_lattice, 512))
         scaled = lf.classify_table(lf.compute_phi(Scaled(base, 2.0), unit_lattice, 512))

@@ -44,13 +44,14 @@ def test_classify_bspline(capsys):
     assert report["upper"] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_classify_gauss_pins_direct_route_tail(capsys):
-    # the one preset on the direct route whose certified tail is nonzero
+def test_classify_gauss_pins_dual_route_tail(capsys):
+    # the one preset whose certified tail is nonzero: the l1 norm of the
+    # Fourier coefficients past radius 4 on the dual route
     code, out, _ = _run(capsys, ["classify", "--preset", "gauss"])
     assert code == 0
     report = json.loads(out)
-    assert report["trunc_radius"] == 2
-    assert report["tail"] == 2.43231134188e-11
+    assert report["trunc_radius"] == 4
+    assert report["tail"] == 1.71990509064e-11
 
 
 def test_reports_are_deterministic(capsys, tmp_path):
@@ -275,6 +276,17 @@ _CONFIG_ERRORS = {
     "nan_class_tol": (_sinc_config(class_tol=math.nan), ["classify"], "class_tol"),
     "nan_gaussian_width": (
         _sinc_config(generator={**_GAUSS, "width": math.nan}), ["classify"], "width"),
+    # integer fields were truncated: order 1.5 classified the hat
+    "fractional_bspline_order": (
+        _sinc_config(generator={**_HAT, "order": 1.5}), ["classify"], "order"),
+    "fractional_gaussian_dim": (
+        _sinc_config(generator={**_GAUSS, "dim": 1.5}), ["classify"], "dim"),
+    "fractional_sinc_dim": (
+        _sinc_config(generator={"kind": "sinc", "dim": 1.5}), ["classify"], "dim"),
+    # a NaN lattice entry was a numerical failure (exit 3)
+    "nan_lattice": (_sinc_config(lattice=[[math.nan]]), ["classify"], "lattice"),
+    "str_lattice": (_sinc_config(lattice=[["1.0"]]), ["classify"], "lattice"),
+    "ragged_lattice": (_sinc_config(lattice=[[1.0], [0.0, 1.0]]), ["classify"], "lattice"),
 }
 
 

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 import latticeframes as lf
 from latticeframes._integrate import grid_nodes
 from latticeframes.errors import NoDecayInfo, ZeroGenerator
-from latticeframes.generators import CompactFrequencySupport, DecayBound
+from latticeframes.generators import CompactFrequencySupport, DecayBound, _gaussian_moment_sum
 
 
 def test_sinc_fourier_is_indicator():
@@ -103,6 +103,61 @@ def test_decay_envelope_holds():
         else:
             env = db.constant * np.exp(-db.rate * t**2)
         assert np.all(power <= env + 1e-12)
+
+
+def test_autocorrelation_envelope_holds():
+    # the envelopes compute_phi's dual route sums: |c(t)| in t = |t|_2
+    rng = np.random.default_rng(102)
+    for g in (lf.BSpline(1), lf.BSpline(3, dim=2), lf.Gaussian(0.3), lf.Gaussian(1.0, dim=2),
+              lf.Gaussian(3.0, dim=3)):
+        db = g.autocorrelation_decay()
+        t = rng.uniform(-12, 12, size=(1000, g.dim))
+        c = np.abs(g.autocorrelation(t))
+        if isinstance(db, CompactFrequencySupport):
+            env = np.where(np.max(np.abs(t), axis=1) >= db.radius, 0.0, db.peak)
+        else:
+            env = db.constant * np.exp(-db.rate * np.sum(t**2, axis=1))
+        assert np.all(c <= env * (1 + 1e-12) + 1e-300), g.label
+    for g in (lf.Sinc(1), lf.FrequencyBox([-0.2], [0.35])):
+        assert g.autocorrelation_decay() is None
+
+
+@pytest.mark.parametrize("width,a", [(1.0, 1.0), (0.3, 40.0), (1.0, 3000.0)])
+def test_gaussian_tail_bound_dominates_on_coarse_lattices(width, a):
+    # on coarse lattices the envelope decays slowly in k, so most of the
+    # tail lies past the explicitly summed shells; the bound stays finite
+    # and dominates a brute-force sum out to twenty times the decay scale
+    g, L = lf.Gaussian(width), lf.new_lattice([[a]])
+    scale = a / width
+    for radius in (1, int(scale) + 1, int(3 * scale) + 1):
+        bound = lf.tail_bound(g, L, radius)
+        ks = np.arange(radius + 1, radius + int(20 * scale) + 100, dtype=float)
+        brute = max(np.sum(np.abs(g.fourier((gm + np.concatenate([ks, -ks]))[:, None] / a)) ** 2)
+                    for gm in np.linspace(0, 1, 17)) / a
+        assert brute <= bound < math.inf
+
+
+def test_gaussian_moment_sum_dominates():
+    # the closed-form remainder of every Gaussian lattice tail in d = 1..3
+    for a in (1e-6, 1e-3, 0.5):
+        for j in (1, 64, 1000):
+            u = np.arange(j, j + int(10 / math.sqrt(a)) + 10, dtype=float)
+            for k in range(3):
+                brute = float(np.sum(u**k * np.exp(-a * u**2)))
+                bound = _gaussian_moment_sum(k, a, j)
+                assert brute <= bound <= 2.0 * brute + 1e-300, (a, j, k)
+
+
+def test_integer_parameters_must_be_integers():
+    # a fractional order or dimension used to be truncated without notice
+    for make, name in ((lambda: lf.BSpline(1.7), "order"), (lambda: lf.BSpline(1.0), "order"),
+                       (lambda: lf.BSpline(0), "order"), (lambda: lf.BSpline(2, dim=1.5), "dim"),
+                       (lambda: lf.BSpline(True), "order"),
+                       (lambda: lf.Gaussian(1.0, dim=2.5), "dim"),
+                       (lambda: lf.Sinc(1.5), "dim"), (lambda: lf.Sinc(0), "dim")):
+        with pytest.raises(ValueError, match=name):
+            make()
+    assert lf.BSpline(np.int64(2), dim=np.int64(2)).order == 2
 
 
 def test_tail_bound_box_compact(unit_lattice):

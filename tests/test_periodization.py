@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +143,72 @@ def test_dual_route_matches_direct_sum(order, basis):
     direct = _lattice_sum(lambda a: np.abs(g.fourier(a)) ** 2, L, grid_gamma(d, n),
                           radius, L.dual_basis).real / L.det_abs
     assert np.max(np.abs(table.values.ravel() - direct)) <= tail + 1e-13
+
+
+_GAUSS_DUAL_BASES = [[[1.0]], [[0.7]], np.eye(2).tolist(), (0.7 * np.eye(2)).tolist(), _SHEAR,
+                     _rotation(0.37), np.eye(3).tolist()]
+
+
+@pytest.mark.parametrize("width", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("basis", _GAUSS_DUAL_BASES)
+def test_dual_route_matches_direct_sum_gaussian(width, basis):
+    # Gaussian tables sum a truncated Fourier series; the direct lattice sum
+    # is the oracle, and the two differ by at most the sum of their tails
+    L = lf.new_lattice(basis)
+    d = L.dim
+    g = lf.Gaussian(width, d)
+    n = {1: 64, 2: 16, 3: 8}[d]
+    table = lf.compute_phi(g, L, n)
+    assert table.route == "dual" and table.tail > 0.0
+    radius, tail = choose_truncation(g, L, 1e-12 * g.norm_squared())
+    direct = _lattice_sum(lambda a: np.abs(g.fourier(a)) ** 2, L, grid_gamma(d, n),
+                          radius, L.dual_basis).real / L.det_abs
+    assert np.max(np.abs(table.values.ravel() - direct)) <= table.tail + tail + 1e-13
+
+
+@pytest.mark.parametrize("width", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("basis", _GAUSS_DUAL_BASES)
+def test_dual_tail_bounds_coefficient_tail(width, basis):
+    # the stored tail is a proof: it dominates the l1 norm of the closed-form
+    # coefficients c(B n) on the twenty shells past the truncation radius
+    L = lf.new_lattice(basis)
+    d = L.dim
+    table = lf.compute_phi(lf.Gaussian(width, d), L, 8)
+    radius = table.trunc_radius
+    ns = lf.lattice.integer_box(d, radius + 20)
+    ns = ns[np.max(np.abs(ns), axis=1) > radius]
+    t2 = np.sum((ns @ L.basis.T) ** 2, axis=1)
+    dropped = np.sum((width / math.sqrt(2.0)) ** d * np.exp(-math.pi * t2 / (2 * width**2)))
+    assert dropped <= table.tail
+
+
+def test_wide_gaussian_on_fine_lattice_falls_back_to_direct():
+    # the coefficient box would need radius ~2400 in d = 3; the cap is found
+    # out of reach with one tail evaluation and the lattice sum takes over
+    start = time.perf_counter()
+    table = lf.compute_phi(lf.Gaussian(3.0, 3), lf.new_lattice(0.005 * np.eye(3)), 8)
+    assert time.perf_counter() - start < 5.0
+    assert table.route == "direct" and table.trunc_radius == 1
+    assert np.all(np.isfinite(table.values))
+
+
+def test_route_per_catalog_kind(unit_lattice, translate_sum):
+    # every catalog kind and a user subclass: declared autocorrelation
+    # envelopes take the dual route, everything else the direct one
+    expected = {
+        lf.FrequencyBox([-1 / 3], [1 / 3]): "direct",
+        lf.Sinc(1): "direct",
+        _sampled_bump(): "direct",
+        lf.BSpline(1): "dual",
+        lf.BSpline(3): "dual",
+        lf.Gaussian(1.0): "dual",
+        translate_sum(lf.BSpline(1), unit_lattice, [1]): "direct",
+    }
+    for g, route in expected.items():
+        table = lf.compute_phi(g, unit_lattice, 64)
+        assert table.route == route, g.label
+        assert lf.perturbed_phi(table, [1]).route == route
+        assert "route" not in lf.table_to_json(table)
 
 
 def test_phi_bspline_d2_exact_bounds():
