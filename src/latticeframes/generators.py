@@ -178,6 +178,10 @@ class Generator(ABC):
     label: str = "generator"
     # f is known to lie in L1(R^d); boxes and sincs decay like 1/x and do not
     integrable: bool = False
+    # fourier transforms a weighted Dirac comb (sampled data): inner products
+    # with a partner are finite sums of the partner's spatial values, which the
+    # comb's own cross_correlation takes
+    comb: bool = False
 
     @abstractmethod
     def fourier(self, xi: np.ndarray) -> np.ndarray:
@@ -196,9 +200,13 @@ class Generator(ABC):
         tails T of |fhat|^2 and |otherhat|^2, and a tail is at most its squared
         norm, so R may be where both tails are below tol or one is below tol^2
         over the other's squared norm.  For other = f that is where the one
-        tail is below tol, and asking for the norm would recurse.
+        tail is below tol, and asking for the norm would recurse.  A comb
+        partner takes the inner product itself: <other, f(. + t)> is the
+        conjugate of <f, other(. - t)>.
         """
         t = np.asarray(t, dtype=float)
+        if other.comb and not self.comb:
+            return np.conj(other.cross_correlation(self, -t))
         tol = 1e-12
         rf, ro = self.fourier_tail_radius, other.fourier_tail_radius
         radius = rf(tol) if other is self else min(
@@ -225,6 +233,11 @@ class Generator(ABC):
 
     def frequency_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Corners (lower, upper) of a box outside which fhat vanishes, or None."""
+        return None
+
+    def spatial_box(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Corners (lower, upper) of a closed box outside which the inverse
+        transform of ``fourier`` vanishes, or None."""
         return None
 
     def autocorrelation_decay(self) -> DecayBound | None:
@@ -377,9 +390,17 @@ class BSpline(Generator):
         x = np.asarray(x, dtype=float)
         return np.prod(_bspline_values(self.order, x), axis=-1).astype(complex)
 
-    def autocorrelation(self, t):
-        # b_m * b_m(-.) = b_(2m+1) per axis (Unser, IEEE SPM 1999)
-        return np.prod(_bspline_values(2 * self.order + 1, t), axis=-1).astype(complex)
+    def cross_correlation(self, other, t):
+        # b_m' * b_m(-.) = b_(m+m'+1) per axis (Unser, IEEE SPM 1999), and
+        # b_(m+m'+1) is even
+        if not isinstance(other, BSpline):
+            return super().cross_correlation(other, t)
+        order = self.order + other.order + 1
+        return np.prod(_bspline_values(order, t), axis=-1).astype(complex)
+
+    def spatial_box(self):
+        half = np.full(self.dim, 0.5 * (self.order + 1))
+        return -half, half
 
     def autocorrelation_decay(self):
         # b_(2m+1) vanishes outside [-(m+1), m+1] and is at most 1
@@ -434,12 +455,16 @@ class SampledSpatial(Generator):
     """Compactly supported samples on a uniform spatial grid.
 
     The transform is the Riemann sum h^d * sum_j v_j exp(-2*pi*i*xi.x_j),
-    which is periodic with period 1/h per axis.  A caller-declared
-    ``support_radius`` (frequency units) certifies the effective band; without
-    it no lattice-sum truncation can be certified and tail queries fail.
+    the transform of the comb h^d sum_j v_j delta(x - x_j), and is periodic
+    with period 1/h per axis.  A caller-declared ``support_radius``
+    (frequency units) certifies the effective band; without it no lattice-sum
+    truncation can be certified and tail queries fail.  Cross-correlations
+    with a generator that is not sampled are finite sums over the samples and
+    need no band.
     """
 
     integrable = True
+    comb = True
 
     def __init__(self, values, origin, step: float, support_radius: float | None = None):
         v = np.asarray(values, dtype=complex)
@@ -481,6 +506,22 @@ class SampledSpatial(Generator):
                 vals = self.values[tuple(idx[ok].T)]
                 out[ok] += w[ok] * vals
         return out.reshape(x.shape[:-1])
+
+    def cross_correlation(self, other, t):
+        # <other, f(. + t)> = h^d sum_j conj(v_j) other(x_j - t) for a partner
+        # whose spatial is the inverse of its fourier; two combs have no such
+        # sum and take the frequency quadrature
+        if other.comb:
+            return super().cross_correlation(other, t)
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape[0], dtype=complex)
+        for sl in row_blocks(t.shape[0], self._flat.size):
+            pts = (self._coords - t[sl, None, :]).reshape(-1, self.dim)
+            out[sl] = other.spatial(pts).reshape(-1, self._flat.size) @ self._flat.conj()
+        return out * self.step**self.dim
+
+    def spatial_box(self):
+        return self.origin, self.origin + self.step * (np.array(self.values.shape) - 1)
 
     def autocorrelation(self, t):
         # discrete overlap: the Riemann transform is periodic, so the

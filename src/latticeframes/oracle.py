@@ -8,6 +8,7 @@ cross-check the grid classification without sharing its code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,7 @@ from .generators import Generator
 from .lattice import LatticeSpec, check_dims, check_table, integer_box
 from .periodization import (
     PeriodizationTable,
-    choose_truncation,
-    cross_phi_values,
+    compute_cross_phi,
     grid_gamma,
     lattice_coefficients,
 )
@@ -173,9 +173,17 @@ def analysis_coefficients(g: Generator, lattice: LatticeSpec, h: Generator,
 
 @dataclass(frozen=True, eq=False)
 class ProjectionResult:
+    """The projection residual and multiplier, and how the cross periodization
+    was summed: ``route`` "dual" or "direct", ``trunc_radius`` the sup-norm
+    radius of its coefficient box or lattice sum, ``tail`` the certified bound
+    on its dropped part at every gamma (none of them serialized)."""
+
     residual_norm_sq: float
     is_member: bool
     F_samples: np.ndarray  # periodic multiplier on the grid; NaN off support
+    route: str
+    trunc_radius: int
+    tail: float
 
 
 def project_onto_span(g: Generator, lattice: LatticeSpec, psi: Generator,
@@ -187,7 +195,10 @@ def project_onto_span(g: Generator, lattice: LatticeSpec, psi: Generator,
     on the off-zero set of the table the candidate multiplier is the ratio of
     the mixed periodization to the power periodization, and the squared
     projection residual is ||psi||^2 minus the grid integral of
-    |mixed|^2 / phi over that set.
+    |mixed|^2 / phi over that set.  The mixed periodization comes from
+    ``compute_cross_phi``; on the direct route its dropped part is at most
+    1e-10 sqrt(||psi||^2 max phi), that scale bounding |mixed| by
+    Cauchy-Schwarz where phi peaks.
     """
     check_dims(lattice, g, psi)
     check_table(lattice, table)
@@ -195,17 +206,13 @@ def project_onto_span(g: Generator, lattice: LatticeSpec, psi: Generator,
     if not np.any(mask):
         raise DegenerateSpan("periodization vanishes on the entire grid")
 
-    radius_psi, _ = choose_truncation(psi, lattice, max(table.tail, 1e-12))
-    # a dual-route table's radius counts Fourier coefficients, not lattice
-    # terms, so the cross sum also needs g's own truncation radius
-    radius_g, _ = choose_truncation(g, lattice, 1e-10 * float(table.values.max()))
-    radius = max(table.trunc_radius, radius_g, radius_psi)
-    cross = cross_phi_values(g, psi, lattice, table.grid_res, radius)
+    psi_norm = psi.norm_squared()
+    target = 1e-10 * math.sqrt(psi_norm * float(table.values.max()))
+    cross, route, radius, tail = compute_cross_phi(g, psi, lattice, table.grid_res, target)
 
     f_samples = np.full(table.values.shape, np.nan + 0j, dtype=complex)
     f_samples[mask] = cross[mask] / table.values[mask]
 
-    psi_norm = psi.norm_squared()
     captured = float(
         np.sum(np.abs(cross[mask]) ** 2 / table.values[mask]) / table.values.size
     )
@@ -216,4 +223,7 @@ def project_onto_span(g: Generator, lattice: LatticeSpec, psi: Generator,
         residual_norm_sq=residual,
         is_member=bool(residual <= MEMBER_TOL * max(psi_norm, 1e-30)),
         F_samples=f_samples,
+        route=route,
+        trunc_radius=radius,
+        tail=tail,
     )

@@ -24,11 +24,14 @@ and ``compute_phi`` takes one of two routes:
 
 Either way the dropped tail bounds the error at every gamma.  Every table
 records its route, the radius it used and that tail bound, so downstream
-classification can widen its tolerances accordingly.
+classification can widen its tolerances accordingly.  ``compute_cross_phi``
+builds the mixed periodization of psihat * conj(fhat), which the span
+projection reads, by the same two routes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,17 +203,16 @@ def lattice_coefficients(g: Generator, lattice: LatticeSpec, radius: int) -> np.
     return np.concatenate([vals, vals[:-1][::-1].conj()])
 
 
-def _dual_values(g: Generator, lattice: LatticeSpec, grid_res: int,
-                 radius: int) -> np.ndarray:
-    """Grid samples of sum_{|n|_inf <= radius} c_n exp(2 pi i n . gamma).
+def _series_values(ns: np.ndarray, coeffs: np.ndarray, grid_res: int) -> np.ndarray:
+    """Grid samples of sum_n a_n exp(2 pi i n . gamma) over the (m, d)
+    integer vectors n with coefficients a_n.
 
     Exponents alias mod N exactly on the grid, so the coefficients are
     scattered into an N^d array and summed by one inverse FFT.
     """
-    ns = integer_box(lattice.dim, radius)
-    coeffs = np.zeros((grid_res,) * lattice.dim, dtype=complex)
-    np.add.at(coeffs, tuple((ns % grid_res).T), lattice_coefficients(g, lattice, radius))
-    return np.maximum(coeffs.size * np.fft.ifftn(coeffs).real, 0.0)
+    grid = np.zeros((grid_res,) * ns.shape[1], dtype=complex)
+    np.add.at(grid, tuple((ns % grid_res).T), coeffs)
+    return grid.size * np.fft.ifftn(grid)
 
 
 def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
@@ -242,7 +244,8 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
     cut = _coefficient_truncation(g, lattice, target_tail)
     if cut is not None:
         route, (radius, tail) = "dual", cut
-        values = _dual_values(g, lattice, grid_res, radius)
+        coeffs = lattice_coefficients(g, lattice, radius)
+        values = np.maximum(_series_values(integer_box(d, radius), coeffs, grid_res).real, 0.0)
     else:
         route = "direct"
         pts = grid_gamma(d, grid_res)
@@ -274,7 +277,7 @@ def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
     """Grid samples of the mixed periodization of psihat * conj(fhat).
 
     Same lattice sum as the power table but with the cross product as the
-    summand; used by the span-projection formula.
+    summand: the direct route of ``compute_cross_phi``.
     """
     _validate_grid(grid_res)
     pts = grid_gamma(lattice.dim, grid_res)
@@ -284,6 +287,54 @@ def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
 
     acc = _lattice_sum(cross, lattice, pts, radius, lattice.dual_basis)
     return (acc / lattice.det_abs).reshape((grid_res,) * lattice.dim)
+
+
+def _cross_coefficient_box(g: Generator, psi: Generator, lattice: LatticeSpec):
+    """Integer vectors n of a box holding every nonzero a_n = <psi, g(. + B n)>,
+    in lex order, or None when the dual route does not apply: a side without
+    a spatial box, two sampled sides (two combs have no finite inner
+    product), or a box of more terms than one block.
+
+    a_n vanishes unless B n lies in box_g - box_psi, so the box is exact; an
+    n that rounding moves off its face has a_n = 0 there, the partner
+    vanishing on the boundary of its box.
+    """
+    boxes = g.spatial_box(), psi.spatial_box()
+    if boxes[0] is None or boxes[1] is None or (g.comb and psi.comb):
+        return None
+    lo, hi = boxes[0][0] - boxes[1][1], boxes[0][1] - boxes[1][0]
+    corners = _integrate.mesh(list(zip(lo, hi))) @ lattice.dual_basis  # B^-1 c per row
+    first = np.ceil(corners.min(axis=0)).astype(int)
+    last = np.floor(corners.max(axis=0)).astype(int)
+    if np.prod((last - first + 1).astype(float)) > _integrate.BLOCK_BUDGET:
+        return None
+    return _integrate.mesh([np.arange(a, b + 1) for a, b in zip(first, last)])
+
+
+def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_res: int,
+                      target_tail: float) -> tuple[np.ndarray, str, int, float]:
+    """Grid samples of the mixed periodization of psihat * conj(fhat), with
+    the route, the sup-norm radius and the certified tail bound taken.
+
+    Dual route: its Fourier coefficients are a_n = <psi, g(. + B n)>, as
+    c_n are for phi; when both sides declare a spatial box only a finite box
+    of them is nonzero (``_cross_coefficient_box``), and one inverse FFT
+    sums them exactly, with tail 0.
+
+    Direct route: otherwise ``cross_phi_values`` at the smallest radius R
+    with sqrt(T_psi(R) T_g(R)) <= target_tail for the lattice-sum tail bounds
+    T: by Cauchy-Schwarz at each gamma, that bounds the dropped cross terms.
+    """
+    _validate_grid(grid_res)
+    ns = _cross_coefficient_box(g, psi, lattice)
+    if ns is not None:
+        coeffs = g.cross_correlation(psi, ns @ lattice.basis.T)
+        radius = int(np.abs(ns).max(initial=0))  # 0 for an empty box: every a_n vanishes
+        return _series_values(ns, coeffs, grid_res), "dual", radius, 0.0
+    radius, tail = _smallest_radius(
+        lambda k: math.sqrt(tail_bound(psi, lattice, k) * tail_bound(g, lattice, k)),
+        K_CAP[lattice.dim], target_tail, f"{psi.label} against {g.label}")
+    return cross_phi_values(g, psi, lattice, grid_res, radius), "direct", radius, tail
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import latticeframes as lf
 from latticeframes.errors import ConvergenceFailure, DegenerateSpan, TooLarge
 from latticeframes.lattice import integer_box
 from latticeframes.oracle import GramMatrix
-from latticeframes.periodization import PeriodizationTable
+from latticeframes.periodization import PeriodizationTable, compute_cross_phi, cross_phi_values
 
 # seed for the randomized three-way agreement checks (documented so the suite
 # is reproducible bit for bit)
@@ -439,8 +439,9 @@ def test_synthesis_shear_lattice_orthonormal():
     assert np.max(np.abs(vals - ref)) < 1e-9
 
 
-def _hat_projection_reference(values, origin, step, grid_res):
-    """Squared distance of 1-d samples from the span of hat translates on Z.
+def _hat_cross_reference(values, origin, step, grid_res):
+    """Cross periodization sum_k psihat conj(hathat)(gamma + k) of 1-d samples
+    against the hat on Z.
 
     psihat (a Riemann sum) has period P = 1/step, so the cross periodization
     groups k by residue r mod P, and the Fejer-type closed form
@@ -458,15 +459,23 @@ def _hat_projection_reference(values, origin, step, grid_res):
         safe = np.where(den == 0.0, 1.0, den)
         weight = np.where(den == 0.0, 1.0, np.sin(np.pi * x) ** 2 / safe)
         cross += psihat * weight
+    return cross
+
+
+def _hat_projection_reference(values, origin, step, grid_res):
+    """Squared distance of 1-d samples from the span of hat translates on Z,
+    from the exact cross periodization of ``_hat_cross_reference``."""
+    cross = _hat_cross_reference(values, origin, step, grid_res)
+    gamma = np.arange(grid_res) / grid_res
     phi = (2.0 + np.cos(2 * np.pi * gamma)) / 3.0
     norm = step * float(np.sum(np.abs(values) ** 2))
     return norm - float(np.mean(np.abs(cross) ** 2 / phi)), norm
 
 
 def test_project_sampled_onto_hat_matches_exact_cross_sum(unit_lattice):
-    # the hat table is exact with coefficient radius 2; the cross sum must
-    # still run to the hat's own lattice-sum radius (about 400), or the
-    # residual drifts by ~1e-4 of ||psi||^2
+    # the hat table is exact with coefficient radius 2, and the cross table
+    # is too: sampled data against the hat has finitely many nonzero
+    # coefficients <psi, hat(. + n)>, so the residual is exact to rounding
     rng = np.random.default_rng(RNG_SEED)
     step, origin = 1.0 / 16, -4.0
     x = step * (np.arange(129) - 64)
@@ -478,4 +487,120 @@ def test_project_sampled_onto_hat_matches_exact_cross_sum(unit_lattice):
     res = lf.project_onto_span(g, unit_lattice, psi, table)
     ref, norm = _hat_projection_reference(samples, origin, step, 256)
     assert not res.is_member
-    assert abs(res.residual_norm_sq - ref) <= 1e-5 * norm
+    assert abs(res.residual_norm_sq - ref) <= 1e-12 * norm
+
+
+def test_project_bspline_against_gaussian_d2_returns():
+    # the cross radius once asked for the hat's own radius at 1e-10 of
+    # max phi, beyond the d = 2 cap, and raised TailNotAchievable; the
+    # Cauchy-Schwarz product of the two tails meets the target at R = 3
+    L, g, psi = lf.new_lattice(np.eye(2)), lf.BSpline(1, 2), lf.Gaussian(1.0, 2)
+    table = lf.compute_phi(g, L, 32)
+    res = lf.project_onto_span(g, L, psi, table)
+    assert (res.route, res.trunc_radius) == ("direct", 3)
+    assert 0.0 < res.tail <= 1e-10 * math.sqrt(psi.norm_squared() * table.values.max())
+    # phi >= 1/9 here, so the whole grid is off the zero set
+    wide = cross_phi_values(g, psi, L, 32, 8)
+    ref = psi.norm_squared() - float(np.mean(np.abs(wide) ** 2 / table.values))
+    assert abs(res.residual_norm_sq - ref) <= 1e-12
+    assert not res.is_member
+
+
+@pytest.mark.parametrize("orders", [(1, 3), (3, 2), (2, 2)])
+def test_bspline_cross_correlation_closed_form(orders):
+    # <b_m', b_m(. + t)> = b_(m+m'+1)(t); the base class takes the frequency
+    # quadrature of sinc^(m+1) sinc^(m'+1)
+    f, h = lf.BSpline(orders[0]), lf.BSpline(orders[1])
+    t = np.linspace(-4.0, 4.0, 33)[:, None]
+    closed = f.cross_correlation(h, t)
+    np.testing.assert_allclose(closed, lf.Generator.cross_correlation(f, h, t),
+                               rtol=0, atol=1e-10)
+    assert np.all(closed[np.abs(t[:, 0]) >= 0.5 * (sum(orders) + 2)] == 0.0)
+
+
+def test_dual_cross_table_matches_direct_sum_on_shear():
+    # the coefficient box of two B-splines on the shear comes from B^-1 of
+    # the box difference; the direct sum at R = 20 agrees within its
+    # Cauchy-Schwarz tail
+    L = lf.new_lattice([[1.0, 1.0], [0.0, 1.0]])
+    g, psi = lf.BSpline(1, 2), lf.BSpline(2, 2)
+    dual, route, radius, tail = compute_cross_phi(g, psi, L, 16, 1e-10)
+    assert (route, radius, tail) == ("dual", 5, 0.0)
+    bound = math.sqrt(lf.tail_bound(psi, L, 20) * lf.tail_bound(g, L, 20))
+    assert np.max(np.abs(dual - cross_phi_values(g, psi, L, 16, 20))) <= bound
+    # against itself the cross table is phi, whose box comes from the
+    # autocorrelation envelope instead; B^-T in place of B^-1 would drop
+    # c_n = b_5(2)^2 ~ 7e-5 at B n = (2, -2)
+    own, route, _, _ = compute_cross_phi(psi, psi, L, 16, 1e-10)
+    assert route == "dual"
+    np.testing.assert_allclose(own, lf.compute_phi(psi, L, 16).values, rtol=0, atol=1e-14)
+
+
+def test_project_complex_sampled_pins_orientation(unit_lattice):
+    # complex samples placed off-centre: the cross periodization is neither
+    # even nor real, so a flipped n or a lost conjugate reads cross(-gamma)
+    # or conj(cross), both far from the residue-grouped reference (whose
+    # period needs the samples on step * Z)
+    step, origin = 1.0 / 16, 5.0 / 16
+    x = origin + step * np.arange(40)
+    samples = (1.0 + 0.5 * x) * np.exp(3j * x)
+    psi = lf.SampledSpatial(samples, [origin], step)
+    g = lf.BSpline(1)
+    table = lf.compute_phi(g, unit_lattice, 64)
+    ref = _hat_cross_reference(samples, origin, step, 64)
+    assert np.max(np.abs(np.roll(ref[::-1], 1) - ref)) > 0.1
+    assert np.max(np.abs(ref.conj() - ref)) > 0.1
+    res = lf.project_onto_span(g, unit_lattice, psi, table)
+    assert res.route == "dual"
+    np.testing.assert_allclose(res.F_samples * table.values, ref, rtol=0, atol=1e-13)
+    residual, norm = _hat_projection_reference(samples, origin, step, 64)
+    assert abs(res.residual_norm_sq - residual) <= 1e-12 * norm
+    # the other orientation: sampled data spans, the hat is projected
+    cross, route, _, _ = compute_cross_phi(psi, g, unit_lattice, 64, 1e-10)
+    assert route == "dual"
+    np.testing.assert_allclose(cross, ref.conj(), rtol=0, atol=1e-13)
+
+
+def test_project_sampled_pair_takes_direct_route(unit_lattice):
+    # two combs have no finite inner product, so the cross table keeps the
+    # lattice sum over the declared bands: against itself it is the table
+    x = np.arange(-8, 9) / 4.0
+    g = lf.SampledSpatial(np.maximum(1.0 - np.abs(x) / 2.0, 0.0), [x[0]], 0.25,
+                          support_radius=2.5)
+    table = lf.compute_phi(g, unit_lattice, 64)
+    res = lf.project_onto_span(g, unit_lattice, g, table)
+    assert res.route == "direct"
+    ok = ~np.isnan(res.F_samples.real)
+    assert np.max(np.abs(res.F_samples[ok] - 1.0)) <= 1e-12
+
+
+def test_project_records_route(unit_lattice):
+    g = lf.BSpline(1)
+    table = lf.compute_phi(g, unit_lattice, 64)
+    x = np.arange(-8, 9) / 4.0
+    sampled = lf.SampledSpatial(np.exp(-x**2), [x[0]], 0.25)
+    res = lf.project_onto_span(g, unit_lattice, sampled, table)
+    # B n must lie in [-1, 1] - [-2, 2]
+    assert (res.route, res.trunc_radius, res.tail) == ("dual", 3, 0.0)
+    res = lf.project_onto_span(g, unit_lattice, lf.Gaussian(1.0), table)
+    assert (res.route, res.trunc_radius) == ("direct", 3)
+    assert 0.0 < res.tail <= 1e-10
+    # a dual table's coefficient radius no longer floors the cross sum
+    L = lf.new_lattice([[0.7]])
+    wide = lf.compute_phi(lf.Gaussian(3.0), L, 64)
+    assert wide.route == "dual" and wide.trunc_radius == 17
+    res = lf.project_onto_span(lf.Gaussian(3.0), L, lf.Gaussian(1.0), wide)
+    assert (res.route, res.trunc_radius) == ("direct", 1)
+
+
+def test_project_sampled_data_between_translates():
+    # samples on [3, 4] miss every translate of the hat by 10 Z: no integer
+    # n has 10 n in [-1, 1] - [3, 4], so the cross table is zero
+    L = lf.new_lattice([[10.0]])
+    g = lf.BSpline(1)
+    table = lf.compute_phi(g, L, 16)
+    psi = lf.SampledSpatial(np.linspace(1.0, 2.0, 9), [3.0], 0.125)
+    res = lf.project_onto_span(g, L, psi, table)
+    assert (res.route, res.trunc_radius, res.tail) == ("dual", 0, 0.0)
+    assert res.residual_norm_sq == psi.norm_squared()
+    assert not res.is_member
