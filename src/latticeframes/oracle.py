@@ -54,7 +54,8 @@ class GramMatrix:
     Only the difference entries are stored: ``diffs`` has shape (4M+1,)^d and
     holds c_n at n + 2M for |n|_inf <= 2M, and entry [j, k] is c_(k-j).
     ``dense()`` materializes the full ((2M+1)^d)^2 matrix in lexicographic
-    index order.
+    index order; it serves the CLI ``gram`` CSV and is the reference in the
+    tests, while ``gram_eigen_bounds`` works from half-size blocks.
     """
 
     half_width: int
@@ -104,13 +105,48 @@ def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatr
 
 
 def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
-    """Extreme eigenvalues of the dense Gram matrix."""
-    dense = gram.dense()
+    """Extreme eigenvalues of the Gram section, from real symmetric blocks.
+
+    With c_(-n) = conj(c_n) the section is centrohermitian: reversing the box
+    order conjugates it.  Let X be the negative half of the box, S = G[X, X],
+    R = G[X, -X], u = G[X, 0] and c0 the centre entry.  The unitary that takes
+    e_x, e_0, e_(-x) to (e_x + e_(-x))/sqrt 2, e_0, i(e_x - e_(-x))/sqrt 2 turns
+    G into the real symmetric
+
+        [[Re(S+R),       sqrt2 Re u,  Im(R-S)   ],
+         [sqrt2 Re u^T,  c0,          sqrt2 Im u^T],
+         [Im(R-S)^T,     sqrt2 Im u,  Re(S-R)   ]]
+
+    (A. Lee, Linear Algebra Appl. 29, 1980).  When every c_n is real the
+    off-diagonal blocks vanish and the two diagonal blocks, of orders h + 1
+    and h for a section of order 2h + 1, are solved apart (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976).  The dense section is never formed;
+    ``np.linalg.eigvalsh(gram.dense())`` is the reference in the tests.
+    """
+    bad = int(np.count_nonzero(~np.isfinite(gram.diffs)))
+    if bad:
+        raise ConvergenceFailure(
+            f"gram difference entries hold {bad} non-finite value(s) of {gram.diffs.size}")
+    box = integer_box(gram.dim, gram.half_width)
+    half = box[: len(box) // 2]
+    zero = np.zeros((1, gram.dim), dtype=int)
+    s_blk = gram._block(half, half)
+    r_blk = gram._block(half, -half)
+    u = gram._block(half, zero)[:, 0] * math.sqrt(2.0)
+    c0 = gram._block(zero, zero).real
+    even = np.block([[(s_blk + r_blk).real, u.real[:, None]], [u.real[None, :], c0]])
+    odd = (s_blk - r_blk).real
     try:
-        eig = np.linalg.eigvalsh(dense)
+        if np.any(np.imag(gram.diffs)):
+            mixed = (r_blk - s_blk).imag
+            full = np.block([[even, np.vstack([mixed, u.imag[None, :]])],
+                             [mixed.T, u.imag[:, None], odd]])
+            eig = np.linalg.eigvalsh(full)
+        else:
+            eig = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from exc
-    return float(eig[0]), float(eig[-1])
+    return float(eig.min()), float(eig.max())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import latticeframes as lf
@@ -124,14 +126,57 @@ def test_eigen_bounds_box_singular(unit_lattice):
     assert hi <= 1.0 + 1e-8
 
 
-def test_eigen_monotone_in_section_size(unit_lattice):
-    los, his = [], []
-    for m in (4, 8, 16, 32):
-        lo, hi = lf.gram_eigen_bounds(lf.gram_matrix(lf.BSpline(1), unit_lattice, m))
-        los.append(lo)
-        his.append(hi)
-    assert all(a >= b for a, b in zip(los, los[1:]))
-    assert all(a <= b for a, b in zip(his, his[1:]))
+# sections are nested principal submatrices, so by Cauchy interlacing the
+# smallest eigenvalue can only fall and the largest only rise as M grows
+_ASYMMETRIC_BOX = lf.FrequencyBox([-0.2, -0.4], [0.45, 0.3])
+_ROTATED = [[math.cos(0.37), -math.sin(0.37)], [math.sin(0.37), math.cos(0.37)]]
+
+
+def test_eigen_monotone_in_section_size():
+    for g, basis, sizes in [
+        (lf.BSpline(1), [[1.0]], (4, 8, 16, 32)),
+        (lf.Gaussian(1.0, 2), _ROTATED, range(1, 7)),
+        (_ASYMMETRIC_BOX, np.eye(2).tolist(), range(1, 7)),
+        (lf.BSpline(1, 3), np.eye(3).tolist(), range(1, 4)),
+    ]:
+        L = lf.new_lattice(basis)
+        los, his = zip(*(lf.gram_eigen_bounds(lf.gram_matrix(g, L, m)) for m in sizes))
+        assert all(a >= b - 1e-12 for a, b in zip(los, los[1:])), (g, los)
+        assert all(a <= b + 1e-12 for a, b in zip(his, his[1:])), (g, his)
+
+
+def _dense_reference(gram):
+    eig = np.linalg.eigvalsh(gram.dense())
+    return eig[0], eig[-1], float(np.max(np.abs(eig)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), half_width=st.integers(1, 3), complex_entries=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_eigen_bounds_match_dense_reference(dim, half_width, complex_entries, seed):
+    # random Hermitian difference entries, c_(-n) = conj(c_n): real ones take
+    # the split real blocks, complex ones the full real symmetric matrix
+    rng = np.random.default_rng(seed)
+    shape = (4 * half_width + 1,) * dim
+    c = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_entries else 0)
+    gram = GramMatrix(half_width=half_width, dim=dim, diffs=(c + np.flip(c).conj()) + 0j)
+    lo, hi = lf.gram_eigen_bounds(gram)
+    ref_lo, ref_hi, scale = _dense_reference(gram)
+    assert abs(lo - ref_lo) <= 1e-12 * scale
+    assert abs(hi - ref_hi) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("g, dim, half_width, complex_entries", [
+    (_ASYMMETRIC_BOX, 2, 15, True),
+    (lf.Gaussian(1.0, 3), 3, 4, False),
+], ids=["asymmetric_box_d2_M15", "gauss_d3_M4"])
+def test_eigen_bounds_match_dense_reference_catalog(g, dim, half_width, complex_entries):
+    gram = lf.gram_matrix(g, lf.new_lattice(np.eye(dim).tolist()), half_width)
+    assert bool(np.any(gram.diffs.imag)) is complex_entries
+    lo, hi = lf.gram_eigen_bounds(gram)
+    ref_lo, ref_hi, scale = _dense_reference(gram)
+    assert abs(lo - ref_lo) <= 1e-12 * scale
+    assert abs(hi - ref_hi) <= 1e-12 * scale
 
 
 def test_eigen_envelope_all_presets(unit_lattice):
@@ -147,8 +192,14 @@ def test_eigen_envelope_all_presets(unit_lattice):
 
 def test_eigen_convergence_failure():
     bad = GramMatrix(half_width=1, dim=1, diffs=np.full(5, np.nan + 0j))
-    with pytest.raises(ConvergenceFailure):
+    with pytest.raises(ConvergenceFailure, match="5 non-finite"):
         lf.gram_eigen_bounds(bad)
+    # one infinite entry, or a NaN in one imaginary part, fails just as fast
+    for entry in (np.inf, 0.1 + 1j * np.nan):
+        diffs = np.array([0.0, 0.1, 1.0, 0.1, 0.0], dtype=complex)
+        diffs[3] = entry
+        with pytest.raises(ConvergenceFailure, match="1 non-finite"):
+            lf.gram_eigen_bounds(GramMatrix(half_width=1, dim=1, diffs=diffs))
 
 
 # ---------------------------------------------------------------------------
