@@ -69,7 +69,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the file name")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=8.0, help="per perfbench run")
+    parser.add_argument("--seconds", type=float, default=30.0,
+                        help="per perfbench run; 30 is the benchmark's own run length")
     parser.add_argument("--parent", type=Path,
                         help="a separate checkout of the parent commit to measure too")
     args = parser.parse_args(argv)
