@@ -70,7 +70,8 @@ class GramMatrix:
         """
         rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
         r = 2 * self.half_width
-        if (np.any(cols.max(axis=0) - rows.min(axis=0) > r)
+        if rows.size and cols.size and (
+                np.any(cols.max(axis=0) - rows.min(axis=0) > r)
                 or np.any(cols.min(axis=0) - rows.max(axis=0) < -r)):
             raise KeyError(f"index difference beyond the stored radius {r}")
         strides = (2 * r + 1) ** np.arange(self.dim - 1, -1, -1)

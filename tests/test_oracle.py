@@ -145,13 +145,16 @@ def test_eigen_monotone_in_section_size():
         assert all(a <= b + 1e-12 for a, b in zip(his, his[1:])), (g, his)
 
 
-def _dense_reference(gram):
+def _assert_matches_dense_reference(gram):
+    lo, hi = lf.gram_eigen_bounds(gram)
     eig = np.linalg.eigvalsh(gram.dense())
-    return eig[0], eig[-1], float(np.max(np.abs(eig)))
+    scale = float(np.max(np.abs(eig)))
+    assert abs(lo - eig[0]) <= 1e-12 * scale
+    assert abs(hi - eig[-1]) <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None)
-@given(dim=st.integers(1, 3), half_width=st.integers(1, 3), complex_entries=st.booleans(),
+@given(dim=st.integers(1, 3), half_width=st.integers(0, 3), complex_entries=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_eigen_bounds_match_dense_reference(dim, half_width, complex_entries, seed):
     # random Hermitian difference entries, c_(-n) = conj(c_n): real ones take
@@ -159,11 +162,8 @@ def test_eigen_bounds_match_dense_reference(dim, half_width, complex_entries, se
     rng = np.random.default_rng(seed)
     shape = (4 * half_width + 1,) * dim
     c = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_entries else 0)
-    gram = GramMatrix(half_width=half_width, dim=dim, diffs=(c + np.flip(c).conj()) + 0j)
-    lo, hi = lf.gram_eigen_bounds(gram)
-    ref_lo, ref_hi, scale = _dense_reference(gram)
-    assert abs(lo - ref_lo) <= 1e-12 * scale
-    assert abs(hi - ref_hi) <= 1e-12 * scale
+    _assert_matches_dense_reference(
+        GramMatrix(half_width=half_width, dim=dim, diffs=(c + np.flip(c).conj()) + 0j))
 
 
 @pytest.mark.parametrize("g, dim, half_width, complex_entries", [
@@ -173,10 +173,7 @@ def test_eigen_bounds_match_dense_reference(dim, half_width, complex_entries, se
 def test_eigen_bounds_match_dense_reference_catalog(g, dim, half_width, complex_entries):
     gram = lf.gram_matrix(g, lf.new_lattice(np.eye(dim).tolist()), half_width)
     assert bool(np.any(gram.diffs.imag)) is complex_entries
-    lo, hi = lf.gram_eigen_bounds(gram)
-    ref_lo, ref_hi, scale = _dense_reference(gram)
-    assert abs(lo - ref_lo) <= 1e-12 * scale
-    assert abs(hi - ref_hi) <= 1e-12 * scale
+    _assert_matches_dense_reference(gram)
 
 
 def test_eigen_envelope_all_presets(unit_lattice):
