@@ -1,7 +1,7 @@
 """Write BENCH_<pr>.json: every benchmark metric of a change and, optionally,
 of its parent commit.
 
-    python3 scripts/bench_file.py --pr 11 --parent ../parent-checkout
+    python3 scripts/bench_file.py --pr N --parent ../parent-checkout
 
 For each checkout (this repository, and ``--parent`` when given) it runs
 ``python3 perfbench/run.py`` on every workload, first with ``--trace 0`` (the
