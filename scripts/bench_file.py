@@ -1,12 +1,13 @@
-"""Write BENCH_<pr>.json: every benchmark metric of a change and, optionally,
-of its parent commit.
+"""Write BENCH_<pr>.json: every benchmark metric of a change and of its parent
+commit.
 
     python3 scripts/bench_file.py --pr N --parent ../parent-checkout
 
-For each checkout (this repository, and ``--parent`` when given) it runs
-``python3 perfbench/run.py`` on every workload, first with ``--trace 0`` (the
-end-to-end metrics) and then with ``--trace 1`` (the per-layer metrics), and
-records them with the seed, the run length and the checkout's commit.  The
+For both checkouts (this repository and ``--parent``) it runs the benchmark's
+command on every workload that ``BENCHMARK.json`` lists, at its
+``run_seconds``, first with ``--trace 0`` (the end-to-end metrics) and then
+with ``--trace 1`` (the per-layer metrics), and records them with the seed,
+the run length and the checkout's commit.  The
 file is written at the repository root.  Runs on one machine only compare
 with each other; the file records ``nproc`` and the library versions of each
 run so that a reader can tell.
@@ -21,7 +22,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("cli_presets", "phi_grid", "gram_oracle")
 RUN_TIMEOUT_S = 600.0
 
 
@@ -30,23 +30,23 @@ def git(checkout: Path, *args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def run_workload(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
-    """One perfbench run; returns its report and its result line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run_workload(checkout: Path, bench: dict, workload: str, seed: int, trace: int):
+    """One run of the benchmark's command; returns its report and its result line."""
+    cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                          timeout=RUN_TIMEOUT_S, check=True).stdout.strip().splitlines()
     return json.loads(out[-2])["report"], json.loads(out[-1])
 
 
-def bench_checkout(checkout: Path, seed: int, seconds: float) -> dict:
+def bench_checkout(checkout: Path, bench: dict, seed: int) -> dict:
     commit = git(checkout, "rev-parse", "HEAD")
     # tracked files that differ from the commit; untracked ones do not count
     dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
     workloads = {}
-    for workload in WORKLOADS:
-        report, plain = run_workload(checkout, workload, seed, seconds, 0)
-        _, traced = run_workload(checkout, workload, seed, seconds, 1)
+    for workload in (w["name"] for w in bench["workloads"]):
+        report, plain = run_workload(checkout, bench, workload, seed, 0)
+        _, traced = run_workload(checkout, bench, workload, seed, 1)
         workloads[workload] = {
             "correct": plain["correct"] and traced["correct"],
             "attempted": plain["attempted"],
@@ -69,22 +69,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the file name")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0,
-                        help="per perfbench run; 30 is the benchmark's own run length")
-    parser.add_argument("--parent", type=Path,
-                        help="a separate checkout of the parent commit to measure too")
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="a separate checkout of the parent commit")
     args = parser.parse_args(argv)
 
-    runs = {}
-    if args.parent is not None:
-        runs["parent"] = bench_checkout(args.parent.resolve(), args.seed, args.seconds)
-    runs["change"] = bench_checkout(ROOT, args.seed, args.seconds)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = {
+        "parent": bench_checkout(args.parent.resolve(), bench, args.seed),
+        "change": bench_checkout(ROOT, bench, args.seed),
+    }
     doc = {
         "pr": args.pr,
         "seed": args.seed,
-        "seconds": args.seconds,
-        "command": "python3 perfbench/run.py --workload W --seed SEED --seconds SECONDS "
-                   "--trace {0,1}",
+        "seconds": bench["run_seconds"],
+        "command": " ".join(bench["command"])
+                   + " --workload W --seed SEED --seconds SECONDS --trace {0,1}",
         "runs": runs,
     }
     path = ROOT / f"BENCH_{args.pr}.json"
