@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCompactlySupported
-from .generators import BSpline, Generator, SampledSpatial
+from .generators import Generator
 from .lattice import LatticeSpec, check_positive, check_table
 from .periodization import PeriodizationTable, grid_gamma, perturbed_phi
 
@@ -192,14 +192,14 @@ def classify_weighted_exponentials(psi_samples, eps_zero: float,
 def compact_support_riesz_check(g: Generator, lattice: LatticeSpec,
                                 table: PeriodizationTable,
                                 eps_zero: float | None = None) -> RieszCheck:
-    """Riesz test for compactly supported generators: does phi vanish anywhere?
+    """Riesz test for generators with a ``spatial_box``: does phi vanish anywhere?
 
     Compact spatial support makes the periodization continuous (it has
     finitely many Fourier coefficients), so a grid minimum above the zero
     threshold certifies the everywhere-positive condition up to grid
     resolution.  The witness is the argmin grid point.
     """
-    if not isinstance(g, (BSpline, SampledSpatial)):
+    if g.spatial_box() is None:
         raise NotCompactlySupported(
             f"{g.label} is not compactly supported in space"
         )

@@ -226,8 +226,8 @@ class Generator(ABC):
     def autocorrelation(self, t: np.ndarray) -> np.ndarray:
         """<f, f(. + t)> at an (m, d) array of spatial shifts t.
 
-        ``cross_correlation`` with f itself; catalog kinds override one or the
-        other with closed forms.
+        ``cross_correlation`` with f itself, where catalog kinds have closed
+        forms; a subclass may override either.
         """
         return self.cross_correlation(self, t)
 
@@ -434,11 +434,15 @@ class Gaussian(Generator):
         x = np.asarray(x, dtype=float)
         return np.exp(-np.pi * np.sum((x / self.width) ** 2, axis=-1)).astype(complex)
 
-    def autocorrelation(self, t):
-        t = np.asarray(t, dtype=float)
-        s = self.width
-        return ((s / math.sqrt(2.0)) ** self.dim
-                * np.exp(-np.pi * np.sum(t**2, axis=-1) / (2.0 * s**2))).astype(complex)
+    def cross_correlation(self, other, t):
+        # the transforms multiply to a Gaussian of squared width v = s^2 + s'^2:
+        # <g_s', g_s(. + t)> = (s s' / sqrt v)^d exp(-pi |t|^2 / v)
+        if not isinstance(other, Gaussian):
+            return super().cross_correlation(other, t)
+        s, r = self.width, other.width
+        v = s * s + r * r
+        return ((s * r / math.sqrt(v)) ** self.dim
+                * np.exp(-np.pi * np.sum(np.square(t), axis=-1) / v)).astype(complex)
 
     def autocorrelation_decay(self):
         # |c(t)| = (s / sqrt 2)^d exp(-pi |t|^2 / (2 s^2))
@@ -459,8 +463,8 @@ class SampledSpatial(Generator):
     with period 1/h per axis.  A caller-declared ``support_radius``
     (frequency units) certifies the effective band; without it no lattice-sum
     truncation can be certified and tail queries fail.  Cross-correlations
-    with a generator that is not sampled are finite sums over the samples and
-    need no band.
+    with itself or with a generator that is not sampled are finite sums over
+    the samples and need no band.
     """
 
     integrable = True
@@ -509,9 +513,10 @@ class SampledSpatial(Generator):
 
     def cross_correlation(self, other, t):
         # <other, f(. + t)> = h^d sum_j conj(v_j) other(x_j - t) for a partner
-        # whose spatial is the inverse of its fourier; two combs have no such
-        # sum and take the frequency quadrature
-        if other.comb:
+        # whose spatial is the inverse of its fourier, or for f itself (the
+        # discrete overlap: the Riemann transform is periodic, so its frequency
+        # integral diverges); two different combs take the frequency quadrature
+        if other.comb and other is not self:
             return super().cross_correlation(other, t)
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape[0], dtype=complex)
@@ -522,15 +527,6 @@ class SampledSpatial(Generator):
 
     def spatial_box(self):
         return self.origin, self.origin + self.step * (np.array(self.values.shape) - 1)
-
-    def autocorrelation(self, t):
-        # discrete overlap: the Riemann transform is periodic, so the
-        # frequency integral does not converge
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape[0], dtype=complex)
-        for sl in row_blocks(t.shape[0], self._flat.size):
-            out[sl] = np.conj(self.spatial(self._coords + t[sl, None, :])) @ self._flat
-        return out * self.step**self.dim
 
     def decay_bound(self):
         if self.support_radius is None:

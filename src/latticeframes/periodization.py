@@ -11,22 +11,22 @@ a Z^d-periodic function of gamma sampled on the uniform grid j/N over
 
     phi(gamma) = sum_n c_n exp(2 pi i n . gamma),   c_n = <f, f(. + B n)>,
 
-and ``compute_phi`` takes one of two routes:
+and the mixed periodization of psihat * conj(fhat), which the span
+projection reads, has a_n = <psi, f(. + B n)> in place of c_n.
+``compute_cross_phi`` builds both (``compute_phi`` is its self pair) by one
+of two routes:
 
-* dual -- when the generator declares an envelope of its autocorrelation
-  (B-splines, Gaussians), the Fourier series truncated at the smallest
-  coefficient radius whose certified l1 tail sum_{|n|_inf > R} |c_n| meets
-  a target, summed on the grid by one inverse FFT; for B-splines that tail
-  is zero, every dropped c_n vanishing;
-* direct -- otherwise, or when the coefficient box would not fit one block,
-  the lattice sum above truncated at a radius whose certified tail bound is
-  below a target.
+* dual -- the series summed by one inverse FFT over the exact box of
+  nonzero coefficients when both sides declare a spatial box (B-splines,
+  samples against a generator that is not sampled), with tail 0; or, for
+  the self pair, over the smallest cube whose l1 tail, certified by the
+  autocorrelation envelope (Gaussians), meets a target;
+* direct -- otherwise, or when the coefficients would not fit one block,
+  the lattice sum above truncated where its certified tail meets a target.
 
 Either way the dropped tail bounds the error at every gamma.  Every table
 records its route, the radius it used and that tail bound, so downstream
-classification can widen its tolerances accordingly.  ``compute_cross_phi``
-builds the mixed periodization of psihat * conj(fhat), which the span
-projection reads, by the same two routes.
+classification can widen its tolerances accordingly.
 """
 
 from __future__ import annotations
@@ -117,10 +117,10 @@ def _lattice_sum(eval_fn, lattice: LatticeSpec, pts: np.ndarray, radius: int,
     """sum_{|k|_inf <= radius} eval_fn(matrix @ (pts + k)) in fixed lex order."""
     ks = integer_box(lattice.dim, radius)
     m = pts.shape[0]
-    acc = np.zeros(m, dtype=complex)
+    acc = np.zeros(m)  # takes the summand's dtype: real |fhat|^2 stays real
     for sl in _integrate.row_blocks(ks.shape[0], m):
         args = (pts[None, :, :] + ks[sl, None, :]).reshape(-1, lattice.dim) @ matrix.T
-        acc += np.add.reduce(eval_fn(args).reshape(-1, m), axis=0)
+        acc = acc + np.add.reduce(eval_fn(args).reshape(-1, m), axis=0)
     return acc
 
 
@@ -169,28 +169,43 @@ def _box_cap(dim: int) -> int:
     return cap
 
 
-def _coefficient_truncation(g: Generator, lattice: LatticeSpec,
-                            target_tail: float | None):
-    """Smallest coefficient radius R whose l1 tail sum_{|n|_inf > R} |c_n| is
-    at most target_tail (default 1e-10 * ||f||^2), with that tail; None when
-    the generator declares no autocorrelation envelope or when the coefficient
-    box would hold more terms than one block (very fine lattices, whose
-    lattice sums need few terms).
+def _coefficient_set(g: Generator, psi: Generator, lattice: LatticeSpec,
+                     target_tail: float | None):
+    """Integer vectors n, in lex order, of the coefficients
+    a_n = <psi, g(. + B n)> the dual route sums, with the certified l1 tail
+    of the rest, or None for the direct route:
 
-    c_n = c(B n), so the envelope's lattice sum on the dual lattice, whose
-    dual basis is B, bounds the tail after the 1 / |det B| it applies is undone.
+    * when both sides declare a spatial box and are not both sampled (two
+      combs have no finite inner product), the n with B n in box_g - box_psi,
+      exact with tail 0: an n that rounding moves off its face has a_n = 0,
+      the partner vanishing on the boundary of its box;
+    * else, for the self pair, the smallest cube |n|_inf <= R whose tail is
+      at most target_tail (default 1e-10 * ||f||^2) by the autocorrelation
+      envelope, whose lattice sum on the dual lattice (dual basis B) bounds
+      sum_{|n|_inf > R} |c(B n)| once its 1 / |det B| is undone;
+    * None otherwise, or when the set would hold more terms than one block.
     """
-    decay = g.autocorrelation_decay()
+    boxes = g.spatial_box(), psi.spatial_box()
+    if None not in boxes and not (g.comb and psi.comb):
+        lo, hi = boxes[0][0] - boxes[1][1], boxes[0][1] - boxes[1][0]
+        corners = _integrate.mesh(list(zip(lo, hi))) @ lattice.dual_basis  # B^-1 c per row
+        first = np.ceil(corners.min(axis=0)).astype(int)
+        last = np.floor(corners.max(axis=0)).astype(int)
+        if np.prod((last - first + 1).astype(float)) > _integrate.BLOCK_BUDGET:
+            return None
+        return _integrate.mesh([np.arange(a, b + 1) for a, b in zip(first, last)]), 0.0
+    decay = g.autocorrelation_decay() if psi is g else None
     if decay is None:
         return None
     if target_tail is None:
         target_tail = 1e-10 * g.norm_squared()
     dual = lattice.dual()
     try:
-        return _smallest_radius(lambda k: decay.lattice_tail(dual, k) / lattice.det_abs,
-                                _box_cap(lattice.dim), target_tail, g.label)
+        radius, tail = _smallest_radius(lambda k: decay.lattice_tail(dual, k) / lattice.det_abs,
+                                        _box_cap(lattice.dim), target_tail, g.label)
     except TailNotAchievable:
         return None
+    return integer_box(lattice.dim, radius), tail
 
 
 def lattice_coefficients(g: Generator, lattice: LatticeSpec, radius: int) -> np.ndarray:
@@ -219,52 +234,14 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
                 target_tail: float | None = None) -> PeriodizationTable:
     """Tabulate the periodized power spectrum of ``g`` on the [0,1)^d grid.
 
-    Dual route: when ``g.autocorrelation_decay()`` declares an envelope of
-    |c(t)|, the table is the Fourier series of phi truncated at the smallest
-    coefficient radius whose certified l1 tail is at most ``target_tail``
-    (see ``_coefficient_truncation``), and that tail is the table's ``tail``.
-    The default target is 1e-10 * ||f||^2: phi has mean c_0 = ||f||^2, so
-    that is a lower bound on max phi.  B-spline coefficients vanish past a
-    box, whose radius the search returns, with tail 0.
-
-    Direct route: otherwise the lattice sum of |fhat|^2 is truncated at the
-    radius chosen from the generator's certified decay so the dropped tail is
-    at most ``target_tail``.  When ``target_tail`` is omitted it defaults to
-    1e-10 times the grid maximum of the k = 0 term alone: every term is >= 0,
-    so that maximum is a lower bound on max phi.
-
-    Either way the tail stays negligible against classification tolerances.
+    phi is the self pair of ``compute_cross_phi``, which chooses the route,
+    radius and tail; rounding below zero is clipped.
     """
-    _validate_grid(grid_res)
-    check_dims(lattice, g)
-    if target_tail is not None:
-        check_positive("target_tail", target_tail)
-    d = lattice.dim
-
-    cut = _coefficient_truncation(g, lattice, target_tail)
-    if cut is not None:
-        route, (radius, tail) = "dual", cut
-        coeffs = lattice_coefficients(g, lattice, radius)
-        values = np.maximum(_series_values(integer_box(d, radius), coeffs, grid_res).real, 0.0)
-    else:
-        route = "direct"
-        pts = grid_gamma(d, grid_res)
-        dual = lattice.dual_basis
-
-        def power(args):
-            return np.abs(g.fourier(args)) ** 2
-
-        if target_tail is None:
-            k0 = _lattice_sum(power, lattice, pts, 0, dual).real
-            target_tail = 1e-10 * max(float(k0.max()) / lattice.det_abs, 1e-30)
-
-        radius, tail = choose_truncation(g, lattice, target_tail)
-        acc = _lattice_sum(power, lattice, pts, radius, dual).real
-        values = (acc / lattice.det_abs).reshape((grid_res,) * d)
+    values, route, radius, tail = compute_cross_phi(g, g, lattice, grid_res, target_tail)
     return PeriodizationTable(
         lattice=lattice,
         grid_res=grid_res,
-        values=values,
+        values=np.maximum(values.real, 0.0),
         trunc_radius=radius,
         tail=tail,
         generator_tag=g.label,
@@ -274,66 +251,57 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
 
 def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
                      grid_res: int, radius: int) -> np.ndarray:
-    """Grid samples of the mixed periodization of psihat * conj(fhat).
-
-    Same lattice sum as the power table but with the cross product as the
-    summand: the direct route of ``compute_cross_phi``.
+    """Grid samples of the mixed periodization of psihat * conj(fhat), the
+    lattice sum over |k|_inf <= radius: the direct route of
+    ``compute_cross_phi``.  For the self pair the summand is |fhat|^2, real,
+    with one transform evaluation per point.
     """
     _validate_grid(grid_res)
     pts = grid_gamma(lattice.dim, grid_res)
 
     def cross(args):
-        return psi.fourier(args) * np.conj(g.fourier(args))
+        fhat = g.fourier(args)
+        return np.abs(fhat) ** 2 if psi is g else psi.fourier(args) * np.conj(fhat)
 
     acc = _lattice_sum(cross, lattice, pts, radius, lattice.dual_basis)
     return (acc / lattice.det_abs).reshape((grid_res,) * lattice.dim)
 
 
-def _cross_coefficient_box(g: Generator, psi: Generator, lattice: LatticeSpec):
-    """Integer vectors n of a box holding every nonzero a_n = <psi, g(. + B n)>,
-    in lex order, or None when the dual route does not apply: a side without
-    a spatial box, two sampled sides (two combs have no finite inner
-    product), or a box of more terms than one block.
-
-    a_n vanishes unless B n lies in box_g - box_psi, so the box is exact; an
-    n that rounding moves off its face has a_n = 0 there, the partner
-    vanishing on the boundary of its box.
-    """
-    boxes = g.spatial_box(), psi.spatial_box()
-    if boxes[0] is None or boxes[1] is None or (g.comb and psi.comb):
-        return None
-    lo, hi = boxes[0][0] - boxes[1][1], boxes[0][1] - boxes[1][0]
-    corners = _integrate.mesh(list(zip(lo, hi))) @ lattice.dual_basis  # B^-1 c per row
-    first = np.ceil(corners.min(axis=0)).astype(int)
-    last = np.floor(corners.max(axis=0)).astype(int)
-    if np.prod((last - first + 1).astype(float)) > _integrate.BLOCK_BUDGET:
-        return None
-    return _integrate.mesh([np.arange(a, b + 1) for a, b in zip(first, last)])
-
-
 def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_res: int,
-                      target_tail: float) -> tuple[np.ndarray, str, int, float]:
+                      target_tail: float | None = None) -> tuple[np.ndarray, str, int, float]:
     """Grid samples of the mixed periodization of psihat * conj(fhat), with
     the route, the sup-norm radius and the certified tail bound taken.
 
-    Dual route: its Fourier coefficients are a_n = <psi, g(. + B n)>, as
-    c_n are for phi; when both sides declare a spatial box only a finite box
-    of them is nonzero (``_cross_coefficient_box``), and one inverse FFT
-    sums them exactly, with tail 0.
-
-    Direct route: otherwise ``cross_phi_values`` at the smallest radius R
-    with sqrt(T_psi(R) T_g(R)) <= target_tail for the lattice-sum tail bounds
-    T: by Cauchy-Schwarz at each gamma, that bounds the dropped cross terms.
+    Dual route: the Fourier coefficients a_n = <psi, g(. + B n)>, the
+    autocorrelations for the self pair, over ``_coefficient_set``, whose
+    coefficient cube has the default target 1e-10 ||f||^2, the mean of phi.
+    Direct route: ``cross_phi_values`` at the smallest radius R whose tail
+    bound is at most ``target_tail``: T_g(R) for the self pair
+    (``choose_truncation``), else sqrt(T_psi(R) T_g(R)), which bounds the
+    dropped cross terms by Cauchy-Schwarz at each gamma.  The default target
+    is 1e-10 times the grid maximum of the k = 0 term; for the self pair
+    every term is >= 0, so that is a lower bound on max phi.
     """
     _validate_grid(grid_res)
-    ns = _cross_coefficient_box(g, psi, lattice)
-    if ns is not None:
-        coeffs = g.cross_correlation(psi, ns @ lattice.basis.T)
-        radius = int(np.abs(ns).max(initial=0))  # 0 for an empty box: every a_n vanishes
-        return _series_values(ns, coeffs, grid_res), "dual", radius, 0.0
-    radius, tail = _smallest_radius(
-        lambda k: math.sqrt(tail_bound(psi, lattice, k) * tail_bound(g, lattice, k)),
-        K_CAP[lattice.dim], target_tail, f"{psi.label} against {g.label}")
+    check_dims(lattice, g, psi)
+    if target_tail is not None:
+        check_positive("target_tail", target_tail)
+    cut = _coefficient_set(g, psi, lattice, target_tail)
+    if cut is not None:
+        ns, tail = cut
+        t = ns @ lattice.basis.T
+        coeffs = g.autocorrelation(t) if psi is g else g.cross_correlation(psi, t)
+        radius = int(np.abs(ns).max(initial=0))  # 0 for an empty set: every a_n vanishes
+        return _series_values(ns, coeffs, grid_res), "dual", radius, tail
+    if target_tail is None:
+        k0 = cross_phi_values(g, psi, lattice, grid_res, 0)
+        target_tail = 1e-10 * max(float(np.abs(k0).max()), 1e-30)
+    if psi is g:
+        radius, tail = choose_truncation(g, lattice, target_tail)
+    else:
+        radius, tail = _smallest_radius(
+            lambda k: math.sqrt(tail_bound(psi, lattice, k) * tail_bound(g, lattice, k)),
+            K_CAP[lattice.dim], target_tail, f"{psi.label} against {g.label}")
     return cross_phi_values(g, psi, lattice, grid_res, radius), "direct", radius, tail
 
 

@@ -187,6 +187,28 @@ def test_compact_riesz_sampled_hat(unit_lattice):
 def test_compact_riesz_rejects_sinc(unit_lattice, sinc_table):
     with pytest.raises(NotCompactlySupported):
         lf.compact_support_riesz_check(lf.Sinc(1), unit_lattice, sinc_table)
+    gauss = lf.Gaussian(1.0)
+    with pytest.raises(NotCompactlySupported):
+        lf.compact_support_riesz_check(gauss, unit_lattice, lf.compute_phi(gauss, unit_lattice, 64))
+
+
+def test_compact_riesz_accepts_user_subclass_with_box(unit_lattice, translated):
+    # the check reads spatial_box(), not a list of catalog classes: a
+    # translated hat declares its shifted box and keeps the hat's phi
+    class BoxedTranslate(translated):
+        def spatial_box(self):
+            lo, hi = self.base.spatial_box()
+            return lo + self.shift, hi + self.shift
+
+        def autocorrelation(self, t):
+            return self.base.autocorrelation(t)
+
+    g = BoxedTranslate(lf.BSpline(1), [0.3])
+    table = lf.compute_phi(g, unit_lattice, 256)
+    assert table.route == "dual"
+    chk = lf.compact_support_riesz_check(g, unit_lattice, table)
+    assert chk.is_riesz
+    assert chk.min_value == pytest.approx(1 / 3, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

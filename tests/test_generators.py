@@ -290,3 +290,45 @@ def test_eval_rejects_nonfinite():
         lf.eval_fourier(lf.Sinc(1), [np.nan])
     with pytest.raises(NonFiniteInput):
         lf.eval_spatial(lf.Sinc(1), [np.inf])
+
+
+@pytest.mark.parametrize("widths,dim", [((0.3, 1.0), 1), ((1.0, 3.0), 1), ((0.7, 1.3), 2)])
+def test_gaussian_pair_closed_form(widths, dim):
+    # <g_s', g_s(. + t)> = (s s' / sqrt(s^2 + s'^2))^d exp(-pi |t|^2 / (s^2 + s'^2))
+    # against the base-class frequency quadrature, in both orientations
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-2.5, 2.5, size=(5, dim))
+    f, h = (lf.Gaussian(w, dim) for w in widths)
+    for a, b in ((f, h), (h, f)):
+        np.testing.assert_allclose(a.cross_correlation(b, t),
+                                   lf.Generator.cross_correlation(a, b, t), rtol=0, atol=1e-12)
+    assert f.norm_squared() == pytest.approx((widths[0] / math.sqrt(2.0)) ** dim, rel=1e-15)
+
+
+def _old_sampled_overlap(values, origin, step, t):
+    """h^d sum_j v_j conj(f(x_j + t)) with f the multilinear interpolant: the
+    discrete overlap written from the other side, as an independent reference."""
+    g = lf.SampledSpatial(values, origin, step)
+    axes = [o + step * np.arange(n) for o, n in zip(g.origin, values.shape)]
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g.dim)
+    return np.array([np.sum(values.ravel() * np.conj(g.spatial(coords + s)))
+                     for s in t]) * step**g.dim
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sampled_self_correlation_is_discrete_overlap(dim):
+    # the comb sum h^d sum_j conj(v_j) f(x_j - t) serves the sampled generator
+    # against itself: both forms are h^d sum_{i,j} conj(v_j) v_i hat((x_j - t - x_i)/h)
+    # with the even tensor hat, so they agree for complex off-centre samples
+    rng = np.random.default_rng(11 + dim)
+    shape = (13,) if dim == 1 else (6, 5)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    origin, step = [0.3, -0.45][:dim], 0.25
+    g = lf.SampledSpatial(values, origin, step)
+    t = np.vstack([np.zeros(dim), rng.uniform(-1.5, 1.5, size=(20, dim)),
+                   step * rng.integers(-4, 5, size=(5, dim))])
+    ref = _old_sampled_overlap(values, origin, step, t)
+    norm = g.norm_squared()
+    assert norm == pytest.approx(step**dim * np.sum(np.abs(values) ** 2), rel=1e-14)
+    np.testing.assert_allclose(g.autocorrelation(t), ref, rtol=0, atol=1e-14 * norm)
+    np.testing.assert_allclose(g.cross_correlation(g, t), ref, rtol=0, atol=1e-14 * norm)

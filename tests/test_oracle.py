@@ -577,9 +577,9 @@ def test_dual_cross_table_matches_direct_sum_on_shear():
     assert (route, radius, tail) == ("dual", 5, 0.0)
     bound = math.sqrt(lf.tail_bound(psi, L, 20) * lf.tail_bound(g, L, 20))
     assert np.max(np.abs(dual - cross_phi_values(g, psi, L, 16, 20))) <= bound
-    # against itself the cross table is phi, whose box comes from the
-    # autocorrelation envelope instead; B^-T in place of B^-1 would drop
-    # c_n = b_5(2)^2 ~ 7e-5 at B n = (2, -2)
+    # against itself the cross table is phi, whose box comes from the same
+    # spatial boxes; B^-T in place of B^-1 would drop c_n = b_5(2)^2 ~ 7e-5
+    # at B n = (2, -2)
     own, route, _, _ = compute_cross_phi(psi, psi, L, 16, 1e-10)
     assert route == "dual"
     np.testing.assert_allclose(own, lf.compute_phi(psi, L, 16).values, rtol=0, atol=1e-14)

@@ -14,6 +14,7 @@ from latticeframes.periodization import (
     K_CAP,
     _lattice_sum,
     choose_truncation,
+    compute_cross_phi,
     grid_gamma,
 )
 
@@ -211,6 +212,44 @@ def test_route_per_catalog_kind(unit_lattice, translate_sum):
         assert "route" not in lf.table_to_json(table)
 
 
+def test_phi_is_the_self_pair_of_cross_phi(unit_lattice, translate_sum):
+    # every catalog kind, sampled data and a user subclass: compute_phi is
+    # compute_cross_phi of g against the same object, route included
+    L07, shear = lf.new_lattice([[0.7]]), lf.new_lattice(_SHEAR)
+    cases = [
+        (lf.FrequencyBox([-1 / 3], [1 / 3]), unit_lattice),
+        (lf.Sinc(2), shear),
+        (lf.BSpline(1), L07),
+        (lf.BSpline(2, 2), shear),
+        (lf.Gaussian(1.0), unit_lattice),
+        (lf.Gaussian(3.0), L07),
+        (_sampled_bump(), unit_lattice),
+        (translate_sum(lf.BSpline(1), unit_lattice, [1]), unit_lattice),
+    ]
+    for g, L in cases:
+        table = lf.compute_phi(g, L, 32)
+        cross, route, radius, tail = compute_cross_phi(g, g, L, 32)
+        assert (table.route, table.trunc_radius, table.tail) == (route, radius, tail), g.label
+        np.testing.assert_array_equal(table.values, np.maximum(cross.real, 0.0))
+    # the hat's exact box on 0.7 Z is |n| <= 2 (0.7 n in [-2, 2]), tighter
+    # than the envelope cube of radius 3, whose faces hold only zeros
+    table = lf.compute_phi(lf.BSpline(1), L07, 32)
+    assert (table.route, table.trunc_radius, table.tail) == ("dual", 2, 0.0)
+
+
+def test_self_pair_direct_route_evaluates_fourier_once_per_point():
+    # the pilot k = 0 term and the 9 terms of radius 1 on 16^2 points, each
+    # point's transform taken once as |fhat|^2
+    L = lf.new_lattice(_SHEAR)
+    for build in (lambda g: lf.compute_phi(g, L, 16).route,
+                  lambda g: compute_cross_phi(g, g, L, 16)[1]):
+        g, points = lf.Sinc(2), []
+        fourier = g.fourier
+        g.fourier = lambda xi: points.append(len(xi)) or fourier(xi)
+        assert build(g) == "direct"
+        assert sum(points) == (1 + 9) * 256
+
+
 def test_phi_bspline_d2_exact_bounds():
     # the hat in d = 2 decays too slowly for a certified lattice-sum tail at
     # the default target; its table is a trigonometric polynomial instead
@@ -375,8 +414,9 @@ def test_autocorrelation_zero_is_norm(unit_lattice):
     for g, basis, _ in _REFERENCE_CASES:
         c0 = lf.autocorrelation(g, lf.new_lattice(basis), [0] * g.dim)
         assert c0.real == pytest.approx(g.norm_squared(), abs=1e-15)
-        # the base-class quadrature is the reference route for the norm too
-        ref = lf.Generator.autocorrelation(g, np.zeros((1, g.dim)))[0]
+        # the base-class quadrature is the reference route for the norm too;
+        # Generator.autocorrelation would dispatch to the closed form
+        ref = lf.Generator.cross_correlation(g, g, np.zeros((1, g.dim)))[0]
         assert c0 == pytest.approx(ref, abs=1e-9)
 
 
@@ -387,7 +427,7 @@ def test_autocorrelation_matches_quadrature_route(case):
     g, basis, ns = _REFERENCE_CASES[case]
     L = lf.new_lattice(basis)
     t = np.array(ns, dtype=float) @ L.basis.T
-    ref = lf.Generator.autocorrelation(g, t)
+    ref = lf.Generator.cross_correlation(g, g, t)
     np.testing.assert_allclose(g.autocorrelation(t), ref, rtol=0, atol=1e-9)
     for n, r in zip(ns, ref):
         assert lf.autocorrelation(g, L, n) == pytest.approx(r, abs=1e-9)

@@ -1,0 +1,36 @@
+"""The benchmark tracer (``perfbench/tracing.py``) wraps package functions and
+methods by name and skips any name it cannot find, so a renamed or deleted
+name would leave its per-layer metrics reading 0 without an error.  This
+guard reads the tracer's name lists and edits nothing there."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve_in_the_package():
+    tracing = _tracing()
+    home = {layer: importlib.import_module(f"{tracing.PACKAGE}.{layer}")
+            for layer in tracing.LAYERS}
+    missing = [f"{layer}.{name}" for layer, names in tracing.FUNCTIONS.items()
+               for name in names if not callable(getattr(home[layer], name, None))]
+    for layer, base_name, methods in tracing.METHODS:
+        base = getattr(home[layer], base_name, None)
+        classes = [c for c in vars(home[layer]).values()
+                   if base is not None and inspect.isclass(c) and issubclass(c, base)]
+        # a method is traced where some class of the module defines it concretely
+        missing += [f"{layer}.{base_name}.{meth}" for meth in methods
+                    if not any(meth in c.__dict__
+                               and not getattr(c.__dict__[meth], "__isabstractmethod__", False)
+                               for c in classes)]
+    assert missing == []
