@@ -161,14 +161,6 @@ def choose_truncation(g: Generator, lattice: LatticeSpec, target_tail: float):
                             target_tail, g.label)
 
 
-def _box_cap(dim: int) -> int:
-    """Largest radius R whose coefficient box, (2R+1)^dim terms, fits one block."""
-    cap = int(_integrate.BLOCK_BUDGET ** (1.0 / dim)) // 2
-    while (2 * cap + 1) ** dim > _integrate.BLOCK_BUDGET:
-        cap -= 1
-    return cap
-
-
 def _coefficient_set(g: Generator, psi: Generator, lattice: LatticeSpec,
                      target_tail: float | None):
     """Integer vectors n, in lex order, of the coefficients
@@ -179,11 +171,11 @@ def _coefficient_set(g: Generator, psi: Generator, lattice: LatticeSpec,
       combs have no finite inner product), the n with B n in box_g - box_psi,
       exact with tail 0: an n that rounding moves off its face has a_n = 0,
       the partner vanishing on the boundary of its box;
-    * else, for the self pair, the smallest cube |n|_inf <= R whose tail is
-      at most target_tail (default 1e-10 * ||f||^2) by the autocorrelation
-      envelope, whose lattice sum on the dual lattice (dual basis B) bounds
-      sum_{|n|_inf > R} |c(B n)| once its 1 / |det B| is undone;
-    * None otherwise, or when the set would hold more terms than one block.
+    * else, for the self pair, the smallest cube |n|_inf <= R <= K_CAP whose
+      tail is at most target_tail (default 1e-10 * ||f||^2) by the
+      autocorrelation envelope: its lattice sum on the dual lattice (dual
+      basis B), times |det B|, bounds sum_{|n|_inf > R} |c(B n)|;
+    * None otherwise, or when the set would exceed one block of terms.
     """
     boxes = g.spatial_box(), psi.spatial_box()
     if None not in boxes and not (g.comb and psi.comb):
@@ -191,21 +183,23 @@ def _coefficient_set(g: Generator, psi: Generator, lattice: LatticeSpec,
         corners = _integrate.mesh(list(zip(lo, hi))) @ lattice.dual_basis  # B^-1 c per row
         first = np.ceil(corners.min(axis=0)).astype(int)
         last = np.floor(corners.max(axis=0)).astype(int)
-        if np.prod((last - first + 1).astype(float)) > _integrate.BLOCK_BUDGET:
+        tail = 0.0
+    else:
+        decay = g.autocorrelation_decay() if psi is g else None
+        if decay is None:
             return None
-        return _integrate.mesh([np.arange(a, b + 1) for a, b in zip(first, last)]), 0.0
-    decay = g.autocorrelation_decay() if psi is g else None
-    if decay is None:
+        if target_tail is None:
+            target_tail = 1e-10 * g.norm_squared()
+        dual = lattice.dual()
+        try:
+            radius, tail = _smallest_radius(lambda k: decay.lattice_tail(dual, k) / lattice.det_abs,
+                                            K_CAP[lattice.dim], target_tail, g.label)
+        except TailNotAchievable:
+            return None
+        first, last = np.full(lattice.dim, -radius), np.full(lattice.dim, radius)
+    if np.prod((last - first + 1).astype(float)) > _integrate.BLOCK_BUDGET:
         return None
-    if target_tail is None:
-        target_tail = 1e-10 * g.norm_squared()
-    dual = lattice.dual()
-    try:
-        radius, tail = _smallest_radius(lambda k: decay.lattice_tail(dual, k) / lattice.det_abs,
-                                        _box_cap(lattice.dim), target_tail, g.label)
-    except TailNotAchievable:
-        return None
-    return integer_box(lattice.dim, radius), tail
+    return _integrate.mesh([np.arange(a, b + 1) for a, b in zip(first, last)]), tail
 
 
 def lattice_coefficients(g: Generator, lattice: LatticeSpec, radius: int) -> np.ndarray:
@@ -234,8 +228,15 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
                 target_tail: float | None = None) -> PeriodizationTable:
     """Tabulate the periodized power spectrum of ``g`` on the [0,1)^d grid.
 
-    phi is the self pair of ``compute_cross_phi``, which chooses the route,
-    radius and tail; rounding below zero is clipped.
+    phi is the self pair of ``compute_cross_phi``, which chooses the route
+    and the truncation; rounding below zero is clipped.  The dual route sums
+    the Fourier series of phi over the exact coefficient box of a generator
+    with a spatial box (tail 0), or over the smallest coefficient cube whose
+    certified l1 tail is at most ``target_tail`` (default 1e-10 * ||f||^2,
+    the mean of phi).  The direct route truncates the lattice sum of |fhat|^2
+    where its certified tail is at most ``target_tail`` (default 1e-10 times
+    the grid maximum of the k = 0 term).  Both defaults are lower bounds on
+    max phi, so the tail stays negligible against classification tolerances.
     """
     values, route, radius, tail = compute_cross_phi(g, g, lattice, grid_res, target_tail)
     return PeriodizationTable(
