@@ -1,4 +1,4 @@
-"""Verdicts for translate systems from grid estimates of the periodization.
+"""Verdicts for translate systems from the essential range of the periodization.
 
 The decision tree follows the characterization by the essential range of the
 periodized power spectrum phi over the unit cell:
@@ -9,14 +9,17 @@ periodized power spectrum phi over the unit cell:
 * zero set empty as well -> Riesz sequence
 * bounds both ~1         -> Parseval flavor of the above two
 
-Grid extrema are estimates of essential bounds, not certificates; tables
+Step tables (boxes and sincs) carry the exact essential range, and their
+verdicts and bounds come from it, marked ``certified`` in the evidence; the
+zero-set fraction stays a grid estimate.  For other tables the grid extrema
+are estimates of the essential bounds, not certificates, and the tables
 carry their truncation tail so thresholds can dominate it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,6 +129,13 @@ def classify_translates(bounds: SpectralBounds,
     makes a frame sequence; an empty zero set upgrades it to a Riesz sequence;
     bounds within ``class_tol`` of one mark the Parseval / orthonormal cases.
     """
+    return _decide(bounds, class_tol, FRAME_FLOOR_FRAC, bounds.zero_fraction == 0.0)
+
+
+def _decide(bounds: SpectralBounds, class_tol: float, frame_floor: float,
+            no_zero_set: bool) -> Classification:
+    """The decision tree, with an off-zero infimum below ``frame_floor`` times
+    the sup read as decay to zero."""
     check_positive("class_tol", class_tol)
     evidence = {
         "sup_all": bounds.sup_all,
@@ -140,11 +150,10 @@ def classify_translates(bounds: SpectralBounds,
 
     upper = bounds.sup_all
     degenerate = bounds.sup_all <= 0.0
-    if degenerate or bounds.inf_offzero < FRAME_FLOOR_FRAC * bounds.sup_all:
+    if degenerate or bounds.inf_offzero < frame_floor * bounds.sup_all:
         return Classification(Verdict.BESSEL_NOT_FRAME, None, upper, evidence)
 
     lower = bounds.inf_offzero
-    no_zero_set = bounds.zero_fraction == 0.0
     parseval = abs(lower - 1.0) <= class_tol and abs(upper - 1.0) <= class_tol
     if no_zero_set and parseval:
         verdict = Verdict.ORTHONORMAL_SEQUENCE
@@ -160,9 +169,22 @@ def classify_translates(bounds: SpectralBounds,
 def classify_table(table: PeriodizationTable,
                    eps_zero: float | None = None,
                    class_tol: float = DEFAULT_CLASS_TOL) -> Classification:
-    """Convenience pipeline: spectral bounds then the decision tree."""
+    """Convenience pipeline: spectral bounds then the decision tree.
+
+    A table with an ``essential_range`` is decided from it: the bounds are
+    its least positive and its largest value, and the zero set is present
+    exactly when 0 is in it (``certified`` in the evidence).
+    """
     bounds = spectral_bounds(table, eps_zero)
-    cls = classify_translates(bounds, class_tol)
+    exact = table.essential_range
+    if exact is None:
+        cls = classify_translates(bounds, class_tol)
+    else:
+        positive = [v for v in exact if v > 0.0]
+        bounds = replace(bounds, sup_all=exact[-1], inf_all=exact[0],
+                         inf_offzero=positive[0] if positive else 0.0)
+        cls = _decide(bounds, class_tol, 0.0, exact[0] > 0.0)
+        cls.evidence["certified"] = True
     cls.evidence.update(
         grid_res=table.grid_res,
         trunc_radius=table.trunc_radius,

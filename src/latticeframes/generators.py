@@ -4,8 +4,8 @@ Transform convention: fhat(xi) = integral f(x) exp(-2*pi*i*xi.x) dx.
 
 Every generator can evaluate its transform pointwise, report its
 autocorrelation <f, f(. + t)> (and from it the squared L2 norm), and certify
-how fast |fhat|^2 decays; B-splines and Gaussians also certify how fast the
-autocorrelation decays.  The decay data is what lets lattice sums of |fhat|^2,
+how fast |fhat|^2 decays; Gaussians also certify how fast the autocorrelation
+decays, and boxes and sincs declare that |fhat|^2 is a box indicator.  The decay data is what lets lattice sums of |fhat|^2,
 or Fourier series of autocorrelations, be truncated with a guaranteed error
 bound, so the catalog is deliberately small: boxes, sincs, B-splines,
 Gaussians, and uniformly sampled compactly supported data.
@@ -240,6 +240,12 @@ class Generator(ABC):
         transform of ``fourier`` vanishes, or None."""
         return None
 
+    def indicator_box(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Corners (lower, upper) of the half-open box whose indicator |fhat|^2
+        is exactly, or None.  ``frequency_box`` only bounds the support; this
+        lets ``compute_phi`` tabulate phi as a step function."""
+        return None
+
     def autocorrelation_decay(self) -> DecayBound | None:
         """Certified envelope of |``autocorrelation``(t)| in the shift t, or None.
 
@@ -334,6 +340,9 @@ class FrequencyBox(Generator):
     def frequency_box(self):
         return self.lower, self.upper
 
+    def indicator_box(self):
+        return self.lower, self.upper
+
     def decay_bound(self):
         radius = float(np.max(np.maximum(np.abs(self.lower), np.abs(self.upper))))
         return CompactFrequencySupport(radius=radius, peak=1.0)
@@ -401,10 +410,6 @@ class BSpline(Generator):
     def spatial_box(self):
         half = np.full(self.dim, 0.5 * (self.order + 1))
         return -half, half
-
-    def autocorrelation_decay(self):
-        # b_(2m+1) vanishes outside [-(m+1), m+1] and is at most 1
-        return CompactFrequencySupport(radius=float(self.order + 1), peak=1.0)
 
     def decay_bound(self):
         p = 2 * (self.order + 1)

@@ -14,15 +14,23 @@ a Z^d-periodic function of gamma sampled on the uniform grid j/N over
 and the mixed periodization of psihat * conj(fhat), which the span
 projection reads, has a_n = <psi, f(. + B n)> in place of c_n.
 ``compute_cross_phi`` builds both (``compute_phi`` is its self pair) by one
-of two routes:
+of three routes:
 
+* step -- for the self pair of a generator whose |fhat|^2 is the indicator
+  of a half-open box [lo, hi) (boxes and sincs), |det B| phi is the count
+  #{k : lo <= A (gamma + k) < hi}, A = inv(B.T), which is constant on the
+  cells of a rectilinear grid in u = A gamma.  The count is taken once per
+  cell and looked up per grid point; points on a cell face take the lattice
+  sum, so the table equals it bit for bit, with tail 0.  The distinct counts
+  over the cells are the exact essential range of phi;
 * dual -- the series summed by one inverse FFT over the exact box of
   nonzero coefficients when both sides declare a spatial box (B-splines,
   samples against a generator that is not sampled), with tail 0; or, for
   the self pair, over the smallest cube whose l1 tail, certified by the
   autocorrelation envelope (Gaussians), meets a target;
-* direct -- otherwise, or when the coefficients would not fit one block,
-  the lattice sum above truncated where its certified tail meets a target.
+* direct -- otherwise, or when the cells or the coefficients would not fit
+  one block, the lattice sum above truncated where its certified tail meets
+  a target.
 
 Either way the dropped tail bounds the error at every gamma.  Every table
 records its route, the radius it used and that tail bound, so downstream
@@ -39,7 +47,7 @@ import numpy as np
 from . import _integrate
 from .errors import AliasRisk, EpsilonTooSmall, NoDecayInfo, TailNotAchievable
 from .generators import Generator, tail_bound
-from .lattice import LatticeSpec, check_dims, check_positive, integer_box
+from .lattice import LatticeSpec, check_dims, check_positive, integer_box, operator_inf_norm
 
 # truncation radius caps per dimension
 K_CAP = {1: 10_000, 2: 1_000, 3: 100}
@@ -50,17 +58,25 @@ _MIN_GRID = 8
 # indicator-type tables from truncation noise (tails are ~1e-10 of the max)
 EPS_ZERO_FRAC = 1e-8
 
+# step tables: box faces closer than this fraction of an axis's scale merge
+# (the cell between them counts as null), and grid points this close to a
+# face, as a fraction of the scale, take the lattice sum
+_MERGE_FRAC = 1e-12
+_FACE_FRAC = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class PeriodizationTable:
     """Samples of the periodized power spectrum on the grid j/N in [0,1)^d.
 
     ``values`` is an (N,)*d array of nonnegative reals within ``tail`` of the
-    true ones.  ``route`` is "direct" or "dual".  On the direct route
-    ``trunc_radius`` is the sup-norm radius of the summed lattice terms and
-    ``tail`` the certified bound on the rest; on the dual route it is the
-    radius of the Fourier coefficient box and ``tail`` the certified l1 norm
-    of the coefficients beyond it.
+    true ones.  ``route`` is "step", "direct" or "dual".  On the step and
+    direct routes ``trunc_radius`` is the sup-norm radius of the summed
+    lattice terms and ``tail`` the certified bound on the rest (0 on the step
+    route); on the dual route it is the radius of the Fourier coefficient box
+    and ``tail`` the certified l1 norm of the coefficients beyond it.
+    ``essential_range``, on step tables only, holds the distinct values phi
+    takes on sets of positive measure, ascending.
     """
 
     lattice: LatticeSpec
@@ -70,6 +86,7 @@ class PeriodizationTable:
     tail: float
     generator_tag: str
     route: str = "direct"
+    essential_range: tuple[float, ...] | None = None
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -229,16 +246,18 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
     """Tabulate the periodized power spectrum of ``g`` on the [0,1)^d grid.
 
     phi is the self pair of ``compute_cross_phi``, which chooses the route
-    and the truncation; rounding below zero is clipped.  The dual route sums
-    the Fourier series of phi over the exact coefficient box of a generator
-    with a spatial box (tail 0), or over the smallest coefficient cube whose
-    certified l1 tail is at most ``target_tail`` (default 1e-10 * ||f||^2,
-    the mean of phi).  The direct route truncates the lattice sum of |fhat|^2
-    where its certified tail is at most ``target_tail`` (default 1e-10 times
-    the grid maximum of the k = 0 term).  Both defaults are lower bounds on
-    max phi, so the tail stays negligible against classification tolerances.
+    and the truncation; rounding below zero is clipped.  The step route
+    tabulates a box indicator's phi exactly and attaches its essential range.
+    The dual route sums the Fourier series of phi over the exact coefficient
+    box of a generator with a spatial box (tail 0), or over the smallest
+    coefficient cube whose certified l1 tail is at most ``target_tail``
+    (default 1e-10 * ||f||^2, the mean of phi).  The direct route truncates
+    the lattice sum of |fhat|^2 where its certified tail is at most
+    ``target_tail`` (default 1e-10 times the grid maximum of the k = 0 term).
+    Both defaults are lower bounds on max phi, so the tail stays negligible
+    against classification tolerances.
     """
-    values, route, radius, tail = compute_cross_phi(g, g, lattice, grid_res, target_tail)
+    values, route, radius, tail, value_range = _cross_phi(g, g, lattice, grid_res, target_tail)
     return PeriodizationTable(
         lattice=lattice,
         grid_res=grid_res,
@@ -247,7 +266,20 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
         tail=tail,
         generator_tag=g.label,
         route=route,
+        essential_range=value_range,
     )
+
+
+def _cross_sum(g: Generator, psi: Generator, lattice: LatticeSpec, pts: np.ndarray,
+               radius: int) -> np.ndarray:
+    """The lattice sum of psihat * conj(fhat) over |k|_inf <= radius at the
+    (m, d) points pts, over |det B|."""
+
+    def cross(args):
+        fhat = g.fourier(args)
+        return np.abs(fhat) ** 2 if psi is g else psi.fourier(args) * np.conj(fhat)
+
+    return _lattice_sum(cross, lattice, pts, radius, lattice.dual_basis) / lattice.det_abs
 
 
 def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
@@ -259,13 +291,115 @@ def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
     """
     _validate_grid(grid_res)
     pts = grid_gamma(lattice.dim, grid_res)
+    return _cross_sum(g, psi, lattice, pts, radius).reshape((grid_res,) * lattice.dim)
 
-    def cross(args):
-        fhat = g.fourier(args)
-        return np.abs(fhat) ** 2 if psi is g else psi.fourier(args) * np.conj(fhat)
 
-    acc = _lattice_sum(cross, lattice, pts, radius, lattice.dual_basis)
-    return (acc / lattice.det_abs).reshape((grid_res,) * lattice.dim)
+def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
+    """Grid samples, radius and essential range of phi for a generator whose
+    |fhat|^2 is the indicator of the half-open box [lo, hi), or None.
+
+    With A = inv(B.T) and u = A gamma, |det B| phi is the count of k with
+    lo - A k <= u < hi - A k, so it is constant on the cells of a rectilinear
+    grid whose faces on axis i are lo_i - (A k)_i and hi_i - (A k)_i.  All k
+    whose box meets the bounding box of the unit cell's image A [0,1]^d
+    count, so the count is exact on that bounding box.
+    Faces closer than ``_MERGE_FRAC`` of the axis scale merge, so a cell that
+    thin counts as null; the count is taken at each cell midpoint.  A grid
+    point takes its cell's count, looked up per axis, or the lattice sum
+    when it lies within ``_FACE_FRAC`` of the scale of a face, so the table
+    equals ``cross_phi_values`` at the same radius bit for bit.  The count is
+    A Z^d-periodic, so every cell meeting the bounding box shows a value phi
+    takes on a set of positive measure, and together they show all of them.
+
+    The radius is the smallest one whose box tail is 0, the one the direct
+    route records; None when it passes ``K_CAP`` or the cells times the kept
+    k exceed one block.
+    """
+    box = g.indicator_box()
+    if box is None:
+        return None
+    d, a = lattice.dim, lattice.dual_basis
+    lo, hi = (np.asarray(c, dtype=float) for c in box)
+    # A (gamma + k) leaves the sup-norm ball of radius max |corner|, which
+    # holds the box, for every |k|_inf > that radius times |B^T|_inf
+    reach = float(np.max(np.abs(np.concatenate([lo, hi])))) * operator_inf_norm(lattice.basis.T)
+    radius = max(1, math.ceil(reach))
+    if radius > K_CAP[d]:
+        return None
+    cell_lo, cell_hi = np.minimum(a, 0.0).sum(axis=1), np.maximum(a, 0.0).sum(axis=1)
+    # bounds |A (gamma + k)| in the lattice sum and |lo|, |hi|
+    scale = np.abs(a).sum(axis=1) * (radius + 1) + np.maximum(np.abs(lo), np.abs(hi))
+    near = _FACE_FRAC * scale
+    # the k whose box meets the bounding box widened by near: A k in [q_lo, q_hi]
+    q_lo, q_hi = lo - cell_hi - near, hi - cell_lo + near
+    corners = _integrate.mesh(list(zip(q_lo, q_hi))) @ lattice.basis  # B^T v per row
+    first = np.floor(corners.min(axis=0)).astype(int)
+    last = np.ceil(corners.max(axis=0)).astype(int)
+    if np.prod((last - first + 1).astype(float)) > _integrate.BLOCK_BUDGET:
+        return None
+    shift = _integrate.mesh([np.arange(f, t + 1) for f, t in zip(first, last)]) @ a.T
+    shift = shift[np.all((shift >= q_lo) & (shift <= q_hi), axis=1)]
+    lows, highs = lo - shift, hi - shift
+    firsts, lasts, mids, meets = [], [], [], []
+    for i in range(d):
+        f = np.sort(np.concatenate([lows[:, i], highs[:, i]]))
+        cut = np.flatnonzero(np.diff(f) > _MERGE_FRAC * scale[i])
+        first, last = f[np.r_[0, cut + 1]], f[np.r_[cut, -1]]
+        firsts.append(first)
+        lasts.append(last)
+        mids.append(np.r_[first[0] - scale[i], 0.5 * (last[:-1] + first[1:]), last[-1] + scale[i]])
+        meets.append((np.r_[-np.inf, last] < cell_hi[i]) & (np.r_[first, np.inf] > cell_lo[i]))
+    if lows.shape[0] * math.prod(m.size for m in mids) > _integrate.BLOCK_BUDGET:
+        return None
+    inside = [((lows[:, i, None] <= m) & (m < highs[:, i, None])).astype(float)
+              for i, m in enumerate(mids)]
+    axes = "abc"[:d]
+    counts = np.einsum(",".join("k" + c for c in axes) + "->" + axes, *inside)
+    value_range = tuple((np.unique(counts[np.ix_(*meets)]) / lattice.det_abs).tolist())
+
+    pts = grid_gamma(d, grid_res)
+    u = pts @ a.T
+    # a point is clear of every face when as many face clusters start at or
+    # below u + near as end below u - near; that number is its cell
+    cell, on_face = [], np.zeros(pts.shape[0], dtype=bool)
+    for i in range(d):
+        cell.append(np.searchsorted(firsts[i], u[:, i] + near[i], side="right"))
+        on_face |= cell[i] != np.searchsorted(lasts[i], u[:, i] - near[i])
+    values = counts[tuple(cell)] / lattice.det_abs
+    if np.any(on_face):
+        values[on_face] = _cross_sum(g, g, lattice, pts[on_face], radius)
+    return values.reshape((grid_res,) * d), radius, value_range
+
+
+def _cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_res: int,
+               target_tail: float | None):
+    """``compute_cross_phi`` plus the essential range of a step table (None
+    on the other routes)."""
+    _validate_grid(grid_res)
+    check_dims(lattice, g, psi)
+    if target_tail is not None:
+        check_positive("target_tail", target_tail)
+    step = _step_table(g, lattice, grid_res) if psi is g else None
+    if step is not None:
+        values, radius, value_range = step
+        return values, "step", radius, 0.0, value_range
+    cut = _coefficient_set(g, psi, lattice, target_tail)
+    if cut is not None:
+        ns, tail = cut
+        t = ns @ lattice.basis.T
+        coeffs = g.autocorrelation(t) if psi is g else g.cross_correlation(psi, t)
+        radius = int(np.abs(ns).max(initial=0))  # 0 for an empty set: every a_n vanishes
+        return _series_values(ns, coeffs, grid_res), "dual", radius, tail, None
+    if target_tail is None:
+        k0 = cross_phi_values(g, psi, lattice, grid_res, 0)
+        target_tail = 1e-10 * max(float(np.abs(k0).max()), 1e-30)
+    if psi is g:
+        radius, tail = choose_truncation(g, lattice, target_tail)
+    else:
+        radius, tail = _smallest_radius(
+            lambda k: math.sqrt(tail_bound(psi, lattice, k) * tail_bound(g, lattice, k)),
+            K_CAP[lattice.dim], target_tail, f"{psi.label} against {g.label}")
+    return cross_phi_values(g, psi, lattice, grid_res, radius), "direct", radius, tail, None
 
 
 def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_res: int,
@@ -273,6 +407,8 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
     """Grid samples of the mixed periodization of psihat * conj(fhat), with
     the route, the sup-norm radius and the certified tail bound taken.
 
+    Step route: for the self pair of a generator with an ``indicator_box``,
+    the exact step function (``_step_table``), tail 0.
     Dual route: the Fourier coefficients a_n = <psi, g(. + B n)>, the
     autocorrelations for the self pair, over ``_coefficient_set``, whose
     coefficient cube has the default target 1e-10 ||f||^2, the mean of phi.
@@ -283,27 +419,7 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
     is 1e-10 times the grid maximum of the k = 0 term; for the self pair
     every term is >= 0, so that is a lower bound on max phi.
     """
-    _validate_grid(grid_res)
-    check_dims(lattice, g, psi)
-    if target_tail is not None:
-        check_positive("target_tail", target_tail)
-    cut = _coefficient_set(g, psi, lattice, target_tail)
-    if cut is not None:
-        ns, tail = cut
-        t = ns @ lattice.basis.T
-        coeffs = g.autocorrelation(t) if psi is g else g.cross_correlation(psi, t)
-        radius = int(np.abs(ns).max(initial=0))  # 0 for an empty set: every a_n vanishes
-        return _series_values(ns, coeffs, grid_res), "dual", radius, tail
-    if target_tail is None:
-        k0 = cross_phi_values(g, psi, lattice, grid_res, 0)
-        target_tail = 1e-10 * max(float(np.abs(k0).max()), 1e-30)
-    if psi is g:
-        radius, tail = choose_truncation(g, lattice, target_tail)
-    else:
-        radius, tail = _smallest_radius(
-            lambda k: math.sqrt(tail_bound(psi, lattice, k) * tail_bound(g, lattice, k)),
-            K_CAP[lattice.dim], target_tail, f"{psi.label} against {g.label}")
-    return cross_phi_values(g, psi, lattice, grid_res, radius), "direct", radius, tail
+    return _cross_phi(g, psi, lattice, grid_res, target_tail)[:4]
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +524,7 @@ def perturbed_phi(table: PeriodizationTable, n) -> PeriodizationTable:
         values=values,
         tail=4.0 * table.tail,
         generator_tag=f"{table.generator_tag}+translate{nvec.tolist()}",
+        essential_range=None,  # the factor is continuous: the box's range does not carry
     )
 
 

@@ -280,6 +280,9 @@ def test_scaling_equivariance(unit_lattice):
         def autocorrelation(self, t):
             return self.c**2 * self.base.autocorrelation(t)
 
+        def spatial_box(self):
+            return self.base.spatial_box()
+
         def autocorrelation_decay(self):
             db = self.base.autocorrelation_decay()
             return None if db is None else self._scaled(db)
@@ -300,8 +303,10 @@ def test_scaling_equivariance(unit_lattice):
                                            peak=self.c**2 * db.peak)
             return dataclasses.replace(db, constant=self.c**2 * db.constant)
 
-    # forwarding the autocorrelation keeps both sides on one route: dual for
-    # the B-spline and the Gaussian, direct for the box
+    # forwarding the autocorrelation with the spatial box (B-spline) or the
+    # envelope (Gaussian) keeps both sides on the dual route; the plain box
+    # takes the step route and the scaled one, 4 times an indicator, the
+    # direct route, which meets the exact values on the grid
     for base in (lf.BSpline(1), lf.FrequencyBox([-1 / 3], [1 / 3]), lf.Gaussian(1.0)):
         plain = lf.classify_table(lf.compute_phi(base, unit_lattice, 512))
         scaled = lf.classify_table(lf.compute_phi(Scaled(base, 2.0), unit_lattice, 512))

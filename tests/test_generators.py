@@ -108,15 +108,11 @@ def test_decay_envelope_holds():
 def test_autocorrelation_envelope_holds():
     # the envelopes compute_phi's dual route sums: |c(t)| in t = |t|_2
     rng = np.random.default_rng(102)
-    for g in (lf.BSpline(1), lf.BSpline(3, dim=2), lf.Gaussian(0.3), lf.Gaussian(1.0, dim=2),
-              lf.Gaussian(3.0, dim=3)):
+    for g in (lf.Gaussian(0.3), lf.Gaussian(1.0, dim=2), lf.Gaussian(3.0, dim=3)):
         db = g.autocorrelation_decay()
         t = rng.uniform(-12, 12, size=(1000, g.dim))
         c = np.abs(g.autocorrelation(t))
-        if isinstance(db, CompactFrequencySupport):
-            env = np.where(np.max(np.abs(t), axis=1) >= db.radius, 0.0, db.peak)
-        else:
-            env = db.constant * np.exp(-db.rate * np.sum(t**2, axis=1))
+        env = db.constant * np.exp(-db.rate * np.sum(t**2, axis=1))
         assert np.all(c <= env * (1 + 1e-12) + 1e-300), g.label
     for g in (lf.Sinc(1), lf.FrequencyBox([-0.2], [0.35])):
         assert g.autocorrelation_decay() is None

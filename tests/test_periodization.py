@@ -194,11 +194,12 @@ def test_wide_gaussian_on_fine_lattice_falls_back_to_direct():
 
 
 def test_route_per_catalog_kind(unit_lattice, translate_sum):
-    # every catalog kind and a user subclass: declared autocorrelation
-    # envelopes take the dual route, everything else the direct one
+    # every catalog kind and a user subclass: box indicators take the step
+    # route, declared spatial boxes and autocorrelation envelopes the dual
+    # route, everything else the direct one
     expected = {
-        lf.FrequencyBox([-1 / 3], [1 / 3]): "direct",
-        lf.Sinc(1): "direct",
+        lf.FrequencyBox([-1 / 3], [1 / 3]): "step",
+        lf.Sinc(1): "step",
         _sampled_bump(): "direct",
         lf.BSpline(1): "dual",
         lf.BSpline(3): "dual",
@@ -240,10 +241,14 @@ def test_phi_is_the_self_pair_of_cross_phi(unit_lattice, translate_sum):
 def test_self_pair_direct_route_evaluates_fourier_once_per_point():
     # the pilot k = 0 term and the 9 terms of radius 1 on 16^2 points, each
     # point's transform taken once as |fhat|^2
+    class PlainSinc(lf.Sinc):  # the sinc without its indicator box
+        def indicator_box(self):
+            return None
+
     L = lf.new_lattice(_SHEAR)
     for build in (lambda g: lf.compute_phi(g, L, 16).route,
                   lambda g: compute_cross_phi(g, g, L, 16)[1]):
-        g, points = lf.Sinc(2), []
+        g, points = PlainSinc(2), []
         fourier = g.fourier
         g.fourier = lambda xi: points.append(len(xi)) or fourier(xi)
         assert build(g) == "direct"
