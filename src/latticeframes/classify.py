@@ -180,9 +180,8 @@ def classify_table(table: PeriodizationTable,
     if exact is None:
         cls = classify_translates(bounds, class_tol)
     else:
-        positive = [v for v in exact if v > 0.0]
         bounds = replace(bounds, sup_all=exact[-1], inf_all=exact[0],
-                         inf_offzero=positive[0] if positive else 0.0)
+                         inf_offzero=next((v for v in exact if v > 0.0), 0.0))
         cls = _decide(bounds, class_tol, 0.0, exact[0] > 0.0)
         cls.evidence["certified"] = True
     cls.evidence.update(

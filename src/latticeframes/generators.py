@@ -5,10 +5,11 @@ Transform convention: fhat(xi) = integral f(x) exp(-2*pi*i*xi.x) dx.
 Every generator can evaluate its transform pointwise, report its
 autocorrelation <f, f(. + t)> (and from it the squared L2 norm), and certify
 how fast |fhat|^2 decays; Gaussians also certify how fast the autocorrelation
-decays, and boxes and sincs declare that |fhat|^2 is a box indicator.  The decay data is what lets lattice sums of |fhat|^2,
-or Fourier series of autocorrelations, be truncated with a guaranteed error
-bound, so the catalog is deliberately small: boxes, sincs, B-splines,
-Gaussians, and uniformly sampled compactly supported data.
+decays, and boxes and sincs declare that |fhat|^2 is a box indicator.  The
+decay data is what lets lattice sums of |fhat|^2, or Fourier series of
+autocorrelations, be truncated with a guaranteed error bound, so the catalog
+is deliberately small: boxes, sincs, B-splines, Gaussians, and uniformly
+sampled compactly supported data.
 """
 
 from __future__ import annotations
