@@ -1,19 +1,19 @@
 """Verdicts for translate systems from the essential range of the periodization.
 
-The decision tree follows the characterization by the essential range of the
-periodized power spectrum phi over the unit cell:
+A table becomes one ``SpectralBounds`` record, and one decision tree reads it,
+following the characterization by the essential range of the periodized power
+spectrum phi over the unit cell:
 
 * bounded above          -> Bessel (always true on a finite grid; a ceiling
                             guards against runaway tables)
 * bounded below off the zero set -> frame sequence
-* zero set empty as well -> Riesz sequence
+* zero set null as well  -> Riesz sequence
 * bounds both ~1         -> Parseval flavor of the above two
 
-Step tables (boxes and sincs) carry the exact essential range, and their
-verdicts and bounds come from it, marked ``certified`` in the evidence; the
-zero-set fraction stays a grid estimate.  For other tables the grid extrema
-are estimates of the essential bounds, not certificates, and the tables
-carry their truncation tail so thresholds can dominate it.
+A record is certified or grid.  Step tables (boxes and sincs) carry their
+exact essential range, which gives certified bounds and zero set; the zero-set
+fraction stays a grid estimate.  Other tables give grid estimates, not
+certificates, and carry their truncation tail so thresholds can dominate it.
 """
 
 from __future__ import annotations
@@ -46,13 +46,15 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SpectralBounds:
-    """Grid estimates of the essential bounds of a periodization table."""
+    """Essential bounds of a periodization table: exact ones from its essential
+    range when ``certified``, else grid estimates."""
 
     sup_all: float
     inf_all: float
     inf_offzero: float
     zero_fraction: float
     eps_zero: float
+    certified: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,32 +79,10 @@ class PerturbationCheck:
     inf_on_original_support: float
 
 
-def _jump_excluded(values: np.ndarray) -> np.ndarray:
-    """Mask of grid points within one cell of a detected jump.
-
-    A jump is an adjacent (periodic) pair differing by more than half of the
-    grid maximum; excluding its endpoints keeps bound estimates from reading
-    straddled values next to a discontinuity.
-    """
-    sup = float(values.max())
-    if sup <= 0.0:
-        return np.zeros(values.shape, dtype=bool)
-    excluded = np.zeros(values.shape, dtype=bool)
-    for axis in range(values.ndim):
-        diff = np.abs(np.roll(values, -1, axis=axis) - values)
-        jump = diff > 0.5 * sup
-        excluded |= jump | np.roll(jump, 1, axis=axis)
-    return excluded
-
-
 def _bounds_from_values(values: np.ndarray, tail: float, eps_zero: float) -> SpectralBounds:
-    excluded = _jump_excluded(values)
-    kept = values[~excluded]
-    if kept.size == 0:
-        kept = values.ravel()
-    sup_all = float(kept.max()) + tail
-    inf_all = float(kept.min())
-    offzero = kept[kept >= eps_zero]
+    sup_all = float(values.max()) + tail
+    inf_all = float(values.min())
+    offzero = values[values >= eps_zero]
     inf_offzero = float(offzero.min()) if offzero.size else 0.0
     zero_fraction = float(np.count_nonzero(values < eps_zero)) / values.size
     return SpectralBounds(
@@ -115,27 +95,29 @@ def _bounds_from_values(values: np.ndarray, tail: float, eps_zero: float) -> Spe
 
 
 def spectral_bounds(table: PeriodizationTable, eps_zero: float | None = None) -> SpectralBounds:
-    """Grid extrema, off-zero infimum and zero-set fraction of a table, with
-    zeros below ``table.zero_threshold(eps_zero)``."""
-    return _bounds_from_values(table.values, table.tail, table.zero_threshold(eps_zero))
+    """Bounds of a table, zeros below ``table.zero_threshold(eps_zero)``: the
+    largest, least and least positive value of its ``essential_range``
+    (certified), or else the grid extrema and off-zero minimum; the zero-set
+    fraction is the grid count either way."""
+    bounds = _bounds_from_values(table.values, table.tail, table.zero_threshold(eps_zero))
+    exact = table.essential_range
+    if exact is None:
+        return bounds
+    return replace(bounds, sup_all=exact[-1], inf_all=exact[0],
+                   inf_offzero=min((v for v in exact if v > 0.0), default=0.0), certified=True)
 
 
 def classify_translates(bounds: SpectralBounds,
                         class_tol: float = DEFAULT_CLASS_TOL) -> Classification:
-    """Decision tree over grid spectral bounds.
+    """Decision tree over spectral bounds.
 
-    The grid sup always exists, so the system is Bessel unless the table blew
-    past the fixed ``NOT_BESSEL_CEILING``.  A positive infimum off the zero set
-    makes a frame sequence; an empty zero set upgrades it to a Riesz sequence;
+    The sup always exists, so the system is Bessel unless the table blew past
+    the fixed ``NOT_BESSEL_CEILING``.  A positive infimum off the zero set
+    makes a frame sequence; a null zero set upgrades it to a Riesz sequence;
     bounds within ``class_tol`` of one mark the Parseval / orthonormal cases.
+    Certified bounds are exact.  On grid bounds the zero set is the grid points
+    below ``eps_zero``, and an infimum under ``FRAME_FLOOR_FRAC`` of the sup is decay.
     """
-    return _decide(bounds, class_tol, FRAME_FLOOR_FRAC, bounds.zero_fraction == 0.0)
-
-
-def _decide(bounds: SpectralBounds, class_tol: float, frame_floor: float,
-            no_zero_set: bool) -> Classification:
-    """The decision tree, with an off-zero infimum below ``frame_floor`` times
-    the sup read as decay to zero."""
     check_positive("class_tol", class_tol)
     evidence = {
         "sup_all": bounds.sup_all,
@@ -145,6 +127,11 @@ def _decide(bounds: SpectralBounds, class_tol: float, frame_floor: float,
         "eps_zero": bounds.eps_zero,
         "class_tol": class_tol,
     }
+    if bounds.certified:
+        evidence["certified"] = True
+        frame_floor, no_zero_set = 0.0, bounds.inf_all > 0.0
+    else:
+        frame_floor, no_zero_set = FRAME_FLOOR_FRAC, bounds.zero_fraction == 0.0
     if not np.isfinite(bounds.sup_all) or bounds.sup_all > NOT_BESSEL_CEILING:
         return Classification(Verdict.NOT_BESSEL, None, None, evidence)
 
@@ -169,21 +156,9 @@ def _decide(bounds: SpectralBounds, class_tol: float, frame_floor: float,
 def classify_table(table: PeriodizationTable,
                    eps_zero: float | None = None,
                    class_tol: float = DEFAULT_CLASS_TOL) -> Classification:
-    """Convenience pipeline: spectral bounds then the decision tree.
-
-    A table with an ``essential_range`` is decided from it: the bounds are
-    its least positive and its largest value, and the zero set is present
-    exactly when 0 is in it (``certified`` in the evidence).
-    """
-    bounds = spectral_bounds(table, eps_zero)
-    exact = table.essential_range
-    if exact is None:
-        cls = classify_translates(bounds, class_tol)
-    else:
-        bounds = replace(bounds, sup_all=exact[-1], inf_all=exact[0],
-                         inf_offzero=next((v for v in exact if v > 0.0), 0.0))
-        cls = _decide(bounds, class_tol, 0.0, exact[0] > 0.0)
-        cls.evidence["certified"] = True
+    """Convenience pipeline: ``spectral_bounds`` then ``classify_translates``,
+    with the table's metadata in the evidence."""
+    cls = classify_translates(spectral_bounds(table, eps_zero), class_tol)
     cls.evidence.update(
         grid_res=table.grid_res,
         trunc_radius=table.trunc_radius,
@@ -218,20 +193,18 @@ def compact_support_riesz_check(g: Generator, lattice: LatticeSpec,
     Compact spatial support makes the periodization continuous (it has
     finitely many Fourier coefficients), so a grid minimum above the zero
     threshold certifies the everywhere-positive condition up to grid
-    resolution.  The witness is the argmin grid point.
+    resolution.  The minimum and the threshold are ``spectral_bounds``'s; the
+    witness is the argmin grid point.
     """
     if g.spatial_box() is None:
         raise NotCompactlySupported(
             f"{g.label} is not compactly supported in space"
         )
     check_table(lattice, table)
-    eps_zero = table.zero_threshold(eps_zero)
-    flat = table.values.ravel()
-    idx = int(np.argmin(flat))
-    witness = grid_gamma(table.dim, table.grid_res)[idx]
-    min_value = float(flat[idx])
-    return RieszCheck(is_riesz=bool(min_value >= eps_zero),
-                      witness_gamma=witness, min_value=min_value)
+    bounds = spectral_bounds(table, eps_zero)
+    witness = grid_gamma(table.dim, table.grid_res)[int(np.argmin(table.values))]
+    return RieszCheck(is_riesz=bool(bounds.inf_all >= bounds.eps_zero),
+                      witness_gamma=witness, min_value=bounds.inf_all)
 
 
 def perturbation_frame_check(table: PeriodizationTable, n,

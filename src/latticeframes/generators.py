@@ -213,16 +213,16 @@ class Generator(ABC):
         radius = rf(tol) if other is self else min(
             max(rf(tol), ro(tol)), rf(tol**2 / other.norm_squared()),
             ro(tol**2 / self.norm_squared()))
-        # a factor's frequency box cuts the cube, so its faces are panel edges
+        # a factor's indicator box cuts the cube, so its faces are panel edges
         lo, hi = np.full(self.dim, -radius), np.full(self.dim, radius)
-        for box in (self.frequency_box(), other.frequency_box()):
+        for box in (self.indicator_box(), other.indicator_box()):
             if box is not None:
                 lo, hi = np.maximum(lo, box[0]), np.minimum(hi, box[1])
         if np.any(lo >= hi):
             return np.zeros(t.shape[0], dtype=complex)
         pts, w = grid_nodes(lo, hi, osc_freq=float(np.max(np.abs(t))) + 1.0)
         base = w * other.fourier(pts) * np.conj(self.fourier(pts))
-        return np.array([np.sum(base * np.exp(-2j * np.pi * (pts @ s))) for s in t])
+        return exp_sum(base, pts, t)
 
     def autocorrelation(self, t: np.ndarray) -> np.ndarray:
         """<f, f(. + t)> at an (m, d) array of spatial shifts t.
@@ -232,10 +232,6 @@ class Generator(ABC):
         """
         return self.cross_correlation(self, t)
 
-    def frequency_box(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Corners (lower, upper) of a box outside which fhat vanishes, or None."""
-        return None
-
     def spatial_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Corners (lower, upper) of a closed box outside which the inverse
         transform of ``fourier`` vanishes, or None."""
@@ -243,8 +239,8 @@ class Generator(ABC):
 
     def indicator_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Corners (lower, upper) of the half-open box whose indicator |fhat|^2
-        is exactly, or None.  ``frequency_box`` only bounds the support; this
-        lets ``compute_phi`` tabulate phi as a step function."""
+        is exactly, or None.  It lets ``compute_phi`` tabulate phi as a step
+        function and cuts the quadrature of ``cross_correlation``."""
         return None
 
     def autocorrelation_decay(self) -> DecayBound | None:
@@ -337,9 +333,6 @@ class FrequencyBox(Generator):
         if np.any(lo >= hi):
             return np.zeros(t.shape[0], dtype=complex)
         return FrequencyBox(lo, hi).spatial(-t)
-
-    def frequency_box(self):
-        return self.lower, self.upper
 
     def indicator_box(self):
         return self.lower, self.upper

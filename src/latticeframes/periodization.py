@@ -46,8 +46,8 @@ import numpy as np
 
 from . import _integrate
 from .errors import AliasRisk, EpsilonTooSmall, NoDecayInfo, TailNotAchievable
-from .generators import Generator, tail_bound
-from .lattice import LatticeSpec, check_dims, check_positive, integer_box, operator_inf_norm
+from .generators import CompactFrequencySupport, Generator, tail_bound
+from .lattice import LatticeSpec, check_dims, check_positive, integer_box
 
 # truncation radius caps per dimension
 K_CAP = {1: 10_000, 2: 1_000, 3: 100}
@@ -311,20 +311,20 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     A Z^d-periodic, so every cell meeting the bounding box shows a value phi
     takes on a set of positive measure, and together they show all of them.
 
-    The radius is the smallest one whose box tail is 0, the one the direct
-    route records; None when it passes ``K_CAP`` or the cells times the kept
-    k exceed one block.
+    The radius is the smallest one whose tail under the box's envelope is 0,
+    the one the direct route records; None when it passes ``K_CAP`` or the
+    cells times the kept k exceed one block.
     """
     box = g.indicator_box()
     if box is None:
         return None
     d, a = lattice.dim, lattice.dual_basis
     lo, hi = (np.asarray(c, dtype=float) for c in box)
-    # A (gamma + k) leaves the sup-norm ball of radius max |corner|, which
-    # holds the box, for every |k|_inf > that radius times |B^T|_inf
-    reach = float(np.max(np.abs(np.concatenate([lo, hi])))) * operator_inf_norm(lattice.basis.T)
-    radius = max(1, math.ceil(reach))
-    if radius > K_CAP[d]:
+    envelope = CompactFrequencySupport(radius=float(np.max(np.abs(np.concatenate([lo, hi])))))
+    try:
+        radius, _ = _smallest_radius(lambda k: envelope.lattice_tail(lattice, k), K_CAP[d],
+                                     0.0, g.label)
+    except TailNotAchievable:
         return None
     cell_lo, cell_hi = np.minimum(a, 0.0).sum(axis=1), np.maximum(a, 0.0).sum(axis=1)
     # bounds |A (gamma + k)| in the lattice sum and |lo|, |hi|

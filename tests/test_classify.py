@@ -237,6 +237,29 @@ def test_perturbation_zero_shift(bspline1_table):
     assert chk.classification.upper == pytest.approx(4 * base.upper, rel=1e-12)
 
 
+def test_perturbed_box_lower_bound_is_the_grid_minimum_on_the_support(unit_lattice):
+    # the factor 4 cos^2(pi gamma) is continuous, so the perturbed table is
+    # read from the plain grid: no value at the edge of the box is dropped
+    table = lf.compute_phi(lf.FrequencyBox([-0.1], [0.1]), unit_lattice, 1024)
+    chk = lf.perturbation_frame_check(table, [1])
+    assert chk.classification.lower == chk.inf_on_original_support
+
+
+def test_classify_table_is_the_tree_over_spectral_bounds(unit_lattice, bspline1_table,
+                                                         translate_sum):
+    # one table per route; the step table is a sliver of phi = 2 between
+    # grid points, which only its essential range shows
+    a = 0.3 + 0.3 / 4096
+    step = lf.compute_phi(lf.FrequencyBox([a - 1.0], [a + 1e-4]), unit_lattice, 4096)
+    direct = lf.compute_phi(translate_sum(lf.Gaussian(1.0), unit_lattice, [1]), unit_lattice, 256)
+    tables = (step, bspline1_table, direct)
+    assert [t.route for t in tables] == ["step", "dual", "direct"]
+    for table in tables:
+        cls = lf.classify_table(table)
+        tree = lf.classify_translates(lf.spectral_bounds(table))
+        assert (cls.verdict, cls.lower, cls.upper) == (tree.verdict, tree.lower, tree.upper)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

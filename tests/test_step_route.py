@@ -82,6 +82,14 @@ def test_sliver_1d_is_riesz_not_orthonormal():
     assert cls.evidence["zero_fraction"] == 0.0
 
 
+def test_spectral_bounds_of_the_1d_sliver_are_certified():
+    a = 0.3 + 0.3 / 4096
+    table = lf.compute_phi(lf.FrequencyBox([a - 1.0], [a + 1e-4]), lf.new_lattice([[1.0]]), 4096)
+    bounds = lf.spectral_bounds(table)
+    assert bounds.certified
+    assert (bounds.sup_all, bounds.inf_all, bounds.inf_offzero) == (2.0, 1.0, 1.0)
+
+
 def test_sliver_2d_on_the_shear_is_riesz_not_orthonormal():
     s = 0.3 / 256
     box = lf.FrequencyBox([-0.5 + s, -0.5], [0.501 + s, 0.5])
