@@ -1,5 +1,5 @@
-"""Internal batched numerics: one block budget, row blocks, a blocked
-exponential sum, flat meshes and composite Gauss-Legendre rules.
+"""Internal batched numerics: one block budget, row blocks, an exponential
+sum factored over a tensor grid, flat meshes and Gauss-Legendre panel rules.
 
 Panels are sized to the fastest oscillation of the integrand (in cycles per
 unit length) so a fixed-order rule per panel stays spectrally accurate.
@@ -8,9 +8,12 @@ Node layout is deterministic, which keeps every downstream sum reproducible.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import TooLarge
 
 # max entries (rows x row size) of one vectorized block; read at call time
 BLOCK_BUDGET = 4_000_000
@@ -32,13 +35,34 @@ def row_blocks(n_rows: int, row_size: int):
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
-def exp_sum(coeffs: np.ndarray, shifts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j c_j exp(-2 pi i x . s_j) at (m, d) points x for coefficients c_j
-    and (n, d) shifts s_j; each block of phases is a temporary freed before the next."""
-    out = np.empty(x.shape[0], dtype=complex)
-    for sl in row_blocks(x.shape[0], shifts.shape[0]):
-        out[sl] = np.exp(-2j * np.pi * (x[sl] @ shifts.T)) @ coeffs
-    return out
+def grid_exp_sum(coeffs: np.ndarray, shifts, x) -> np.ndarray:
+    """sum_j c_j exp(-2 pi i x . s_j) where one side, ``shifts`` or ``x``, is a
+    tensor grid given by its d axes (coefficients or result on the grid, in
+    ``mesh`` order) and the other an (n, d) array.  The phase factors over the
+    axes, so a point of the other side takes sum_a n_a exponentials, and the
+    sum contracts one axis at a time; blocks of the first grid axis and of the
+    other side keep every array within ``BLOCK_BUDGET`` entries."""
+    grid_out = isinstance(shifts, np.ndarray)
+    axes, other = (x, shifts) if grid_out else (shifts, x)
+    sizes = [len(a) for a in axes]
+    inner, mid = math.prod(sizes[1:]), math.prod(sizes[1:-1])
+    out = np.zeros((sizes[0], inner) if grid_out else len(other), dtype=complex)
+    for rows in row_blocks(sizes[0], inner):
+        first = axes[0][rows]
+        for cols in row_blocks(len(other), max(first.size * mid, *sizes)):
+            *lead, last = (np.exp(-2j * np.pi * np.outer(a, other[cols, i]))
+                           for i, a in enumerate([first, *axes[1:]]))
+            if grid_out:  # (rows, n_1, ..., n_(d-2), cols) times the last axis
+                acc = coeffs[cols]
+                for table in lead:
+                    acc = acc[..., None, :] * table
+                out[rows] += (acc.reshape(-1, acc.shape[-1]) @ last.T).reshape(-1, inner)
+            else:  # the last axis, then the others from the back
+                acc = np.reshape(coeffs, (sizes[0], -1))[rows].reshape(-1, len(last)) @ last
+                for table in reversed(lead):
+                    acc = np.einsum("ijk,jk->ik", acc.reshape(-1, *table.shape), table)
+                out[cols] += acc[0]
+    return out.ravel()
 
 
 @lru_cache(maxsize=1)
@@ -47,30 +71,34 @@ def _gl_nodes():
     return np.polynomial.legendre.leggauss(ORDER)
 
 
-def panel_nodes(a: float, b: float, osc_freq: float, density: float = 3.0):
-    """Composite Gauss-Legendre nodes and weights on [a, b].
+def _panel_rule(a: float, b: float, n_panels: int):
+    """Composite Gauss-Legendre nodes and weights on n_panels equal panels of [a, b]."""
+    x, w = _gl_nodes()
+    edges = np.linspace(a, b, n_panels + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def grid_blocks(lower, upper, osc_freq: float, density: float = 3.0):
+    """Tensor-product panel rule on the box prod_i [lower_i, upper_i], walked in
+    blocks of its first axis: yields (axes, points, weights), the block's d node
+    axes and, in their ``mesh`` order, its (m, d) points and their weights.
 
     ``osc_freq`` is the highest frequency of the integrand in cycles per unit;
     ``density`` sets panels per cycle (a 16-point rule stays well below 1e-12
     even at one panel per cycle, so low densities trade margin for speed).
+    A block holds at most ``BLOCK_BUDGET`` points (and at least one row).  A box
+    of more than ``BLOCK_BUDGET`` panel cells raises TooLarge before any node
+    is laid.
     """
-    if b <= a:
+    if np.any(np.asarray(upper) <= np.asarray(lower)):
         raise ValueError("empty integration interval")
     per_unit = max(MIN_PANELS_PER_UNIT, density * (abs(osc_freq) + 1.0))
-    n_panels = max(1, int(np.ceil((b - a) * per_unit)))
-    x, w = _gl_nodes()
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def grid_nodes(lower, upper, osc_freq: float, density: float = 3.0):
-    """Tensor-product panel rule on the box prod_i [lower_i, upper_i].
-
-    Returns (points, weights) with points of shape (m, d).
-    """
-    rules = [panel_nodes(a, b, osc_freq, density=density) for a, b in zip(lower, upper)]
-    return mesh([n for n, _ in rules]), np.prod(mesh([w for _, w in rules]), axis=1)
+    panels = [max(1, math.ceil((b - a) * per_unit)) for a, b in zip(lower, upper)]
+    if math.prod(panels) > BLOCK_BUDGET:
+        raise TooLarge(f"panel rule needs {[p * ORDER for p in panels]} nodes per axis, "
+                       f"{math.prod(panels):.3g} panel cells past the cap of {BLOCK_BUDGET}")
+    (first, first_w), *rest = map(_panel_rule, lower, upper, panels)
+    for rows in row_blocks(first.size, math.prod(n.size for n, _ in rest)):
+        axes = [first[rows], *(n for n, _ in rest)]
+        yield axes, mesh(axes), np.prod(mesh([first_w[rows], *(w for _, w in rest)]), axis=1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import exp_sum, grid_nodes, mesh, row_blocks
+from ._integrate import grid_blocks, grid_exp_sum, mesh, row_blocks
 from .errors import NoDecayInfo, NonFiniteInput, ZeroGenerator
 from .lattice import LatticeSpec, check_integer, check_positive, operator_inf_norm, spectral_norm
 
@@ -220,9 +220,8 @@ class Generator(ABC):
                 lo, hi = np.maximum(lo, box[0]), np.minimum(hi, box[1])
         if np.any(lo >= hi):
             return np.zeros(t.shape[0], dtype=complex)
-        pts, w = grid_nodes(lo, hi, osc_freq=float(np.max(np.abs(t))) + 1.0)
-        base = w * other.fourier(pts) * np.conj(self.fourier(pts))
-        return exp_sum(base, pts, t)
+        return sum(grid_exp_sum(w * other.fourier(pts) * np.conj(self.fourier(pts)), axes, t)
+                   for axes, pts, w in grid_blocks(lo, hi, float(np.max(np.abs(t))) + 1.0))
 
     def autocorrelation(self, t: np.ndarray) -> np.ndarray:
         """<f, f(. + t)> at an (m, d) array of spatial shifts t.
@@ -482,13 +481,14 @@ class SampledSpatial(Generator):
         if np.sum(np.abs(v) ** 2) * step**self.dim < 1e-14:
             raise ZeroGenerator("sampled generator is numerically zero")
         self.label = f"sampled(h={step},n={v.shape})"
-        # flat sample coordinates for transform sums
-        self._coords = mesh([o + self.step * np.arange(n) for o, n in zip(self.origin, v.shape)])
+        # sample axes for the transform sum, and the flat coordinates for overlaps
+        self._axes = [o + self.step * np.arange(n) for o, n in zip(self.origin, v.shape)]
+        self._coords = mesh(self._axes)
         self._flat = v.ravel()
 
     def fourier(self, xi):
         xi = np.asarray(xi, dtype=float)
-        out = exp_sum(self._flat, self._coords, xi.reshape(-1, self.dim))
+        out = grid_exp_sum(self._flat, self._axes, xi.reshape(-1, self.dim))
         return (self.step**self.dim) * out.reshape(xi.shape[:-1])
 
     def spatial(self, x):

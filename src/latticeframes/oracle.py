@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import exp_sum, grid_nodes
+from . import _integrate
 from .errors import ConvergenceFailure, DegenerateSpan, TooLarge
 from .generators import Generator
 from .lattice import LatticeSpec, check_dims, check_table, integer_box
 from .periodization import (
     PeriodizationTable,
+    _series_values,
     compute_cross_phi,
-    grid_gamma,
     lattice_coefficients,
 )
 
@@ -166,7 +166,8 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
 
     All three estimate the same quantity; their agreement validates both the
     table and the Gram entries.  A precomputed ``gram`` (covering the support
-    of c) avoids rebuilding the difference entries on repeated calls.
+    of c) avoids rebuilding the difference entries on repeated calls.  A direct
+    mesh past the panel cap of ``_integrate.grid_blocks`` raises TooLarge.
     """
     check_dims(lattice, g)
     check_table(lattice, table)
@@ -180,16 +181,16 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     radius = g.fourier_tail_radius(1e-9 / (1.0 + mass**2))
     osc = float(np.max(np.abs(shifts)))
     # |weight|^2 has twice the bandwidth of the weight itself
-    pts, w = grid_nodes(np.full(lattice.dim, -radius), np.full(lattice.dim, radius),
-                        osc_freq=2.0 * osc + 1.0, density=0.8)
-    weight = exp_sum(cs, shifts, pts)
-    direct = float(
-        np.sum(w * np.abs(weight) ** 2 * np.abs(g.fourier(pts)) ** 2).real
-    )
+    box = np.full(lattice.dim, radius)
+    direct = 0.0
+    for axes, pts, w in _integrate.grid_blocks(-box, box, 2.0 * osc + 1.0, density=0.8):
+        weight = _integrate.grid_exp_sum(cs, shifts, axes)
+        direct += float(np.sum(w * np.abs(weight) ** 2 * np.abs(g.fourier(pts)) ** 2))
 
-    # spectral route on the table grid
-    poly = exp_sum(cs, ks, grid_gamma(table.dim, table.grid_res))
-    spectral = float(np.mean(np.abs(poly) ** 2 * table.values.ravel()))
+    # spectral route on the table grid: sum_k c_k exp(-2 pi i k . gamma) is
+    # the series of the coefficients at -k
+    poly = _series_values(-ks, cs, table.grid_res)
+    spectral = float(np.mean(np.abs(poly) ** 2 * table.values))
 
     # quadratic form through the Gram matrix
     if gram is None:

@@ -21,8 +21,8 @@ of three routes:
   #{k : lo <= A (gamma + k) < hi}, A = inv(B.T), which is constant on the
   cells of a rectilinear grid in u = A gamma.  The count is taken once per
   cell and looked up per grid point; points on a cell face take the lattice
-  sum, so the table equals it bit for bit, with tail 0.  The distinct counts
-  over the cells are the exact essential range of phi;
+  sum over the k that can reach them, so the table equals the full sum bit
+  for bit, with tail 0.  The distinct counts are the essential range of phi;
 * dual -- the series summed by one inverse FFT over the exact box of
   nonzero coefficients when both sides declare a spatial box (B-splines,
   samples against a generator that is not sampled), with tail 0; or, for
@@ -129,14 +129,13 @@ def _validate_grid(n: int):
         raise ValueError(f"grid resolution must be a power of two >= {_MIN_GRID}, got {n}")
 
 
-def _lattice_sum(eval_fn, lattice: LatticeSpec, pts: np.ndarray, radius: int,
-                 matrix: np.ndarray) -> np.ndarray:
-    """sum_{|k|_inf <= radius} eval_fn(matrix @ (pts + k)) in fixed lex order."""
-    ks = integer_box(lattice.dim, radius)
+def _lattice_sum(eval_fn, pts: np.ndarray, ks: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """sum_k eval_fn(matrix @ (pts + k)) over the (K, d) integer vectors ks,
+    in their order."""
     m = pts.shape[0]
     acc = np.zeros(m)  # takes the summand's dtype: real |fhat|^2 stays real
     for sl in _integrate.row_blocks(ks.shape[0], m):
-        args = (pts[None, :, :] + ks[sl, None, :]).reshape(-1, lattice.dim) @ matrix.T
+        args = (pts[None, :, :] + ks[sl, None, :]).reshape(-1, pts.shape[1]) @ matrix.T
         acc = acc + np.add.reduce(eval_fn(args).reshape(-1, m), axis=0)
     return acc
 
@@ -271,15 +270,15 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
 
 
 def _cross_sum(g: Generator, psi: Generator, lattice: LatticeSpec, pts: np.ndarray,
-               radius: int) -> np.ndarray:
-    """The lattice sum of psihat * conj(fhat) over |k|_inf <= radius at the
-    (m, d) points pts, over |det B|."""
+               ks: np.ndarray) -> np.ndarray:
+    """The lattice sum of psihat * conj(fhat) over the integer vectors ks at
+    the (m, d) points pts, over |det B|."""
 
     def cross(args):
         fhat = g.fourier(args)
         return np.abs(fhat) ** 2 if psi is g else psi.fourier(args) * np.conj(fhat)
 
-    return _lattice_sum(cross, lattice, pts, radius, lattice.dual_basis) / lattice.det_abs
+    return _lattice_sum(cross, pts, ks, lattice.dual_basis) / lattice.det_abs
 
 
 def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
@@ -291,7 +290,8 @@ def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
     """
     _validate_grid(grid_res)
     pts = grid_gamma(lattice.dim, grid_res)
-    return _cross_sum(g, psi, lattice, pts, radius).reshape((grid_res,) * lattice.dim)
+    ks = integer_box(lattice.dim, radius)
+    return _cross_sum(g, psi, lattice, pts, ks).reshape((grid_res,) * lattice.dim)
 
 
 def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
@@ -305,11 +305,12 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     count, so the count is exact on that bounding box.
     Faces closer than ``_MERGE_FRAC`` of the axis scale merge, so a cell that
     thin counts as null; the count is taken at each cell midpoint.  A grid
-    point takes its cell's count, looked up per axis, or the lattice sum
-    when it lies within ``_FACE_FRAC`` of the scale of a face, so the table
-    equals ``cross_phi_values`` at the same radius bit for bit.  The count is
-    A Z^d-periodic, so every cell meeting the bounding box shows a value phi
-    takes on a set of positive measure, and together they show all of them.
+    point takes its cell's count, looked up per axis, or, within ``_FACE_FRAC``
+    of the scale of a face, the lattice sum over the kept k: its summands are
+    0 or 1, and the other k add zeros, so the table equals ``cross_phi_values``
+    at the same radius bit for bit.  The count is A Z^d-periodic, so every
+    cell meeting the bounding box shows a value phi takes on a set of positive
+    measure, and together they show all of them.
 
     The radius is the smallest one whose tail under the box's envelope is 0,
     the one the direct route records; None when it passes ``K_CAP`` or the
@@ -337,8 +338,10 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     last = np.ceil(corners.max(axis=0)).astype(int)
     if np.prod((last - first + 1).astype(float)) > _integrate.BLOCK_BUDGET:
         return None
-    shift = _integrate.mesh([np.arange(f, t + 1) for f, t in zip(first, last)]) @ a.T
-    shift = shift[np.all((shift >= q_lo) & (shift <= q_hi), axis=1)]
+    ks = _integrate.mesh([np.arange(f, t + 1) for f, t in zip(first, last)])
+    shift = ks @ a.T
+    kept = np.all((shift >= q_lo) & (shift <= q_hi), axis=1)
+    ks, shift = ks[kept], shift[kept]
     lows, highs = lo - shift, hi - shift
     firsts, lasts, mids, meets = [], [], [], []
     for i in range(d):
@@ -367,7 +370,7 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
         on_face |= cell[i] != np.searchsorted(lasts[i], u[:, i] - near[i])
     values = counts[tuple(cell)] / lattice.det_abs
     if np.any(on_face):
-        values[on_face] = _cross_sum(g, g, lattice, pts[on_face], radius)
+        values[on_face] = _cross_sum(g, g, lattice, pts[on_face], ks)
     return values.reshape((grid_res,) * d), radius, value_range
 
 
@@ -451,12 +454,13 @@ def periodize_l1(g: Generator, lattice: LatticeSpec, sample_points, radius: int)
         raise ValueError("sample points must lie in the fundamental cell")
 
     # f(x + B k) = f(B (u + k)) with u the cell coordinates of x
-    psi = _lattice_sum(g.spatial, lattice, u, radius, lattice.basis)
+    ks = integer_box(lattice.dim, radius)
+    psi = _lattice_sum(g.spatial, u, ks, lattice.basis)
 
     # cell integral: periodic rectangle rule on the warped unit grid
     m_per_axis = {1: 2048, 2: 128, 3: 32}[lattice.dim]
     ugrid = grid_gamma(lattice.dim, m_per_axis)
-    psi_grid = _lattice_sum(g.spatial, lattice, ugrid, radius, lattice.basis)
+    psi_grid = _lattice_sum(g.spatial, ugrid, ks, lattice.basis)
     cell_integral = lattice.det_abs * float(np.mean(psi_grid.real))
 
     full_integral = float(g.fourier(np.zeros((1, lattice.dim)))[0].real)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import latticeframes as lf
-from latticeframes._integrate import grid_nodes
+from latticeframes._integrate import grid_blocks
 from latticeframes.errors import NoDecayInfo, ZeroGenerator
 from latticeframes.generators import CompactFrequencySupport, DecayBound, _gaussian_moment_sum
 
@@ -227,8 +227,9 @@ def test_unknown_envelope_kind_rejected(unit_lattice):
 def test_fourier_tail_radius_certified(g, tol):
     # the energy of fhat outside [-R, R]^d, by quadrature inside, is at most tol
     radius = g.fourier_tail_radius(tol)
-    pts, w = grid_nodes(np.full(g.dim, -radius), np.full(g.dim, radius), osc_freq=0.0)
-    inside = float(np.sum(w * np.abs(g.fourier(pts)) ** 2))
+    box = np.full(g.dim, radius)
+    inside = sum(float(np.sum(w * np.abs(g.fourier(pts)) ** 2))
+                 for _, pts, w in grid_blocks(-box, box, osc_freq=0.0))
     assert g.norm_squared() - inside <= tol
 
 

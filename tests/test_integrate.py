@@ -1,13 +1,17 @@
 """Block edges of the batched kernels: a tiny block budget splits every
-blocked evaluation into many blocks and must not change its result."""
+blocked evaluation into many blocks and must not change its result.  The
+factored exponential sum is checked against the plain exponential matrix."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latticeframes as lf
 from latticeframes import _integrate
 
 _SHEAR = lf.new_lattice([[1.0, 1.0], [0.0, 1.0]])
+_SHEAR_3D = lf.new_lattice([[1.0, 0.5, 0.0], [0.0, 1.0, 0.25], [0.0, 0.0, 1.0]])
 
 
 def _sampled():
@@ -17,6 +21,14 @@ def _sampled():
                              support_radius=16.0)
 
 
+def _sampled_2d():
+    # 40 x 33 samples: at a budget of 1000 the grid splits 30 + 10 rows and the
+    # frequencies 25 per block
+    x, y = np.meshgrid(np.linspace(-1.0, 1.0, 40), np.linspace(-1.0, 1.0, 33), indexing="ij")
+    vals = np.maximum(0.0, 1.0 - np.abs(x)) * np.maximum(0.0, 1.0 - np.abs(y)) * np.exp(1j * x * y)
+    return lf.SampledSpatial(vals, [-1.0, -1.0], 2.0 / 39, support_radius=8.0)
+
+
 def _synthesis():
     g = lf.Gaussian(1.0, dim=2)
     c = lf.CoefficientVector({(i, j): complex(1 + i, j - 0.5) for i in (-1, 0, 1)
@@ -24,16 +36,31 @@ def _synthesis():
     return lf.synthesis_norm(g, _SHEAR, c, lf.compute_phi(g, _SHEAR, 16))
 
 
+def _synthesis_3d():
+    # 64 nodes per axis: at a budget of 1000 each mesh row is its own block and
+    # the 27 coefficients split 15 + 12; the box table takes the step route or,
+    # past one block, the lattice sum it equals bit for bit
+    g = lf.FrequencyBox([-0.2, -0.3, -0.25], [0.35, 0.3, 0.4])
+    c = lf.CoefficientVector({(i, j, k): complex(1 + i - k, j + 0.5 * k) for i in (-1, 0, 1)
+                              for j in (-1, 0, 1) for k in (-1, 0, 1)})
+    return lf.synthesis_norm(g, _SHEAR_3D, c, lf.compute_phi(g, _SHEAR_3D, 16))
+
+
 _EVALUATIONS = {
     "sampled_fourier": lambda: _sampled().fourier(np.linspace(-3.0, 3.0, 41)[:, None]),
+    "sampled_fourier_d2": lambda: _sampled_2d().fourier(
+        np.random.default_rng(3).uniform(-4.0, 4.0, (61, 2))),
     "sampled_autocorrelation": lambda: _sampled().autocorrelation(
         np.linspace(-2.0, 2.0, 41)[:, None]),
+    "quadrature_cross_correlation_d2": lambda: lf.Sinc(2).cross_correlation(
+        lf.Gaussian(0.7, 2), np.linspace(-1.5, 1.5, 34).reshape(17, 2)),
     "direct_table": lambda: lf.compute_phi(lf.Gaussian(1.0, dim=2), _SHEAR, 16).values,
     # Gaussians take the dual route; sampled data keeps the lattice sum, here
     # 33 terms of 64 points, which a budget of 1000 splits as 15 + 15 + 3
     "direct_table_sampled": lambda: lf.compute_phi(
         _sampled(), lf.new_lattice([[1.0]]), 64).values,
     "synthesis_norm": lambda: np.array(_synthesis()),
+    "synthesis_norm_d3": lambda: np.array(_synthesis_3d()),
 }
 
 
@@ -42,3 +69,48 @@ def test_small_blocks_match_default_budget(name, monkeypatch):
     default = _EVALUATIONS[name]()
     monkeypatch.setattr(_integrate, "BLOCK_BUDGET", 1000)
     np.testing.assert_allclose(_EVALUATIONS[name](), default, rtol=0, atol=1e-12)
+
+
+def _naive_exp_sum(coeffs, shifts, x):
+    return np.exp(-2j * np.pi * x @ shifts.T) @ coeffs
+
+
+def _points(axes):
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+@st.composite
+def _exp_sum_case(draw):
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
+    n = draw(st.integers(1, 12))
+    budget = draw(st.sampled_from([1, 7, 50, _integrate.BLOCK_BUDGET]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes = [rng.uniform(-3.0, 3.0, size) for size in sizes]
+    # shifts B k for integer k and a sheared basis B
+    shear = np.eye(d) + np.triu(rng.uniform(-2.0, 2.0, (d, d)), 1)
+    scattered = rng.integers(-3, 4, (n, d)) @ shear.T
+    m = max(n, int(np.prod(sizes)))
+    coeffs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return axes, scattered, coeffs, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exp_sum_case())
+def test_grid_exp_sum_matches_exponential_matrix(case):
+    # the tensor grid on either side of the sum, at budgets that split every
+    # contraction down to single rows and columns
+    axes, scattered, coeffs, budget = case
+    grid = _points(axes)
+    default, _integrate.BLOCK_BUDGET = _integrate.BLOCK_BUDGET, budget
+    try:
+        grid_points = _integrate.grid_exp_sum(coeffs[:len(scattered)], scattered, axes)
+        grid_shifts = _integrate.grid_exp_sum(coeffs[:len(grid)], axes, scattered)
+    finally:
+        _integrate.BLOCK_BUDGET = default
+    for got, want, c in ((grid_points, _naive_exp_sum(coeffs[:len(scattered)], scattered, grid),
+                          coeffs[:len(scattered)]),
+                         (grid_shifts, _naive_exp_sum(coeffs[:len(grid)], grid, scattered),
+                          coeffs[:len(grid)])):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(c))

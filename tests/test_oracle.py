@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -105,6 +106,19 @@ def test_synthesis_gram_too_small(unit_lattice, bspline1_table):
     with pytest.raises(ValueError):
         lf.synthesis_norm(lf.BSpline(1), unit_lattice, c, bspline1_table,
                           gram=lf.gram_matrix(lf.BSpline(1), unit_lattice, 1))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_synthesis_mesh_past_the_cap_fails_fast(d):
+    # |fhat|^2 of the hat decays only like |xi|^-4 per axis, so the direct
+    # route would need 870,000 nodes per axis in d = 2 (a 7.6e11-point mesh)
+    # and billions in d = 3; the panel arithmetic alone shows it
+    g, L = lf.BSpline(1, d), lf.new_lattice(np.eye(d).tolist())
+    table = lf.compute_phi(g, L, 8)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"nodes per axis, .* panel cells past the cap of 4000000"):
+        lf.synthesis_norm(g, L, lf.CoefficientVector({(0,) * d: 1.0}), table)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_eigen_bounds_bspline(unit_lattice):

@@ -141,8 +141,8 @@ def test_dual_route_matches_direct_sum(order, basis):
     while radius < (1000 if d == 1 else 64) and tail_bound(g, L, radius) > 1e-10:
         radius += 1
     tail = tail_bound(g, L, radius)
-    direct = _lattice_sum(lambda a: np.abs(g.fourier(a)) ** 2, L, grid_gamma(d, n),
-                          radius, L.dual_basis).real / L.det_abs
+    direct = _lattice_sum(lambda a: np.abs(g.fourier(a)) ** 2, grid_gamma(d, n),
+                          lf.lattice.integer_box(d, radius), L.dual_basis).real / L.det_abs
     assert np.max(np.abs(table.values.ravel() - direct)) <= tail + 1e-13
 
 
@@ -162,8 +162,8 @@ def test_dual_route_matches_direct_sum_gaussian(width, basis):
     table = lf.compute_phi(g, L, n)
     assert table.route == "dual" and table.tail > 0.0
     radius, tail = choose_truncation(g, L, 1e-12 * g.norm_squared())
-    direct = _lattice_sum(lambda a: np.abs(g.fourier(a)) ** 2, L, grid_gamma(d, n),
-                          radius, L.dual_basis).real / L.det_abs
+    direct = _lattice_sum(lambda a: np.abs(g.fourier(a)) ** 2, grid_gamma(d, n),
+                          lf.lattice.integer_box(d, radius), L.dual_basis).real / L.det_abs
     assert np.max(np.abs(table.values.ravel() - direct)) <= table.tail + tail + 1e-13
 
 

@@ -51,13 +51,14 @@ def test_step_table_equals_lattice_sum_bit_for_bit(g, basis, n):
 def test_step_route_evaluates_fourier_only_on_faces():
     # Sinc(2) on the shear: u = (gamma_1, gamma_2 - gamma_1) meets a face
     # where either coordinate is 1/2 mod 1, at 16 + 16 - 1 of the 16^2 points;
-    # those take the 9 terms of radius 1, and no pilot pass runs
+    # those take only the 6 kept k (k_1 in {-1, 0}, k_2 - k_1 in {-1, 0, 1}),
+    # not the 9 of radius 1, and no pilot pass runs
     L = lf.new_lattice(_SHEAR)
     g, points = lf.Sinc(2), []
     fourier = g.fourier
     g.fourier = lambda xi: points.append(len(xi)) or fourier(xi)
     assert lf.compute_phi(g, L, 16).route == "step"
-    assert sum(points) == 31 * 9
+    assert sum(points) == 31 * 6
 
 
 def test_step_route_falls_back_past_one_block(monkeypatch):
