@@ -25,7 +25,7 @@ MIN_PANELS_PER_UNIT = 3.0
 
 def mesh(axes) -> np.ndarray:
     """Flat (m, len(axes)) array of all combinations of axis values, in lex order."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
 def row_blocks(n_rows: int, row_size: int):
@@ -91,7 +91,7 @@ def grid_blocks(lower, upper, osc_freq: float, density: float = 3.0):
     of more than ``BLOCK_BUDGET`` panel cells raises TooLarge before any node
     is laid.
     """
-    if np.any(np.asarray(upper) <= np.asarray(lower)):
+    if np.any(np.asarray(upper) <= lower):
         raise ValueError("empty integration interval")
     per_unit = max(MIN_PANELS_PER_UNIT, density * (abs(osc_freq) + 1.0))
     panels = [max(1, math.ceil((b - a) * per_unit)) for a, b in zip(lower, upper)]
@@ -101,4 +101,4 @@ def grid_blocks(lower, upper, osc_freq: float, density: float = 3.0):
     (first, first_w), *rest = map(_panel_rule, lower, upper, panels)
     for rows in row_blocks(first.size, math.prod(n.size for n, _ in rest)):
         axes = [first[rows], *(n for n, _ in rest)]
-        yield axes, mesh(axes), np.prod(mesh([first_w[rows], *(w for _, w in rest)]), axis=1)
+        yield axes, mesh(axes), math.prod(np.ix_(first_w[rows], *(w for _, w in rest))).ravel()

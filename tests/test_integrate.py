@@ -102,15 +102,14 @@ def test_grid_exp_sum_matches_exponential_matrix(case):
     # contraction down to single rows and columns
     axes, scattered, coeffs, budget = case
     grid = _points(axes)
+    scattered_c, grid_c = coeffs[:len(scattered)], coeffs[:len(grid)]
     default, _integrate.BLOCK_BUDGET = _integrate.BLOCK_BUDGET, budget
     try:
-        grid_points = _integrate.grid_exp_sum(coeffs[:len(scattered)], scattered, axes)
-        grid_shifts = _integrate.grid_exp_sum(coeffs[:len(grid)], axes, scattered)
+        grid_points = _integrate.grid_exp_sum(scattered_c, scattered, axes)
+        grid_shifts = _integrate.grid_exp_sum(grid_c, axes, scattered)
     finally:
         _integrate.BLOCK_BUDGET = default
-    for got, want, c in ((grid_points, _naive_exp_sum(coeffs[:len(scattered)], scattered, grid),
-                          coeffs[:len(scattered)]),
-                         (grid_shifts, _naive_exp_sum(coeffs[:len(grid)], grid, scattered),
-                          coeffs[:len(grid)])):
+    for got, want, c in ((grid_points, _naive_exp_sum(scattered_c, scattered, grid), scattered_c),
+                         (grid_shifts, _naive_exp_sum(grid_c, grid, scattered), grid_c)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(c))
