@@ -87,17 +87,19 @@ def grid_blocks(lower, upper, osc_freq: float, density: float = 3.0):
     ``osc_freq`` is the highest frequency of the integrand in cycles per unit;
     ``density`` sets panels per cycle (a 16-point rule stays well below 1e-12
     even at one panel per cycle, so low densities trade margin for speed).
-    A block holds at most ``BLOCK_BUDGET`` points (and at least one row).  A box
-    of more than ``BLOCK_BUDGET`` panel cells raises TooLarge before any node
-    is laid.
+    A block holds at most ``BLOCK_BUDGET`` points (and at least one row).  An
+    axis's nodes are held whole and the walk takes at most ORDER^2 blocks, so
+    a rule with more than ``BLOCK_BUDGET`` nodes on an axis or ORDER^2 times
+    that many points raises TooLarge before any node is laid.
     """
     if np.any(np.asarray(upper) <= lower):
         raise ValueError("empty integration interval")
     per_unit = max(MIN_PANELS_PER_UNIT, density * (abs(osc_freq) + 1.0))
     panels = [max(1, math.ceil((b - a) * per_unit)) for a, b in zip(lower, upper)]
-    if math.prod(panels) > BLOCK_BUDGET:
-        raise TooLarge(f"panel rule needs {[p * ORDER for p in panels]} nodes per axis, "
-                       f"{math.prod(panels):.3g} panel cells past the cap of {BLOCK_BUDGET}")
+    nodes = [ORDER * p for p in panels]
+    if max(nodes) > BLOCK_BUDGET or math.prod(nodes) > ORDER**2 * BLOCK_BUDGET:
+        raise TooLarge(f"panel rule needs {nodes} nodes per axis, {math.prod(nodes):.3g} points; "
+                       f"the caps are {BLOCK_BUDGET} per axis and {ORDER**2 * BLOCK_BUDGET} in all")
     (first, first_w), *rest = map(_panel_rule, lower, upper, panels)
     for rows in row_blocks(first.size, math.prod(n.size for n, _ in rest)):
         axes = [first[rows], *(n for n, _ in rest)]

@@ -116,7 +116,7 @@ def test_synthesis_mesh_past_the_cap_fails_fast(d):
     g, L = lf.BSpline(1, d), lf.new_lattice(np.eye(d).tolist())
     table = lf.compute_phi(g, L, 8)
     start = time.perf_counter()
-    with pytest.raises(TooLarge, match=r"nodes per axis, .* panel cells past the cap of 4000000"):
+    with pytest.raises(TooLarge, match=r"nodes per axis, .* the caps are 4000000 per axis"):
         lf.synthesis_norm(g, L, lf.CoefficientVector({(0,) * d: 1.0}), table)
     assert time.perf_counter() - start < 1.0
 
