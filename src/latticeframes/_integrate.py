@@ -50,18 +50,20 @@ def grid_exp_sum(coeffs: np.ndarray, shifts, x) -> np.ndarray:
     for rows in row_blocks(sizes[0], inner):
         first = axes[0][rows]
         for cols in row_blocks(len(other), max(first.size * mid, *sizes)):
-            *lead, last = (np.exp(-2j * np.pi * np.outer(a, other[cols, i]))
+            # (cols, n_a) tables: along a row the phase moves smoothly, which
+            # exp takes faster than the jumps between points of the other side
+            *lead, last = (np.exp(-2j * np.pi * np.outer(other[cols, i], a))
                            for i, a in enumerate([first, *axes[1:]]))
-            if grid_out:  # (rows, n_1, ..., n_(d-2), cols) times the last axis
+            if grid_out:  # (cols, rows, n_1, ..., n_(d-2)) times the last axis
                 acc = coeffs[cols]
                 for table in lead:
-                    acc = acc[..., None, :] * table
-                out[rows] += (acc.reshape(-1, acc.shape[-1]) @ last.T).reshape(-1, inner)
+                    acc = np.einsum("k...,kj->k...j", acc, table)
+                out[rows] += (acc.reshape(len(acc), -1).T @ last).reshape(-1, inner)
             else:  # the last axis, then the others from the back
-                acc = np.reshape(coeffs, (sizes[0], -1))[rows].reshape(-1, len(last)) @ last
+                acc = last @ np.reshape(coeffs, (sizes[0], -1))[rows].reshape(-1, last.shape[1]).T
                 for table in reversed(lead):
-                    acc = np.einsum("ijk,jk->ik", acc.reshape(-1, *table.shape), table)
-                out[cols] += acc[0]
+                    acc = np.einsum("kij,kj->ki", acc.reshape(len(acc), -1, table.shape[1]), table)
+                out[cols] += acc[:, 0]
     return out.ravel()
 
 
