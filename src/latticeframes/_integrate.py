@@ -90,7 +90,7 @@ def grid_blocks(lower, upper, osc_freq: float, density: float = 3.0):
     ``density`` sets panels per cycle (a 16-point rule stays well below 1e-12
     even at one panel per cycle, so low densities trade margin for speed).
     A block holds at most ``BLOCK_BUDGET`` points (and at least one row).  An
-    axis's nodes are held whole and the walk takes at most ORDER^2 blocks, so
+    axis's nodes are held whole, and the walk's time grows with its points, so
     a rule with more than ``BLOCK_BUDGET`` nodes on an axis or ORDER^2 times
     that many points raises TooLarge before any node is laid.
     """
