@@ -29,16 +29,18 @@ from .lattice import LatticeSpec, check_integer, check_positive, operator_inf_no
 # ---------------------------------------------------------------------------
 
 
-def _shell_count(dim: int, m: int) -> int:
-    """Number of integer vectors with sup-norm exactly m."""
-    if m == 0:
-        return 1
-    return (2 * m + 1) ** dim - (2 * m - 1) ** dim
-
-# coefficients alpha_d with shell_count(d, m) <= alpha_d * (m-1)^(d-1) for m >= 2
-_SHELL_COEFF = {1: 2.0, 2: 16.0, 3: 98.0}
 # shells past the truncation radius that envelope tails sum term by term
 _EXPLICIT_SHELLS = 64
+# alpha_d with (2m+1)^d - (2m-1)^d, the vectors of sup-norm m, <= alpha_d * (m-1)^(d-1), m >= 2
+_SHELL_COEFF = {1: 2.0, 2: 16.0, 3: 98.0}
+
+
+def _shell_sum(dim: int, radius: int, envelope) -> float:
+    """sum over the shells m = radius + 1 .. radius + _EXPLICIT_SHELLS of the
+    number of integer vectors of sup-norm m times envelope(m - 1), where
+    m - 1 <= |gamma + k|_inf on shell m for every gamma in [0,1)^d."""
+    u = np.arange(radius, radius + _EXPLICIT_SHELLS, dtype=float)  # m - 1
+    return float(np.sum(((2 * u + 3) ** dim - (2 * u + 1) ** dim) * envelope(u)))
 
 
 class DecayBound:
@@ -97,10 +99,7 @@ class PolynomialDecay(DecayBound):
         d, p = lattice.dim, self.order
         excess = self._excess(d)
         c_mapped = self.constant * operator_inf_norm(lattice.basis.T) ** p
-        total = 0.0
-        for m in range(radius + 1, radius + _EXPLICIT_SHELLS + 1):
-            # |gamma + k|_inf >= m - 1 for every gamma in [0,1)^d
-            total += _shell_count(d, m) * min(self.peak, c_mapped / (m - 1) ** p)
+        total = _shell_sum(d, radius, lambda u: np.minimum(self.peak, c_mapped / u**p))
         j = radius + _EXPLICIT_SHELLS
         alpha = _SHELL_COEFF[d]
         total += alpha * c_mapped * (j ** (d - 1 - p) + j ** (d - p) / excess)
@@ -140,8 +139,7 @@ class GaussianDecay(DecayBound):
         # on shell m, m - 1 <= |gamma + k|_2 <= |B^T|_2 |dual(gamma + k)|_2
         d = lattice.dim
         a = self.rate / spectral_norm(lattice.basis.T) ** 2
-        u = np.arange(radius, radius + _EXPLICIT_SHELLS, dtype=float)  # m - 1
-        total = float(np.sum(((2 * u + 3) ** d - (2 * u + 1) ** d) * np.exp(-a * u**2)))
+        total = _shell_sum(d, radius, lambda u: np.exp(-a * u**2))
         # past the explicit shells, shell_count(d, u + 1) = sum_k coef_k u^k
         j = radius + _EXPLICIT_SHELLS
         total += sum(math.comb(d, k) * 2**k * (3 ** (d - k) - 1) * _gaussian_moment_sum(k, a, j)

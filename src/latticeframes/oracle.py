@@ -100,7 +100,7 @@ def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatr
     if size > MAX_GRAM_SIZE:
         raise TooLarge(f"gram matrix of size {size} exceeds cap {MAX_GRAM_SIZE}")
 
-    diffs = lattice_coefficients(g, lattice, 2 * half_width)
+    diffs = lattice_coefficients(g, lattice, integer_box(lattice.dim, 2 * half_width))
     return GramMatrix(half_width=half_width, dim=lattice.dim,
                       diffs=diffs.reshape((4 * half_width + 1,) * lattice.dim))
 
@@ -246,13 +246,13 @@ def project_onto_span(g: Generator, lattice: LatticeSpec, psi: Generator,
 
     psi_norm = psi.norm_squared()
     target = 1e-10 * math.sqrt(psi_norm * float(table.values.max()))
-    cross, route, radius, tail = compute_cross_phi(g, psi, lattice, table.grid_res, target)
+    cross = compute_cross_phi(g, psi, lattice, table.grid_res, target)
 
     f_samples = np.full(table.values.shape, np.nan + 0j, dtype=complex)
-    f_samples[mask] = cross[mask] / table.values[mask]
+    f_samples[mask] = cross.values[mask] / table.values[mask]
 
     captured = float(
-        np.sum(np.abs(cross[mask]) ** 2 / table.values[mask]) / table.values.size
+        np.sum(np.abs(cross.values[mask]) ** 2 / table.values[mask]) / table.values.size
     )
     residual = psi_norm - captured
     if -1e-9 * max(psi_norm, 1.0) < residual < 0.0:
@@ -261,7 +261,7 @@ def project_onto_span(g: Generator, lattice: LatticeSpec, psi: Generator,
         residual_norm_sq=residual,
         is_member=bool(residual <= MEMBER_TOL * max(psi_norm, 1e-30)),
         F_samples=f_samples,
-        route=route,
-        trunc_radius=radius,
-        tail=tail,
+        route=cross.route,
+        trunc_radius=cross.trunc_radius,
+        tail=cross.tail,
     )

@@ -69,9 +69,10 @@ _FACE_FRAC = 1e-9
 class PeriodizationTable:
     """Samples of the periodized power spectrum on the grid j/N in [0,1)^d.
 
-    ``values`` is an (N,)*d array of nonnegative reals within ``tail`` of the
-    true ones.  ``route`` is "step", "direct" or "dual".  On the step and
-    direct routes ``trunc_radius`` is the sup-norm radius of the summed
+    ``values`` is an (N,)*d array within ``tail`` of the true ones: real for
+    a self pair, complex for a cross pair (tagged "<psi> against <g>").
+    ``route`` is "step", "direct" or "dual".  On the step and direct routes
+    ``trunc_radius`` is the sup-norm radius of the summed
     lattice terms and ``tail`` the certified bound on the rest (0 on the step
     route); on the dual route it is the radius of the Fourier coefficient box
     and ``tail`` the certified l1 norm of the coefficients beyond it.
@@ -97,7 +98,10 @@ class PeriodizationTable:
 
     def zero_threshold(self, eps_zero: float | None = None) -> float:
         """``eps_zero``, or by default a fraction of the grid maximum; it must be
-        at least 4 * tail so that a dropped tail cannot flip a zero decision."""
+        at least 4 * tail so that a dropped tail cannot flip a zero decision;
+        a complex table (a cross pair) raises ValueError."""
+        if np.iscomplexobj(self.values):
+            raise ValueError(f"{self.generator_tag}: a complex table has no zero threshold")
         if eps_zero is None:
             return max(EPS_ZERO_FRAC * (float(self.values.max()) + self.tail),
                        4.0 * self.tail, 1e-300)
@@ -177,6 +181,19 @@ def choose_truncation(g: Generator, lattice: LatticeSpec, target_tail: float):
                             target_tail, g.label)
 
 
+def _index_box(lo, hi, matrix: np.ndarray, outer: bool = False):
+    """Integer vectors, in lex order, of the box around the image of the box
+    [lo, hi] under x -> x @ matrix: the largest box inside it (ceil/floor),
+    or with ``outer`` the smallest covering it (floor/ceil); None when it
+    holds more than one block of vectors."""
+    corners = _integrate.mesh(list(zip(lo, hi))) @ matrix
+    first, last = corners.min(axis=0), corners.max(axis=0)
+    first, last = (np.floor(first), np.ceil(last)) if outer else (np.ceil(first), np.floor(last))
+    if np.prod(last - first + 1) > _integrate.BLOCK_BUDGET:
+        return None
+    return _integrate.mesh([np.arange(a, b + 1) for a, b in zip(first.astype(int), last.astype(int))])
+
+
 def _coefficient_set(g: Generator, psi: Generator, lattice: LatticeSpec,
                      target_tail: float | None):
     """Integer vectors n, in lex order, of the coefficients
@@ -185,8 +202,9 @@ def _coefficient_set(g: Generator, psi: Generator, lattice: LatticeSpec,
 
     * when both sides declare a spatial box and are not both sampled (two
       combs have no finite inner product), the n with B n in box_g - box_psi,
-      exact with tail 0: an n that rounding moves off its face has a_n = 0,
-      the partner vanishing on the boundary of its box;
+      exact with tail 0 (symmetric for the self pair): an n that rounding
+      moves off its face has a_n = 0, the partner vanishing on its box's
+      boundary;
     * else, for the self pair, the smallest cube |n|_inf <= R <= K_CAP whose
       tail is at most target_tail (default 1e-10 * ||f||^2) by the
       autocorrelation envelope: its lattice sum on the dual lattice (dual
@@ -196,10 +214,7 @@ def _coefficient_set(g: Generator, psi: Generator, lattice: LatticeSpec,
     boxes = g.spatial_box(), psi.spatial_box()
     if None not in boxes and not (g.comb and psi.comb):
         lo, hi = boxes[0][0] - boxes[1][1], boxes[0][1] - boxes[1][0]
-        corners = _integrate.mesh(list(zip(lo, hi))) @ lattice.dual_basis  # B^-1 c per row
-        first = np.ceil(corners.min(axis=0)).astype(int)
-        last = np.floor(corners.max(axis=0)).astype(int)
-        tail = 0.0
+        ns, tail = _index_box(lo, hi, lattice.dual_basis), 0.0  # B^-1 c per row
     else:
         decay = g.autocorrelation_decay() if psi is g else None
         if decay is None:
@@ -212,18 +227,17 @@ def _coefficient_set(g: Generator, psi: Generator, lattice: LatticeSpec,
                                             K_CAP[lattice.dim], target_tail, g.label)
         except TailNotAchievable:
             return None
-        first, last = np.full(lattice.dim, -radius), np.full(lattice.dim, radius)
-    if np.prod((last - first + 1).astype(float)) > _integrate.BLOCK_BUDGET:
-        return None
-    return _integrate.mesh([np.arange(a, b + 1) for a, b in zip(first, last)]), tail
+        cube = np.full(lattice.dim, float(radius))
+        ns = _index_box(-cube, cube, np.eye(lattice.dim))
+    return None if ns is None else (ns, tail)
 
 
-def lattice_coefficients(g: Generator, lattice: LatticeSpec, radius: int) -> np.ndarray:
-    """c_n = <f, f(. + B n)> for |n|_inf <= radius, in ``integer_box`` order.
+def lattice_coefficients(g: Generator, lattice: LatticeSpec, box: np.ndarray) -> np.ndarray:
+    """c_n = <f, f(. + B n)> over the (m, d) integer vectors n of a box
+    symmetric about 0, in its lex order.
 
-    The box is symmetric and in lex order, so entry i mirrors entry -1 - i:
-    one autocorrelation call over the first half gives c_(-n) = conj(c_n)."""
-    box = integer_box(lattice.dim, radius)
+    Entry i of such a box mirrors entry -1 - i: one autocorrelation call over
+    the first half gives the rest as c_(-n) = conj(c_n)."""
     vals = g.autocorrelation(box[: (len(box) + 1) // 2] @ lattice.basis.T).astype(complex)
     return np.concatenate([vals, vals[:-1][::-1].conj()])
 
@@ -242,31 +256,14 @@ def _series_values(ns: np.ndarray, coeffs: np.ndarray, grid_res: int) -> np.ndar
 
 def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
                 target_tail: float | None = None) -> PeriodizationTable:
-    """Tabulate the periodized power spectrum of ``g`` on the [0,1)^d grid.
-
-    phi is the self pair of ``compute_cross_phi``, which chooses the route
-    and the truncation; rounding below zero is clipped.  The step route
-    tabulates a box indicator's phi exactly and attaches its essential range.
-    The dual route sums the Fourier series of phi over the exact coefficient
-    box of a generator with a spatial box (tail 0), or over the smallest
-    coefficient cube whose certified l1 tail is at most ``target_tail``
-    (default 1e-10 * ||f||^2, the mean of phi).  The direct route truncates
-    the lattice sum of |fhat|^2 where its certified tail is at most
-    ``target_tail`` (default 1e-10 times the grid maximum of the k = 0 term).
-    Both defaults are lower bounds on max phi, so the tail stays negligible
-    against classification tolerances.
+    """Tabulate the periodized power spectrum of ``g`` on the [0,1)^d grid:
+    the self pair of ``compute_cross_phi``, which chooses the route and the
+    truncation, with rounding below zero clipped.  Its default targets are
+    lower bounds on max phi, so the tail stays negligible against
+    classification tolerances.
     """
-    values, route, radius, tail, value_range = _cross_phi(g, g, lattice, grid_res, target_tail)
-    return PeriodizationTable(
-        lattice=lattice,
-        grid_res=grid_res,
-        values=np.maximum(values.real, 0.0),
-        trunc_radius=radius,
-        tail=tail,
-        generator_tag=g.label,
-        route=route,
-        essential_range=value_range,
-    )
+    table = compute_cross_phi(g, g, lattice, grid_res, target_tail)
+    return replace(table, values=np.maximum(table.values, 0.0))
 
 
 def _cross_sum(g: Generator, psi: Generator, lattice: LatticeSpec, pts: np.ndarray,
@@ -333,12 +330,9 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     near = _FACE_FRAC * scale
     # the k whose box meets the bounding box widened by near: A k in [q_lo, q_hi]
     q_lo, q_hi = lo - cell_hi - near, hi - cell_lo + near
-    corners = _integrate.mesh(list(zip(q_lo, q_hi))) @ lattice.basis  # B^T v per row
-    first = np.floor(corners.min(axis=0)).astype(int)
-    last = np.ceil(corners.max(axis=0)).astype(int)
-    if np.prod((last - first + 1).astype(float)) > _integrate.BLOCK_BUDGET:
+    ks = _index_box(q_lo, q_hi, lattice.basis, outer=True)  # B^T v per row
+    if ks is None:
         return None
-    ks = _integrate.mesh([np.arange(f, t + 1) for f, t in zip(first, last)])
     shift = ks @ a.T
     kept = np.all((shift >= q_lo) & (shift <= q_hi), axis=1)
     ks, shift = ks[kept], shift[kept]
@@ -374,25 +368,49 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     return values.reshape((grid_res,) * d), radius, value_range
 
 
-def _cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_res: int,
-               target_tail: float | None):
-    """``compute_cross_phi`` plus the essential range of a step table (None
-    on the other routes)."""
+def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_res: int,
+                      target_tail: float | None = None) -> PeriodizationTable:
+    """The table of the mixed periodization of psihat * conj(fhat), with the
+    route, the sup-norm radius and the certified tail bound taken; its values
+    are real for the self pair (``psi is g``) and complex otherwise.
+
+    Step route: for the self pair of a generator with an ``indicator_box``,
+    the exact step function (``_step_table``) and its essential range, tail 0.
+    Dual route: the Fourier coefficients a_n = <psi, g(. + B n)>, the
+    autocorrelations for the self pair (``lattice_coefficients``), over
+    ``_coefficient_set``, whose coefficient cube has the default target
+    1e-10 ||f||^2, the mean of phi.
+    Direct route: ``cross_phi_values`` at the smallest radius R whose tail
+    bound is at most ``target_tail``: T_g(R) for the self pair
+    (``choose_truncation``), else sqrt(T_psi(R) T_g(R)), which bounds the
+    dropped cross terms by Cauchy-Schwarz at each gamma.  The default target
+    is 1e-10 times the grid maximum of the k = 0 term; for the self pair
+    every term is >= 0, so that is a lower bound on max phi.
+    """
     _validate_grid(grid_res)
     check_dims(lattice, g, psi)
     if target_tail is not None:
         check_positive("target_tail", target_tail)
+    tag = g.label if psi is g else f"{psi.label} against {g.label}"
+
+    def table(values, route, radius, tail, essential_range=None):
+        return PeriodizationTable(
+            lattice=lattice, grid_res=grid_res,
+            values=values.real if psi is g else values.astype(complex, copy=False),
+            trunc_radius=radius, tail=tail, generator_tag=tag, route=route,
+            essential_range=essential_range)
+
     step = _step_table(g, lattice, grid_res) if psi is g else None
     if step is not None:
         values, radius, value_range = step
-        return values, "step", radius, 0.0, value_range
+        return table(values, "step", radius, 0.0, value_range)
     cut = _coefficient_set(g, psi, lattice, target_tail)
     if cut is not None:
         ns, tail = cut
-        t = ns @ lattice.basis.T
-        coeffs = g.autocorrelation(t) if psi is g else g.cross_correlation(psi, t)
+        coeffs = (lattice_coefficients(g, lattice, ns) if psi is g
+                  else g.cross_correlation(psi, ns @ lattice.basis.T))
         radius = int(np.abs(ns).max(initial=0))  # 0 for an empty set: every a_n vanishes
-        return _series_values(ns, coeffs, grid_res), "dual", radius, tail, None
+        return table(_series_values(ns, coeffs, grid_res), "dual", radius, tail)
     if target_tail is None:
         k0 = cross_phi_values(g, psi, lattice, grid_res, 0)
         target_tail = 1e-10 * max(float(np.abs(k0).max()), 1e-30)
@@ -401,28 +419,8 @@ def _cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_res: int
     else:
         radius, tail = _smallest_radius(
             lambda k: math.sqrt(tail_bound(psi, lattice, k) * tail_bound(g, lattice, k)),
-            K_CAP[lattice.dim], target_tail, f"{psi.label} against {g.label}")
-    return cross_phi_values(g, psi, lattice, grid_res, radius), "direct", radius, tail, None
-
-
-def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_res: int,
-                      target_tail: float | None = None) -> tuple[np.ndarray, str, int, float]:
-    """Grid samples of the mixed periodization of psihat * conj(fhat), with
-    the route, the sup-norm radius and the certified tail bound taken.
-
-    Step route: for the self pair of a generator with an ``indicator_box``,
-    the exact step function (``_step_table``), tail 0.
-    Dual route: the Fourier coefficients a_n = <psi, g(. + B n)>, the
-    autocorrelations for the self pair, over ``_coefficient_set``, whose
-    coefficient cube has the default target 1e-10 ||f||^2, the mean of phi.
-    Direct route: ``cross_phi_values`` at the smallest radius R whose tail
-    bound is at most ``target_tail``: T_g(R) for the self pair
-    (``choose_truncation``), else sqrt(T_psi(R) T_g(R)), which bounds the
-    dropped cross terms by Cauchy-Schwarz at each gamma.  The default target
-    is 1e-10 times the grid maximum of the k = 0 term; for the self pair
-    every term is >= 0, so that is a lower bound on max phi.
-    """
-    return _cross_phi(g, psi, lattice, grid_res, target_tail)[:4]
+            K_CAP[lattice.dim], target_tail, tag)
+    return table(cross_phi_values(g, psi, lattice, grid_res, radius), "direct", radius, tail)
 
 
 # ---------------------------------------------------------------------------

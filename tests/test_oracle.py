@@ -587,16 +587,16 @@ def test_dual_cross_table_matches_direct_sum_on_shear():
     # Cauchy-Schwarz tail
     L = lf.new_lattice([[1.0, 1.0], [0.0, 1.0]])
     g, psi = lf.BSpline(1, 2), lf.BSpline(2, 2)
-    dual, route, radius, tail = compute_cross_phi(g, psi, L, 16, 1e-10)
-    assert (route, radius, tail) == ("dual", 5, 0.0)
+    dual = compute_cross_phi(g, psi, L, 16, 1e-10)
+    assert (dual.route, dual.trunc_radius, dual.tail) == ("dual", 5, 0.0)
     bound = math.sqrt(lf.tail_bound(psi, L, 20) * lf.tail_bound(g, L, 20))
-    assert np.max(np.abs(dual - cross_phi_values(g, psi, L, 16, 20))) <= bound
+    assert np.max(np.abs(dual.values - cross_phi_values(g, psi, L, 16, 20))) <= bound
     # against itself the cross table is phi, whose box comes from the same
     # spatial boxes; B^-T in place of B^-1 would drop c_n = b_5(2)^2 ~ 7e-5
     # at B n = (2, -2)
-    own, route, _, _ = compute_cross_phi(psi, psi, L, 16, 1e-10)
-    assert route == "dual"
-    np.testing.assert_allclose(own, lf.compute_phi(psi, L, 16).values, rtol=0, atol=1e-14)
+    own = compute_cross_phi(psi, psi, L, 16, 1e-10)
+    assert own.route == "dual"
+    np.testing.assert_allclose(own.values, lf.compute_phi(psi, L, 16).values, rtol=0, atol=1e-14)
 
 
 def test_project_complex_sampled_pins_orientation(unit_lattice):
@@ -619,9 +619,9 @@ def test_project_complex_sampled_pins_orientation(unit_lattice):
     residual, norm = _hat_projection_reference(samples, origin, step, 64)
     assert abs(res.residual_norm_sq - residual) <= 1e-12 * norm
     # the other orientation: sampled data spans, the hat is projected
-    cross, route, _, _ = compute_cross_phi(psi, g, unit_lattice, 64, 1e-10)
-    assert route == "dual"
-    np.testing.assert_allclose(cross, ref.conj(), rtol=0, atol=1e-13)
+    cross = compute_cross_phi(psi, g, unit_lattice, 64, 1e-10)
+    assert cross.route == "dual"
+    np.testing.assert_allclose(cross.values, ref.conj(), rtol=0, atol=1e-13)
 
 
 def test_project_sampled_pair_takes_direct_route(unit_lattice):

@@ -229,9 +229,10 @@ def test_phi_is_the_self_pair_of_cross_phi(unit_lattice, translate_sum):
     ]
     for g, L in cases:
         table = lf.compute_phi(g, L, 32)
-        cross, route, radius, tail = compute_cross_phi(g, g, L, 32)
-        assert (table.route, table.trunc_radius, table.tail) == (route, radius, tail), g.label
-        np.testing.assert_array_equal(table.values, np.maximum(cross.real, 0.0))
+        cross = compute_cross_phi(g, g, L, 32)
+        assert ((table.route, table.trunc_radius, table.tail)
+                == (cross.route, cross.trunc_radius, cross.tail)), g.label
+        np.testing.assert_array_equal(table.values, np.maximum(cross.values.real, 0.0))
     # the hat's exact box on 0.7 Z is |n| <= 2 (0.7 n in [-2, 2]), tighter
     # than the envelope cube of radius 3, whose faces hold only zeros
     table = lf.compute_phi(lf.BSpline(1), L07, 32)
@@ -247,7 +248,7 @@ def test_self_pair_direct_route_evaluates_fourier_once_per_point():
 
     L = lf.new_lattice(_SHEAR)
     for build in (lambda g: lf.compute_phi(g, L, 16).route,
-                  lambda g: compute_cross_phi(g, g, L, 16)[1]):
+                  lambda g: compute_cross_phi(g, g, L, 16).route):
         g, points = PlainSinc(2), []
         fourier = g.fourier
         g.fourier = lambda xi: points.append(len(xi)) or fourier(xi)

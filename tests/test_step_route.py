@@ -45,7 +45,7 @@ def test_step_table_equals_lattice_sum_bit_for_bit(g, basis, n):
     assert table.trunc_radius == choose_truncation(g, L, 1e-300)[0]
     direct = cross_phi_values(g, g, L, n, table.trunc_radius)
     assert np.array_equal(table.values, direct)
-    assert np.array_equal(compute_cross_phi(g, g, L, n)[0], direct)
+    assert np.array_equal(compute_cross_phi(g, g, L, n).values, direct)
 
 
 def test_step_route_evaluates_fourier_only_on_faces():
