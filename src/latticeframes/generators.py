@@ -194,7 +194,8 @@ class Generator(ABC):
         """<other, f(. + t)> at an (m, d) array of spatial shifts t.
 
         Equals integral otherhat conj(fhat) exp(-2 pi i xi . t) d xi, taken by
-        quadrature on one node set sized for the largest shift.  By
+        quadrature on one node set sized for the largest shift plus, when both
+        sides declare a spatial box, the sup-norm reach of box_other - box_f.  By
         Cauchy-Schwarz the part beyond R is at most sqrt(T_f(R) T_o(R)) for the
         tails T of |fhat|^2 and |otherhat|^2, and a tail is at most its squared
         norm, so R may be where both tails are below tol or one is below tol^2
@@ -218,8 +219,14 @@ class Generator(ABC):
                 lo, hi = np.maximum(lo, box[0]), np.minimum(hi, box[1])
         if np.any(lo >= hi):
             return np.zeros(t.shape[0], dtype=complex)
+        # the integrand is the transform of a function on box_other - box_self
+        # shifted by t, so it oscillates with that box's sup-norm reach too
+        osc = float(np.max(np.abs(t))) + 1.0
+        boxes = other.spatial_box(), self.spatial_box()
+        if None not in boxes:
+            osc += float(np.max(np.abs([boxes[0][0] - boxes[1][1], boxes[0][1] - boxes[1][0]])))
         return sum(grid_exp_sum(w * other.fourier(pts) * np.conj(self.fourier(pts)), axes, t)
-                   for axes, pts, w in grid_blocks(lo, hi, float(np.max(np.abs(t))) + 1.0))
+                   for axes, pts, w in grid_blocks(lo, hi, osc))
 
     def autocorrelation(self, t: np.ndarray) -> np.ndarray:
         """<f, f(. + t)> at an (m, d) array of spatial shifts t.

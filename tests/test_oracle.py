@@ -316,6 +316,23 @@ def test_analysis_hat_gaussian_closed_form():
     assert np.max(np.abs(vals - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("half,step,band", [(64.0, 0.5, 1.0), (32.0, 0.25, 2.0)])
+def test_analysis_sampled_pair_matches_band_closed_form(half, step, band):
+    # two sampled generators with the same band b: the quadrature of
+    # ahat conj(chat) over [-b, b] is h^2 sum_(j,l) a_l conj(c_j)
+    # 2b sinc(2b (x_l - x_j + t)), whose integrand oscillates with the reach
+    # of the sample boxes (up to 2 * half), not only with the shift
+    rng = np.random.default_rng(64)
+    x = np.linspace(-half, half, 257)
+    c, a = rng.standard_normal(257), rng.standard_normal(257)
+    f = lf.SampledSpatial(c, [-half], step, support_radius=band)
+    psi = lf.SampledSpatial(a, [-half], step, support_radius=band)
+    vals = lf.analysis_coefficients(f, lf.new_lattice([[1.0]]), psi, 2)
+    ref = np.array([step**2 * a @ (2 * band * np.sinc(2 * band * (x[:, None] - x + t))) @ c
+                    for t in -np.arange(-2.0, 3.0)])
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 # two overlapping off-centre frequency boxes: hhat * conj(fhat) is the
 # indicator of their intersection, so <h, f(. + t)> is that box's inverse
 # transform at -t, which is neither even nor real
