@@ -6,8 +6,10 @@ from scipy.integrate import quad
 
 import latticeframes as lf
 from latticeframes._integrate import grid_blocks
-from latticeframes.errors import NoDecayInfo, ZeroGenerator
+from latticeframes.errors import NoDecayInfo, TailNotAchievable, ZeroGenerator
 from latticeframes.generators import CompactFrequencySupport, DecayBound, _gaussian_moment_sum
+from latticeframes.lattice import operator_inf_norm
+from latticeframes.periodization import choose_truncation
 
 
 def test_sinc_fourier_is_indicator():
@@ -188,6 +190,49 @@ def test_tail_bound_bspline_dominates(unit_lattice):
         assert bound >= brute
         # same asymptotic order as the analytic 1/K^3 envelope
         assert bound <= 50.0 / radius**3
+
+
+def _shell_loop_tail(g, lattice, radius):
+    # the polynomial lattice tail summed shell by shell in Python, as it was
+    # before the shell sum was vectorized
+    d, p, decay = lattice.dim, g.decay_bound().order, g.decay_bound()
+    c_mapped = decay.constant * operator_inf_norm(lattice.basis.T) ** p
+    total = 0.0
+    for m in range(radius + 1, radius + 65):
+        total += ((2 * m + 1) ** d - (2 * m - 1) ** d) * min(decay.peak, c_mapped / (m - 1) ** p)
+    j = radius + 64
+    total += {1: 2.0, 2: 16.0, 3: 98.0}[d] * c_mapped * (j ** (d - 1 - p) + j ** (d - p) / (p - d))
+    return total / lattice.det_abs
+
+
+_TAIL_LATTICES = {1: [[[1.0]], [[0.7]]], 2: [np.eye(2), [[1.0, 1.0], [0.0, 1.0]]],
+                  3: [np.eye(3), [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]]}
+# choose_truncation radii at targets 1e-4, 1e-8, 1e-12 per (d, lattice, order),
+# None where the cap is not enough; pinned from the shell-by-shell loop
+_TRUNCATION_RADII = {
+    (1, 0, 1): [5, 89, 1900], (1, 0, 2): [2, 9, 54], (1, 0, 3): [2, 4, 13],
+    (1, 1, 1): [4, 63, 1330], (1, 1, 2): [2, 7, 38], (1, 1, 3): [1, 3, 9],
+    (2, 0, 1): [22, None, None], (2, 0, 2): [3, 23, 233], (2, 0, 3): [2, 6, 24],
+    (2, 1, 1): [96, None, None], (2, 1, 2): [7, 62, 691], (2, 1, 3): [4, 13, 59],
+    (3, 0, 1): [None, None, None], (3, 0, 2): [6, None, None], (3, 0, 3): [2, 10, 57],
+    (3, 1, 1): [None, None, None], (3, 1, 2): [19, None, None], (3, 1, 3): [5, 28, None],
+}
+
+
+@pytest.mark.parametrize("key", sorted(_TRUNCATION_RADII))
+def test_vectorized_shell_sum_matches_the_loop(key):
+    d, which, order = key
+    g, lattice = lf.BSpline(order, d), lf.new_lattice(_TAIL_LATTICES[d][which])
+    for radius in (1, 2, 7, 50, 99, 1000):
+        assert lf.tail_bound(g, lattice, radius) == pytest.approx(
+            _shell_loop_tail(g, lattice, radius), rel=1e-14, abs=0.0)
+    radii = []
+    for target in (1e-4, 1e-8, 1e-12):
+        try:
+            radii.append(choose_truncation(g, lattice, target)[0])
+        except TailNotAchievable:
+            radii.append(None)
+    assert radii == _TRUNCATION_RADII[key]
 
 
 def test_tail_bound_monotone(unit_lattice):

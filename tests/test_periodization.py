@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import time
@@ -12,7 +13,9 @@ from latticeframes.errors import AliasRisk, NoDecayInfo, TailNotAchievable
 from latticeframes.generators import tail_bound
 from latticeframes.periodization import (
     K_CAP,
+    _coefficient_set,
     _lattice_sum,
+    _series_values,
     choose_truncation,
     compute_cross_phi,
     grid_gamma,
@@ -237,6 +240,62 @@ def test_phi_is_the_self_pair_of_cross_phi(unit_lattice, translate_sum):
     # than the envelope cube of radius 3, whose faces hold only zeros
     table = lf.compute_phi(lf.BSpline(1), L07, 32)
     assert (table.route, table.trunc_radius, table.tail) == ("dual", 2, 0.0)
+
+
+_RECORD_CASES = [  # (g, psi or None for the self pair, basis, route)
+    (lf.Sinc(2), None, _SHEAR, "step"),
+    (lf.BSpline(2, 2), None, _SHEAR, "dual"),
+    (lf.Gaussian(1.0), None, [[1.0]], "dual"),
+    (_sampled_bump(), None, [[1.0]], "direct"),
+    (lf.BSpline(1), lf.BSpline(2), [[0.7]], "dual"),
+    (lf.BSpline(1), _sampled_bump(), [[1.0]], "dual"),
+    (lf.BSpline(1), lf.Gaussian(1.0), [[1.0]], "direct"),
+    (lf.Sinc(2), lf.Gaussian(1.0, 2), _SHEAR, "direct"),
+]
+
+
+@pytest.mark.parametrize("g,psi,basis,route", _RECORD_CASES,
+                         ids=lambda v: getattr(v, "label", None))
+def test_cross_phi_record_on_every_route(g, psi, basis, route):
+    # one record for every route: real and tagged by g for the self pair,
+    # whose clip is compute_phi field for field; complex and tagged
+    # "<psi> against <g>" for a cross pair, which has no zero threshold
+    L = lf.new_lattice(basis)
+    psi = g if psi is None else psi
+    table = compute_cross_phi(g, psi, L, 32)
+    assert table.route == route
+    assert (table.essential_range is not None) == (route == "step")
+    if psi is g:
+        assert table.values.dtype == np.float64 and table.generator_tag == g.label
+        phi = lf.compute_phi(g, L, 32)
+        np.testing.assert_array_equal(phi.values, np.maximum(table.values.real, 0.0))
+        for field in dataclasses.fields(table):
+            if field.name != "values":
+                assert getattr(phi, field.name) == getattr(table, field.name), field.name
+    else:
+        assert table.values.dtype == np.complex128
+        assert table.generator_tag == f"{psi.label} against {g.label}"
+        with pytest.raises(ValueError, match="complex"):
+            table.zero_threshold()
+        with pytest.raises(ValueError, match="complex"):
+            lf.classify_table(table)
+
+
+@pytest.mark.parametrize("g,basis", [(lf.BSpline(2, 2), _SHEAR), (lf.Gaussian(1.0, 3), np.eye(3))],
+                         ids=lambda v: getattr(v, "label", None))
+def test_dual_self_table_takes_half_the_autocorrelations(g, basis):
+    # the coefficient set of the self pair is symmetric, so ceil(m/2) of its
+    # m autocorrelations give the rest by c_(-n) = conj(c_n), and the table
+    # equals the one from every autocorrelation bit for bit
+    L, target = lf.new_lattice(basis), 1e-10 * g.norm_squared()
+    ns, _ = _coefficient_set(g, g, L, target)
+    full = _series_values(ns, g.autocorrelation(ns @ L.basis.T), 16).real
+    shifts, autocorrelation = [], g.autocorrelation
+    g.autocorrelation = lambda t: shifts.append(len(t)) or autocorrelation(t)
+    table = compute_cross_phi(g, g, L, 16, target)
+    assert table.route == "dual"
+    assert shifts == [(len(ns) + 1) // 2]
+    assert np.array_equal(table.values, full)
 
 
 def test_self_pair_direct_route_evaluates_fourier_once_per_point():

@@ -1,12 +1,16 @@
 """The benchmark tracer (``perfbench/tracing.py``) wraps package functions and
 methods by name and skips any name it cannot find, so a renamed or deleted
-name would leave its per-layer metrics reading 0 without an error.  This
-guard reads the tracer's name lists and edits nothing there."""
+name would leave its per-layer metrics reading 0 without an error; its
+counters swallow ``AttributeError``, so a changed table record would zero
+their metrics the same way.  These guards read the tracer's name lists and
+counters and edit nothing there."""
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import latticeframes as lf
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -34,3 +38,18 @@ def test_traced_names_resolve_in_the_package():
                                and not getattr(c.__dict__[meth], "__isabstractmethod__", False)
                                for c in classes)]
     assert missing == []
+
+
+def test_compute_phi_counter_reads_every_route():
+    counter = _tracing().COUNTERS["periodization.compute_phi"]
+    shear = lf.new_lattice([[1.0, 1.0], [0.0, 1.0]])
+    cases = [(lf.Sinc(2), shear, "step"), (lf.BSpline(2, 2), shear, "dual")]
+    plain = lf.Sinc(1)
+    plain.indicator_box = lambda: None  # the sinc without its step route
+    cases.append((plain, lf.new_lattice([[1.0]]), "direct"))
+    for g, lattice, route in cases:
+        table = lf.compute_phi(g, lattice, 16)
+        assert table.route == route
+        counts = counter((g, lattice, 16), {}, table)
+        assert set(counts) == {"radius", "main_terms_points"}, g.label
+        assert counts["radius"] == table.trunc_radius
