@@ -31,7 +31,7 @@ from .lattice import LatticeSpec, check_integer, check_positive, operator_inf_no
 
 # shells past the truncation radius that envelope tails sum term by term
 _EXPLICIT_SHELLS = 64
-# alpha_d with (2m+1)^d - (2m-1)^d, the vectors of sup-norm m, <= alpha_d * (m-1)^(d-1), m >= 2
+# alpha_d with (2m+1)^d - (2m-1)^d, the count of sup-norm m, <= alpha_d (m-1)^(d-1) for m >= 2
 _SHELL_COEFF = {1: 2.0, 2: 16.0, 3: 98.0}
 
 
@@ -140,7 +140,7 @@ class GaussianDecay(DecayBound):
         d = lattice.dim
         a = self.rate / spectral_norm(lattice.basis.T) ** 2
         total = _shell_sum(d, radius, lambda u: np.exp(-a * u**2))
-        # past the explicit shells, shell_count(d, u + 1) = sum_k coef_k u^k
+        # past the explicit shells, (2u + 3)^d - (2u + 1)^d = sum_k coef_k u^k
         j = radius + _EXPLICIT_SHELLS
         total += sum(math.comb(d, k) * 2**k * (3 ** (d - k) - 1) * _gaussian_moment_sum(k, a, j)
                      for k in range(d))

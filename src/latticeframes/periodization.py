@@ -191,7 +191,7 @@ def _index_box(lo, hi, matrix: np.ndarray, outer: bool = False):
     first, last = (np.floor(first), np.ceil(last)) if outer else (np.ceil(first), np.floor(last))
     if np.prod(last - first + 1) > _integrate.BLOCK_BUDGET:
         return None
-    return _integrate.mesh([np.arange(a, b + 1) for a, b in zip(first.astype(int), last.astype(int))])
+    return _integrate.mesh([np.arange(int(a), int(b) + 1) for a, b in zip(first, last)])
 
 
 def _coefficient_set(g: Generator, psi: Generator, lattice: LatticeSpec,

@@ -195,7 +195,8 @@ def test_tail_bound_bspline_dominates(unit_lattice):
 def _shell_loop_tail(g, lattice, radius):
     # the polynomial lattice tail summed shell by shell in Python, as it was
     # before the shell sum was vectorized
-    d, p, decay = lattice.dim, g.decay_bound().order, g.decay_bound()
+    decay = g.decay_bound()
+    d, p = lattice.dim, decay.order
     c_mapped = decay.constant * operator_inf_norm(lattice.basis.T) ** p
     total = 0.0
     for m in range(radius + 1, radius + 65):
