@@ -556,10 +556,9 @@ def load_sampled_csv(path, support_radius: float | None = None) -> SampledSpatia
 
     steps = []
     for i in range(dim):
-        uniq = np.unique(coords[:, i])
-        if uniq.size > 1:
-            diffs = np.diff(uniq)
-            steps.append(diffs.min())
+        gaps = np.diff(np.sort(coords[:, i]))  # 0 between repeated coordinates
+        if np.any(gaps):
+            steps.append(gaps[gaps != 0].min())
     if not steps:
         raise ValueError("degenerate sample set")
     h = float(min(steps))

@@ -20,13 +20,15 @@ of three routes:
   of a half-open box [lo, hi) (boxes and sincs), |det B| phi is the count
   #{k : lo <= A (gamma + k) < hi}, A = inv(B.T), which is constant on the
   cells of a rectilinear grid in u = A gamma.  The count is taken once per
-  cell and looked up per grid point; points on a cell face take the lattice
-  sum over the k that can reach them, so the table equals the full sum bit
-  for bit, with tail 0.  The distinct counts are the essential range of phi;
-* dual -- the series summed by one inverse FFT over the exact box of
-  nonzero coefficients when both sides declare a spatial box (B-splines,
-  samples against a generator that is not sampled), with tail 0; or, for
-  the self pair, over the smallest cube whose l1 tail, certified by the
+  cell; a grid point's cell counts the face crossings of its grid row, and
+  points on a face take the lattice sum over the k that can reach them, so
+  the table equals the full sum bit for bit, with tail 0.  The distinct
+  counts are the essential range of phi;
+* dual -- the series summed by one inverse FFT (real for the self pair,
+  whose coefficients are Hermitian) over the exact box of nonzero
+  coefficients when both sides declare a spatial box (B-splines, samples
+  against a generator that is not sampled), with tail 0; or, for the self
+  pair, over the smallest cube whose l1 tail, certified by the
   autocorrelation envelope (Gaussians), meets a target;
 * direct -- otherwise, or when the cells or the coefficients would not fit
   one block, the lattice sum above truncated where its certified tail meets
@@ -181,14 +183,12 @@ def choose_truncation(g: Generator, lattice: LatticeSpec, target_tail: float):
                             target_tail, g.label)
 
 
-def _index_box(lo, hi, matrix: np.ndarray, outer: bool = False):
-    """Integer vectors, in lex order, of the box around the image of the box
-    [lo, hi] under x -> x @ matrix: the largest box inside it (ceil/floor),
-    or with ``outer`` the smallest covering it (floor/ceil); None when it
-    holds more than one block of vectors."""
+def _index_box(lo, hi, matrix: np.ndarray):
+    """Integer vectors, in lex order, of the largest box inside the image of
+    the box [lo, hi] under x -> x @ matrix (ceil/floor of its corners' span),
+    or None when it holds more than one block of vectors."""
     corners = _integrate.mesh(list(zip(lo, hi))) @ matrix
-    first, last = corners.min(axis=0), corners.max(axis=0)
-    first, last = (np.floor(first), np.ceil(last)) if outer else (np.ceil(first), np.floor(last))
+    first, last = np.ceil(corners.min(axis=0)), np.floor(corners.max(axis=0))
     if np.prod(last - first + 1) > _integrate.BLOCK_BUDGET:
         return None
     return _integrate.mesh([np.arange(int(a), int(b) + 1) for a, b in zip(first, last)])
@@ -242,16 +242,20 @@ def lattice_coefficients(g: Generator, lattice: LatticeSpec, box: np.ndarray) ->
     return np.concatenate([vals, vals[:-1][::-1].conj()])
 
 
-def _series_values(ns: np.ndarray, coeffs: np.ndarray, grid_res: int) -> np.ndarray:
+def _series_values(ns, coeffs, grid_res: int, hermitian: bool = False) -> np.ndarray:
     """Grid samples of sum_n a_n exp(2 pi i n . gamma) over the (m, d)
     integer vectors n with coefficients a_n.
 
     Exponents alias mod N exactly on the grid, so the coefficients are
-    scattered into an N^d array and summed by one inverse FFT.
+    scattered into an N^d array and summed by one inverse FFT; a
+    ``hermitian`` set (a_(-n) = conj(a_n)) scatters its half spectrum,
+    n_d mod N <= N/2, for one real inverse FFT (N even gives N samples).
     """
-    grid = np.zeros((grid_res,) * ns.shape[1], dtype=complex)
-    np.add.at(grid, tuple((ns % grid_res).T), coeffs)
-    return grid.size * np.fft.ifftn(grid)
+    shape = (grid_res,) * (ns.shape[1] - 1) + (grid_res // 2 + 1 if hermitian else grid_res,)
+    fits = ns[:, -1] % grid_res < shape[-1]
+    grid = np.zeros(shape, dtype=complex)
+    np.add.at(grid, tuple((ns[fits] % grid_res).T), coeffs[fits])
+    return np.fft.irfftn(grid, norm="forward") if hermitian else grid.size * np.fft.ifftn(grid)
 
 
 def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
@@ -291,6 +295,23 @@ def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
     return _cross_sum(g, psi, lattice, pts, ks).reshape((grid_res,) * lattice.dim)
 
 
+def _row_counts(edges, base, slope: float, n: int, strict: bool) -> np.ndarray:
+    """(R, n) counts of the edges at or below (``strict``: below) u = base +
+    slope j, j < n, on the rows of the (R,) array base.  u crosses an edge at
+    j = (edge - base) / slope: a ceil or floor gives the first j past it, and a
+    cumulative count of those (down from the total when slope < 0) the count."""
+    if slope == 0.0:
+        below = (np.less if strict else np.less_equal)(edges, base[:, None])
+        return np.broadcast_to(below.sum(axis=1)[:, None], (base.size, n))
+    with np.errstate(over="ignore"):  # a crossing far off the row, clipped below
+        t = (edges - base[:, None]) / slope
+    start = np.clip(np.floor(t) + 1 if (slope > 0) == strict else np.ceil(t), 0, n)
+    starts = start.astype(np.intp) + (n + 1) * np.arange(base.size)[:, None]
+    crossed = np.bincount(starts.ravel(), minlength=base.size * (n + 1))
+    crossed = crossed.reshape(base.size, n + 1)[:, :n].cumsum(axis=1)
+    return crossed if slope > 0 else edges.size - crossed
+
+
 def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     """Grid samples, radius and essential range of phi for a generator whose
     |fhat|^2 is the indicator of the half-open box [lo, hi), or None.
@@ -298,16 +319,18 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     With A = inv(B.T) and u = A gamma, |det B| phi is the count of k with
     lo - A k <= u < hi - A k, so it is constant on the cells of a rectilinear
     grid whose faces on axis i are lo_i - (A k)_i and hi_i - (A k)_i.  All k
-    whose box meets the bounding box of the unit cell's image A [0,1]^d
-    count, so the count is exact on that bounding box.
-    Faces closer than ``_MERGE_FRAC`` of the axis scale merge, so a cell that
-    thin counts as null; the count is taken at each cell midpoint.  A grid
-    point takes its cell's count, looked up per axis, or, within ``_FACE_FRAC``
-    of the scale of a face, the lattice sum over the kept k: its summands are
-    0 or 1, and the other k add zeros, so the table equals ``cross_phi_values``
-    at the same radius bit for bit.  The count is A Z^d-periodic, so every
-    cell meeting the bounding box shows a value phi takes on a set of positive
-    measure, and together they show all of them.
+    whose box meets the bounding box of the unit cell's image A [0,1]^d count,
+    so the count is exact there: the integer points of the largest box in its
+    image, widened by ``near``, under B.T; one that rounding drops has faces
+    about ``near`` outside it and adds 0 at every grid point.  Faces closer
+    than ``_MERGE_FRAC`` of the axis scale merge, so a cell that thin counts
+    as null; the count is taken at each cell midpoint.  On each axis a grid
+    point's cell counts the face clusters its row has crossed (``_row_counts``).
+    A point within ``near`` (``_FACE_FRAC`` of the scale) of a face takes the
+    lattice sum over the kept k: its summands are 0 or 1, and the other k add
+    zeros, so the table equals ``cross_phi_values`` at the same radius bit for
+    bit.  The count is A Z^d-periodic, so the cells meeting the bounding box
+    show exactly the values phi takes on sets of positive measure.
 
     The radius is the smallest one whose tail under the box's envelope is 0,
     the one the direct route records; None when it passes ``K_CAP`` or the
@@ -330,41 +353,38 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     near = _FACE_FRAC * scale
     # the k whose box meets the bounding box widened by near: A k in [q_lo, q_hi]
     q_lo, q_hi = lo - cell_hi - near, hi - cell_lo + near
-    ks = _index_box(q_lo, q_hi, lattice.basis, outer=True)  # B^T v per row
+    ks = _index_box(q_lo, q_hi, lattice.basis)  # B^T v per row
     if ks is None:
         return None
     shift = ks @ a.T
     kept = np.all((shift >= q_lo) & (shift <= q_hi), axis=1)
     ks, shift = ks[kept], shift[kept]
     lows, highs = lo - shift, hi - shift
-    firsts, lasts, mids, meets = [], [], [], []
+    # u = base + slope j on the row of each grid prefix; a point is clear of
+    # every face when as many face clusters start at or below u + near as end
+    # below u - near; that number is its cell
+    base = _integrate.mesh([np.arange(grid_res) / grid_res] * (d - 1) + [[0.0]]) @ a.T
+    slope, mids, meets, cell, on_face = a[:, -1] / grid_res, [], [], [], False
     for i in range(d):
         f = np.sort(np.concatenate([lows[:, i], highs[:, i]]))
         cut = np.flatnonzero(np.diff(f) > _MERGE_FRAC * scale[i])
         first, last = f[np.r_[0, cut + 1]], f[np.r_[cut, -1]]
-        firsts.append(first)
-        lasts.append(last)
         mids.append(np.r_[first[0] - scale[i], 0.5 * (last[:-1] + first[1:]), last[-1] + scale[i]])
         meets.append((np.r_[-np.inf, last] < cell_hi[i]) & (np.r_[first, np.inf] > cell_lo[i]))
+        cell.append(_row_counts(first - near[i], base[:, i], slope[i], grid_res, False))
+        on_face |= cell[i] != _row_counts(last + near[i], base[:, i], slope[i], grid_res, True)
     if lows.shape[0] * math.prod(m.size for m in mids) > _integrate.BLOCK_BUDGET:
         return None
     inside = [((lows[:, i, None] <= m) & (m < highs[:, i, None])).astype(float)
               for i, m in enumerate(mids)]
     axes = "abc"[:d]
     counts = np.einsum(",".join("k" + c for c in axes) + "->" + axes, *inside)
-    value_range = tuple((np.unique(counts[np.ix_(*meets)]) / lattice.det_abs).tolist())
-
-    pts = grid_gamma(d, grid_res)
-    u = pts @ a.T
-    # a point is clear of every face when as many face clusters start at or
-    # below u + near as end below u - near; that number is its cell
-    cell, on_face = [], np.zeros(pts.shape[0], dtype=bool)
-    for i in range(d):
-        cell.append(np.searchsorted(firsts[i], u[:, i] + near[i], side="right"))
-        on_face |= cell[i] != np.searchsorted(lasts[i], u[:, i] - near[i])
+    seen = np.sort(counts[np.ix_(*meets)], axis=None)
+    value_range = tuple((seen[np.r_[True, np.diff(seen) > 0]] / lattice.det_abs).tolist())
     values = counts[tuple(cell)] / lattice.det_abs
     if np.any(on_face):
-        values[on_face] = _cross_sum(g, g, lattice, pts[on_face], ks)
+        pts = np.stack(np.unravel_index(np.flatnonzero(on_face), (grid_res,) * d), axis=1)
+        values[on_face] = _cross_sum(g, g, lattice, pts / grid_res, ks)
     return values.reshape((grid_res,) * d), radius, value_range
 
 
@@ -410,7 +430,7 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
         coeffs = (lattice_coefficients(g, lattice, ns) if psi is g
                   else g.cross_correlation(psi, ns @ lattice.basis.T))
         radius = int(np.abs(ns).max(initial=0))  # 0 for an empty set: every a_n vanishes
-        return table(_series_values(ns, coeffs, grid_res), "dual", radius, tail)
+        return table(_series_values(ns, coeffs, grid_res, psi is g), "dual", radius, tail)
     if target_tail is None:
         k0 = cross_phi_values(g, psi, lattice, grid_res, 0)
         target_tail = 1e-10 * max(float(np.abs(k0).max()), 1e-30)

@@ -222,16 +222,37 @@ def test_unknown_config_key_is_exit_2(capsys, tmp_path):
     assert "grid_rez" in err
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency; a cold import must not pull it in
+def _cold_python(code: str) -> str:
+    """Stdout of ``python -c code`` in a fresh interpreter that imports this
+    checkout's latticeframes."""
     src = os.path.dirname(os.path.dirname(latticeframes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; a cold import must not pull it in
     code = ("import sys, latticeframes; "
             "print([k for k in sys.modules if k.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _cold_python(code).strip() == "[]"
+
+
+def test_step_route_cli_loads_no_numpy_ma():
+    # np.unique imports numpy.ma, 12-17 ms of a cold call; the step route's
+    # essential range sorts instead.  Runs ``python -m latticeframes.cli
+    # classify --preset sinc`` and reads sys.modules after it
+    code = ("import runpy, sys\n"
+            "sys.argv = ['latticeframes.cli', 'classify', '--preset', 'sinc']\n"
+            "try:\n"
+            "    runpy.run_module('latticeframes.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = _cold_python(code).splitlines()
+    assert json.loads("\n".join(out[:-1]))["verdict"] == "OrthonormalSequence"
+    assert out[-1] == "False"
 
 
 _GAUSS = {"kind": "gaussian", "width": 1.0, "dim": 1}

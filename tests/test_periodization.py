@@ -19,6 +19,7 @@ from latticeframes.periodization import (
     choose_truncation,
     compute_cross_phi,
     grid_gamma,
+    lattice_coefficients,
 )
 
 _SHEAR = [[1.0, 1.0], [0.0, 1.0]]
@@ -289,13 +290,49 @@ def test_dual_self_table_takes_half_the_autocorrelations(g, basis):
     # equals the one from every autocorrelation bit for bit
     L, target = lf.new_lattice(basis), 1e-10 * g.norm_squared()
     ns, _ = _coefficient_set(g, g, L, target)
-    full = _series_values(ns, g.autocorrelation(ns @ L.basis.T), 16).real
+    full = _series_values(ns, g.autocorrelation(ns @ L.basis.T), 16, hermitian=True)
     shifts, autocorrelation = [], g.autocorrelation
     g.autocorrelation = lambda t: shifts.append(len(t)) or autocorrelation(t)
     table = compute_cross_phi(g, g, L, 16, target)
     assert table.route == "dual"
     assert shifts == [(len(ns) + 1) // 2]
     assert np.array_equal(table.values, full)
+
+
+def _complex_series(ns, coeffs, n):
+    """N^d ifftn of the coefficients scattered mod N: the complex sum."""
+    grid = np.zeros((n,) * ns.shape[1], dtype=complex)
+    np.add.at(grid, tuple((ns % n).T), coeffs)
+    return grid.size * np.fft.ifftn(grid)
+
+
+@pytest.mark.parametrize("g,basis,n", [
+    (lf.BSpline(1), [[0.7]], 64),
+    (lf.BSpline(2, 2), _SHEAR, 32),
+    (lf.Gaussian(1.0, 2), _rotation(0.37), 32),
+    (lf.Gaussian(1.0, 3), np.eye(3).tolist(), 16),
+], ids=lambda v: getattr(v, "label", None))
+def test_dual_self_table_takes_a_real_inverse_fft(g, basis, n):
+    # the self pair's coefficients are Hermitian, so the half spectrum and
+    # one real inverse FFT give the real part of the complex sum
+    L = lf.new_lattice(basis)
+    table = compute_cross_phi(g, g, L, n)
+    assert (table.route, table.values.dtype) == ("dual", np.float64)
+    ns, _ = _coefficient_set(g, g, L, None)
+    ref = _complex_series(ns, lattice_coefficients(g, L, ns), n).real
+    assert np.max(np.abs(table.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("g,psi,basis", [(lf.BSpline(1), lf.BSpline(2), [[0.7]]),
+                                         (lf.BSpline(2, 2), lf.BSpline(1, 2), _SHEAR)],
+                         ids=lambda v: getattr(v, "label", None))
+def test_dual_cross_table_keeps_the_complex_inverse_fft(g, psi, basis):
+    L = lf.new_lattice(basis)
+    table = compute_cross_phi(g, psi, L, 32)
+    assert (table.route, table.values.dtype) == ("dual", np.complex128)
+    ns, _ = _coefficient_set(g, psi, L, None)
+    ref = _complex_series(ns, g.cross_correlation(psi, ns @ L.basis.T), 32)
+    assert np.array_equal(table.values, ref)
 
 
 def test_self_pair_direct_route_evaluates_fourier_once_per_point():

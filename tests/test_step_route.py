@@ -3,10 +3,11 @@
 essential range attached."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import latticeframes as lf
@@ -17,12 +18,18 @@ from latticeframes.periodization import choose_truncation, compute_cross_phi, cr
 _SHEAR = [[1.0, 1.0], [0.0, 1.0]]
 _SKEW = [[0.9, 0.35], [-0.2, 1.3]]  # |det| 1.24
 _THIRD = 1.0 / 3.0
+_ROTATED = [[math.cos(0.37), -math.sin(0.37)], [math.sin(0.37), math.cos(0.37)]]
 
 # (generator, basis, N): the box and sinc cases of the benchmark's phi_grid,
 # the example preset, an asymmetric box on a lattice that is not unimodular,
 # grids whose points lie on faces (N even puts gamma = 1/2 on the grid), and
 # a face where u = A gamma rounds to the other side of lo - A k than the
-# lattice sum's A (gamma + k) does of lo (a grid point of 2.5 Z)
+# lattice sum's A (gamma + k) does of lo (a grid point of 2.5 Z); then
+# lattices whose A has a negative or zero last-column entry, so that u falls
+# or stays put along a grid row: the 0.37 rad rotation, [[1, -1], [0, 1]],
+# the 3-d shear, and a lattice whose A has both last-column entries negative
+# and whose grid points round past the upper ends of faces, where the margin
+# of ``near`` decides
 _EQUIVALENCE_CASES = [
     (lf.Sinc(2), _SHEAR, 256),
     (lf.Sinc(3), np.eye(3).tolist(), 16),
@@ -33,6 +40,11 @@ _EQUIVALENCE_CASES = [
     (lf.Sinc(1), [[1.0]], 64),
     (lf.Sinc(2), _SHEAR, 64),
     (lf.FrequencyBox([-0.3], [0.7]), [[2.5]], 16),
+    (lf.Sinc(2), _ROTATED, 64),
+    (lf.FrequencyBox([-0.2, -0.4], [0.45, 0.3]), _ROTATED, 64),
+    (lf.Sinc(2), [[1.0, -1.0], [0.0, 1.0]], 64),
+    (lf.Sinc(3), [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]], 16),
+    (lf.FrequencyBox([-0.5, 0.0], [0.6, 0.4]), [[0.75, -0.75], [-0.125, -1.125]], 32),
 ]
 
 
@@ -46,6 +58,24 @@ def test_step_table_equals_lattice_sum_bit_for_bit(g, basis, n):
     direct = cross_phi_values(g, g, L, n, table.trunc_radius)
     assert np.array_equal(table.values, direct)
     assert np.array_equal(compute_cross_phi(g, g, L, n).values, direct)
+
+
+# entries on a 1/8 grid put many grid points on faces; others put none there
+_entry = st.one_of(st.integers(-12, 12).map(lambda i: i / 8),
+                   st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(basis=st.tuples(_entry, _entry, _entry, _entry), lo=st.tuples(_entry, _entry),
+       width=st.tuples(_entry, _entry), n=st.sampled_from([8, 16, 32]))
+def test_step_table_equals_lattice_sum_on_random_lattices(basis, lo, width, n):
+    b = np.array(basis).reshape(2, 2)
+    assume(abs(np.linalg.det(b)) > 0.25 and np.linalg.cond(b) < 20.0)
+    lo = np.array(lo)
+    g, L = lf.FrequencyBox(lo, lo + 0.1 + np.abs(width)), lf.new_lattice(b)
+    table = lf.compute_phi(g, L, n)
+    assert table.route == "step"
+    assert np.array_equal(table.values, cross_phi_values(g, g, L, n, table.trunc_radius))
 
 
 def test_step_route_evaluates_fourier_only_on_faces():
