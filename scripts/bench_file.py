@@ -7,8 +7,10 @@ For both checkouts (this repository and ``--parent``) it runs the benchmark's
 command on every workload that ``BENCHMARK.json`` lists, at its
 ``run_seconds``, first with ``--trace 0`` (the end-to-end metrics) and then
 with ``--trace 1`` (the per-layer metrics), and records them with the seed,
-the run length and the checkout's commit.  The
-file is written at the repository root.  Runs on one machine only compare
+the run length and the checkout's commit.  Each workload also keeps the
+per-case ``median_s`` of the plain run under ``"cases"``, so case-level
+before and after can be read from the file alone.  The file is written at
+the repository root.  Runs on one machine only compare
 with each other; the file records ``nproc`` and the library versions of each
 run so that a reader can tell.
 """
@@ -54,6 +56,7 @@ def bench_checkout(checkout: Path, bench: dict, seed: int) -> dict:
             "passes": report["passes"],
             "end_to_end": plain["metrics"],
             "per_layer": traced["metrics"],
+            "cases": {row["case"]: row["median_s"] for row in report["cases"]},
         }
         print(f"{checkout.name} {workload}: wall_s "
               f"{plain['metrics']['wall_s']['value']:.4f}", file=sys.stderr)

@@ -55,19 +55,23 @@ class GramMatrix:
     holds c_n at n + 2M for |n|_inf <= 2M, and entry [j, k] is c_(k-j).
     ``dense()`` materializes the full ((2M+1)^d)^2 matrix in lexicographic
     index order; it serves the CLI ``gram`` CSV and is the reference in the
-    tests, while ``gram_eigen_bounds`` works from half-size blocks.
+    tests, while ``gram_eigen_bounds`` gathers real half-size blocks.
     """
 
     half_width: int
     dim: int
     diffs: np.ndarray
 
-    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Entries [j, k] for (p, d) index rows j and (q, d) columns k.
+    def __post_init__(self):
+        shape = (4 * self.half_width + 1,) * self.dim
+        if self.half_width < 0 or self.dim < 1 or np.shape(self.diffs) != shape:
+            raise ValueError(f"gram needs half_width >= 0, dim >= 1 and diffs of shape {shape}; "
+                             f"got {self.half_width}, {self.dim} and {np.shape(self.diffs)}")
 
-        Differences index ``diffs`` through their linear offsets, which are
-        linear in the index, so no (p, q, d) difference array is formed.
-        """
+    def _offsets(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Offsets into the flat ``diffs`` of entries [j, k] for (p, d) index
+        rows j and (q, d) columns k; they are linear in the index, so no
+        (p, q, d) difference array is formed."""
         rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
         r = 2 * self.half_width
         if rows.size and cols.size and (
@@ -75,8 +79,10 @@ class GramMatrix:
                 or np.any(cols.min(axis=0) - rows.max(axis=0) < -r)):
             raise KeyError(f"index difference beyond the stored radius {r}")
         strides = (2 * r + 1) ** np.arange(self.dim - 1, -1, -1)
-        offsets = (cols @ strides)[None, :] - (rows @ strides)[:, None]
-        return self.diffs.reshape(-1)[offsets + r * int(strides.sum())]
+        return (cols @ strides)[None, :] - (rows @ strides)[:, None] + r * int(strides.sum())
+
+    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.diffs.reshape(-1)[self._offsets(rows, cols)]
 
     def entry(self, j, k) -> complex:
         return complex(self._block(np.atleast_1d(j)[None], np.atleast_1d(k)[None])[0, 0])
@@ -114,37 +120,51 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
     e_x, e_0, e_(-x) to (e_x + e_(-x))/sqrt 2, e_0, i(e_x - e_(-x))/sqrt 2 turns
     G into the real symmetric
 
-        [[Re(S+R),       sqrt2 Re u,  Im(R-S)   ],
-         [sqrt2 Re u^T,  c0,          sqrt2 Im u^T],
-         [Im(R-S)^T,     sqrt2 Im u,  Re(S-R)   ]]
+        K = [[Re(S+R),       sqrt2 Re u,  Im(R-S)   ],
+             [sqrt2 Re u^T,  c0,          sqrt2 Im u^T],
+             [Im(R-S)^T,     sqrt2 Im u,  Re(S-R)   ]]
 
     (A. Lee, Linear Algebra Appl. 29, 1980).  When every c_n is real the
     off-diagonal blocks vanish and the two diagonal blocks, of orders h + 1
     and h for a section of order 2h + 1, are solved apart (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976).  The dense section is never formed;
-    ``np.linalg.eigvalsh(gram.dense())`` is the reference in the tests.
+    Linear Algebra Appl. 13, 1976).  Both are gathered straight from the
+    difference entries; ``eigvalsh(gram.dense())`` is the reference in tests.
+
+    Entries with |c_n| <= eps^2 max|c| are zeroed first: the autocorrelations
+    of smooth generators fall into the subnormal range, where the solver's
+    Householder arithmetic is slow.  K is unitarily similar to G, so by Weyl
+    no eigenvalue moves more than ||dG||_inf <= (2M+1)^d eps^2 max|c|
+    <= 4096 * 4.9e-32 c0 ~ 2e-28 lambda_max (c0 = ||f||^2 = max|c| <=
+    lambda_max), far below the solver's own backward error.
     """
     bad = int(np.count_nonzero(~np.isfinite(gram.diffs)))
     if bad:
         raise ConvergenceFailure(
             f"gram difference entries hold {bad} non-finite value(s) of {gram.diffs.size}")
+    flat = gram.diffs.reshape(-1)
+    flat = np.where(np.abs(flat) > np.finfo(float).eps ** 2 * np.abs(flat).max(), flat, 0)
+    re, im = flat.real, flat.imag
     box = integer_box(gram.dim, gram.half_width)
-    half = box[: len(box) // 2]
-    zero = np.zeros((1, gram.dim), dtype=int)
-    s_blk = gram._block(half, half)
-    r_blk = gram._block(half, -half)
-    u = gram._block(half, zero)[:, 0] * math.sqrt(2.0)
-    c0 = gram._block(zero, zero).real
-    even = np.block([[(s_blk + r_blk).real, u.real[:, None]], [u.real[None, :], c0]])
-    odd = (s_blk - r_blk).real
+    h = len(box) // 2
+    s_off, r_off = gram._offsets(box[:h], box[:h]), gram._offsets(box[:h], -box[:h])
+    col = gram._offsets(box[:h + 1], box[h:h + 1])[:, 0]  # u, then c0
+    complex_entries = bool(np.any(im))
+    # the even block on X and 0, which complex entries extend to all of K
+    k = np.empty((2 * h + 1,) * 2 if complex_entries else (h + 1, h + 1))
+    s_re, r_re = re[s_off], re[r_off]
+    np.add(s_re, r_re, out=k[:h, :h])
+    k[:h, h] = k[h, :h] = math.sqrt(2.0) * re[col[:h]]
+    k[h, h] = re[col[h]]
     try:
-        if np.any(np.imag(gram.diffs)):
-            mixed = (r_blk - s_blk).imag
-            full = np.block([[even, np.vstack([mixed, u.imag[None, :]])],
-                             [mixed.T, u.imag[:, None], odd]])
-            eig = np.linalg.eigvalsh(full)
-        else:
-            eig = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)])
+        if complex_entries:
+            np.subtract(s_re, r_re, out=k[h + 1:, h + 1:])
+            np.subtract(im[r_off], im[s_off], out=k[:h, h + 1:])
+            k[h + 1:, :h] = k[:h, h + 1:].T
+            k[h + 1:, h] = k[h, h + 1:] = math.sqrt(2.0) * im[col[:h]]
+            eig = np.linalg.eigvalsh(k)
+        else:  # the odd block S - R, written over S
+            eig = np.concatenate([np.linalg.eigvalsh(k),
+                                  np.linalg.eigvalsh(np.subtract(s_re, r_re, out=s_re))])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from exc
     return float(eig.min()), float(eig.max())
@@ -195,6 +215,8 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     # quadratic form through the Gram matrix
     if gram is None:
         gram = gram_matrix(g, lattice, max(1, c.support_radius()))
+    elif gram.dim != lattice.dim:
+        raise ValueError(f"supplied gram matrix is {gram.dim}-d, the lattice {lattice.dim}-d")
     elif gram.half_width < c.support_radius():
         raise ValueError("supplied gram matrix does not cover the support of c")
     quadratic = cs @ gram._block(ks, ks) @ cs.conj()

@@ -20,7 +20,11 @@ def bench_file(monkeypatch, tmp_path):
 
     def fake_run(checkout, bench, workload, seed, trace):
         name = "wall_s" if trace == 0 else "oracle.gram_eig_self_s"
-        report = {"passes": 3, "hygiene": {"nproc": 2}}
+        report = {"passes": 3, "hygiene": {"nproc": 2},
+                  "cases": [{"case": f"{workload}_a", "median_s": 0.25 + trace,
+                             "status": "ok"},
+                            {"case": f"{workload}_b", "median_s": 0.125 + trace,
+                             "status": "ok"}]}
         result = {"correct": True, "attempted": 6, "failed": 0,
                   "metrics": {name: {"value": 0.5 + trace, "unit": "s"}}}
         return report, result
@@ -40,6 +44,8 @@ def test_bench_file_records_both_checkouts_and_all_metrics(bench_file, tmp_path)
         gram = run["workloads"]["gram_oracle"]
         assert gram["end_to_end"]["wall_s"]["value"] == 0.5
         assert gram["per_layer"]["oracle.gram_eig_self_s"]["value"] == 1.5
+        # per-case medians come from the plain run's report
+        assert gram["cases"] == {"gram_oracle_a": 0.25, "gram_oracle_b": 0.125}
 
 
 def test_bench_file_requires_a_parent(bench_file):

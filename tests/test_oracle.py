@@ -108,6 +108,13 @@ def test_synthesis_gram_too_small(unit_lattice, bspline1_table):
                           gram=lf.gram_matrix(lf.BSpline(1), unit_lattice, 1))
 
 
+def test_synthesis_gram_of_another_dimension(unit_lattice, bspline1_table):
+    gram = lf.gram_matrix(lf.BSpline(1, 2), lf.new_lattice(np.eye(2).tolist()), 1)
+    with pytest.raises(ValueError, match="gram matrix is 2-d, the lattice 1-d"):
+        lf.synthesis_norm(lf.BSpline(1), unit_lattice, lf.CoefficientVector({(0,): 1.0}),
+                          bspline1_table, gram=gram)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_synthesis_mesh_past_the_cap_fails_fast(d):
     # |fhat|^2 of the hat decays only like |xi|^-4 per axis, so the direct
@@ -181,14 +188,57 @@ def test_eigen_bounds_match_dense_reference(dim, half_width, complex_entries, se
         GramMatrix(half_width=half_width, dim=dim, diffs=(c + np.flip(c).conj()) + 0j))
 
 
-@pytest.mark.parametrize("g, dim, half_width, complex_entries", [
-    (_ASYMMETRIC_BOX, 2, 15, True),
-    (lf.Gaussian(1.0, 3), 3, 4, False),
-], ids=["asymmetric_box_d2_M15", "gauss_d3_M4"])
-def test_eigen_bounds_match_dense_reference_catalog(g, dim, half_width, complex_entries):
-    gram = lf.gram_matrix(g, lf.new_lattice(np.eye(dim).tolist()), half_width)
+@pytest.mark.parametrize("g, basis, half_width, complex_entries", [
+    (_ASYMMETRIC_BOX, np.eye(2).tolist(), 15, True),
+    (lf.Gaussian(1.0, 3), np.eye(3).tolist(), 4, False),
+    (lf.Gaussian(1.0, 2), np.eye(2).tolist(), 15, False),
+    (lf.Gaussian(1.0, 2), _ROTATED, 15, False),
+    (lf.Gaussian(0.5, 2), np.eye(2).tolist(), 15, False),
+], ids=["asymmetric_box_d2_M15", "gauss_d3_M4", "gauss_d2_M15", "gauss_d2_rotated_M15",
+        "gauss_narrow_d2_M15"])
+def test_eigen_bounds_match_dense_reference_catalog(g, basis, half_width, complex_entries):
+    gram = lf.gram_matrix(g, lf.new_lattice(basis), half_width)
     assert bool(np.any(gram.diffs.imag)) is complex_entries
     _assert_matches_dense_reference(gram)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), half_width=st.integers(0, 3), complex_entries=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_eigen_bounds_match_dense_reference_tiny_entries(dim, half_width, complex_entries,
+                                                         seed):
+    # entries scaled by 10^U(-330, 0) run through the subnormal range down to
+    # 0, so some fall below the eps^2 max|c| flush and some just above it
+    rng = np.random.default_rng(seed)
+    shape = (4 * half_width + 1,) * dim
+    c = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_entries else 0)
+    c = c * 10.0 ** rng.uniform(-330.0, 0.0, shape)
+    _assert_matches_dense_reference(
+        GramMatrix(half_width=half_width, dim=dim, diffs=(c + np.flip(c).conj()) + 0j))
+
+
+def test_eigen_bounds_form_no_dense_section(monkeypatch, unit_lattice):
+    grams = [lf.gram_matrix(lf.Gaussian(1.0, 2), lf.new_lattice(np.eye(2).tolist()), 3),
+             lf.gram_matrix(_ASYMMETRIC_BOX, lf.new_lattice(np.eye(2).tolist()), 3)]
+    expected = [lf.gram_eigen_bounds(gram) for gram in grams]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gram_eigen_bounds gathered a dense block")
+
+    monkeypatch.setattr(GramMatrix, "_block", forbidden)
+    monkeypatch.setattr(GramMatrix, "dense", forbidden)
+    assert [lf.gram_eigen_bounds(gram) for gram in grams] == expected
+
+
+@pytest.mark.parametrize("half_width, dim, size, expected", [
+    (1, 1, 9, r"\(5,\); got 1, 1 and \(9,\)"),
+    (1, 1, 4, r"\(5,\); got 1, 1 and \(4,\)"),
+    (-1, 1, 1, "got -1, 1"),
+    (1, 0, 5, "got 1, 0"),
+], ids=["too_many", "too_few", "negative_half_width", "no_dimension"])
+def test_gram_matrix_validates_its_entries(half_width, dim, size, expected):
+    with pytest.raises(ValueError, match=expected):
+        GramMatrix(half_width=half_width, dim=dim, diffs=np.ones(size, dtype=complex))
 
 
 def test_eigen_envelope_all_presets(unit_lattice):
