@@ -127,15 +127,15 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
     (A. Lee, Linear Algebra Appl. 29, 1980).  When every c_n is real the
     off-diagonal blocks vanish and the two diagonal blocks, of orders h + 1
     and h for a section of order 2h + 1, are solved apart (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976).  Both are gathered straight from the
-    difference entries; ``eigvalsh(gram.dense())`` is the reference in tests.
+    Linear Algebra Appl. 13, 1976).  The blocks are gathered straight from
+    the difference entries; ``eigvalsh(gram.dense())`` is the test reference.
 
     Entries with |c_n| <= eps^2 max|c| are zeroed first: the autocorrelations
     of smooth generators fall into the subnormal range, where the solver's
     Householder arithmetic is slow.  K is unitarily similar to G, so by Weyl
-    no eigenvalue moves more than ||dG||_inf <= (2M+1)^d eps^2 max|c|
-    <= 4096 * 4.9e-32 c0 ~ 2e-28 lambda_max (c0 = ||f||^2 = max|c| <=
-    lambda_max), far below the solver's own backward error.
+    no eigenvalue moves more than ||dG||_inf <= (2M+1)^d eps^2 max|c|, under
+    the size cap 4096 * 4.9e-32 c0 ~ 2e-28 lambda_max (c0 = ||f||^2 = max|c|
+    <= lambda_max): far below the solver's own backward error.
     """
     bad = int(np.count_nonzero(~np.isfinite(gram.diffs)))
     if bad:
