@@ -29,7 +29,7 @@ from .generators import (
     Sinc,
     load_sampled_csv,
 )
-from .lattice import check_positive, new_lattice
+from .lattice import check_integer, check_positive, new_lattice
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,8 +69,7 @@ class RunConfig:
         for name in ("target_tail", "eps_zero", "class_tol"):
             if getattr(self, name) is not None:
                 check_positive(name, getattr(self, name))
-        if self.gram_half_width < 1:
-            raise ValueError("gram_half_width must be >= 1")
+        check_integer("gram_half_width", self.gram_half_width, 1)
 
     def resolved(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}

@@ -132,8 +132,7 @@ def wrap_to_unit_cell(gamma) -> np.ndarray:
 def integer_box(dim: int, radius: int) -> np.ndarray:
     """(n, dim) array of all integer vectors with sup-norm <= radius, rows
     lexicographically ascending."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    check_integer("radius", radius, 0)
     return mesh([np.arange(-radius, radius + 1)] * dim)
 
 

@@ -9,14 +9,16 @@ cross-check the grid classification without sharing its code path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from . import _integrate
 from .errors import ConvergenceFailure, DegenerateSpan, TooLarge
 from .generators import Generator
-from .lattice import LatticeSpec, check_dims, check_table, integer_box
+from .lattice import LatticeSpec, check_dims, check_integer, check_table, integer_box
 from .periodization import (
     PeriodizationTable,
     _series_values,
@@ -30,13 +32,19 @@ MEMBER_TOL = 1e-6  # residual share of ||psi||^2 that still counts as in the spa
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """Finitely supported coefficients c_k indexed by integer vectors."""
+    """Finitely supported coefficients c_k, keyed by integer tuples of one length."""
 
     entries: dict
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("coefficient vector must have nonempty support")
+        first = next(iter(self.entries))
+        for k in self.entries:
+            if not (isinstance(k, tuple) and len(k) == len(first) and all(
+                    isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in k)):
+                raise ValueError(f"coefficient keys must be tuples of integers, all as long "
+                                 f"as the first key {first!r}; got {k!r}")
         if all(c == 0 for c in self.entries.values()):
             raise ValueError("coefficient vector must not be identically zero")
 
@@ -55,7 +63,8 @@ class GramMatrix:
     holds c_n at n + 2M for |n|_inf <= 2M, and entry [j, k] is c_(k-j).
     ``dense()`` materializes the full ((2M+1)^d)^2 matrix in lexicographic
     index order; it serves the CLI ``gram`` CSV and is the reference in the
-    tests, while ``gram_eigen_bounds`` gathers real half-size blocks.
+    tests, while ``gram_eigen_bounds`` gathers real blocks, one per even / odd
+    pattern of the axis flips that the entries respect (to eps max|c| in l1).
     """
 
     half_width: int
@@ -79,7 +88,7 @@ class GramMatrix:
                 or np.any(cols.min(axis=0) - rows.max(axis=0) < -r)):
             raise KeyError(f"index difference beyond the stored radius {r}")
         strides = (2 * r + 1) ** np.arange(self.dim - 1, -1, -1)
-        return (cols @ strides)[None, :] - (rows @ strides)[:, None] + r * int(strides.sum())
+        return (cols @ strides + r * int(strides.sum()))[None, :] - (rows @ strides)[:, None]
 
     def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.diffs.reshape(-1)[self._offsets(rows, cols)]
@@ -100,8 +109,7 @@ def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatr
     construction.
     """
     check_dims(lattice, g)
-    if half_width < 1:
-        raise ValueError("half_width must be >= 1")
+    check_integer("half_width", half_width, 1)
     size = (2 * half_width + 1) ** lattice.dim
     if size > MAX_GRAM_SIZE:
         raise TooLarge(f"gram matrix of size {size} exceeds cap {MAX_GRAM_SIZE}")
@@ -124,47 +132,85 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
              [sqrt2 Re u^T,  c0,          sqrt2 Im u^T],
              [Im(R-S)^T,     sqrt2 Im u,  Re(S-R)   ]]
 
-    (A. Lee, Linear Algebra Appl. 29, 1980).  When every c_n is real the
-    off-diagonal blocks vanish and the two diagonal blocks, of orders h + 1
-    and h for a section of order 2h + 1, are solved apart (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976).  The blocks are gathered straight from
-    the difference entries; ``eigvalsh(gram.dense())`` is the test reference.
+    (A. Lee, Linear Algebra Appl. 29, 1980), which complex entries solve
+    whole; ``eigvalsh(gram.dense())`` is the test reference.
+
+    Real entries are even, c_(-n) = c_n, and may respect more flips.  Axis a
+    is invariant when D_a = sum_n |c(P_a n) - c(n)| <= eps max|c|, P_a
+    negating coordinate a; averaging c over those flips moves it by at most
+    sum_a D_a / 2 in l1, and a row of the Toeplitz section holds each c_n at
+    most once, so by Weyl no eigenvalue moves more than d eps max|c| / 2.
+    Each invariant axis alone and the other axes jointly (the central flip
+    times the invariant ones) form flip groups whose flips sigma commute with
+    G.  The basis (e_x +- e_(sigma x))/sqrt 2 per group, with e_0 at its fixed
+    point in the even case, splits G into one real block per even / odd
+    pattern of the groups (Cantoni & Butler, Linear Algebra Appl. 13, 1976;
+    Fassler & Stiefel, Group Theoretical Methods and Their Applications,
+    1992).  On the box points j, k up to each group's centre, an entry sums
+    c(sigma_U k - j) over the sets U of flipped groups, signed -1 per odd
+    group in U and weighted 1/sqrt 2 for each of j, k at the fixed point of
+    an even group; odd groups skip their fixed points.  One gather and one even / odd
+    butterfly per group form all blocks.  With no invariant axis, and in
+    d = 1, they are K's real split [[S+R, sqrt2 u], [sqrt2 u^T, c0]] and S-R.
 
     Entries with |c_n| <= eps^2 max|c| are zeroed first: the autocorrelations
     of smooth generators fall into the subnormal range, where the solver's
-    Householder arithmetic is slow.  K is unitarily similar to G, so by Weyl
-    no eigenvalue moves more than ||dG||_inf <= (2M+1)^d eps^2 max|c|, under
-    the size cap 4096 * 4.9e-32 c0 ~ 2e-28 lambda_max (c0 = ||f||^2 = max|c|
-    <= lambda_max): far below the solver's own backward error.
+    Householder arithmetic is slow.  The blocks are unitarily similar to G, so
+    by Weyl no eigenvalue moves more than ||dG||_inf <= (2M+1)^d eps^2 max|c|,
+    under the size cap 4096 * 4.9e-32 c0 ~ 2e-28 lambda_max (c0 = ||f||^2 =
+    max|c| <= lambda_max): far below the solver's own backward error.
     """
     bad = int(np.count_nonzero(~np.isfinite(gram.diffs)))
     if bad:
         raise ConvergenceFailure(
             f"gram difference entries hold {bad} non-finite value(s) of {gram.diffs.size}")
+    eps = np.finfo(float).eps
     flat = gram.diffs.reshape(-1)
-    flat = np.where(np.abs(flat) > np.finfo(float).eps ** 2 * np.abs(flat).max(), flat, 0)
-    re, im = flat.real, flat.imag
-    box = integer_box(gram.dim, gram.half_width)
-    h = len(box) // 2
-    s_off, r_off = gram._offsets(box[:h], box[:h]), gram._offsets(box[:h], -box[:h])
-    col = gram._offsets(box[:h + 1], box[h:h + 1])[:, 0]  # u, then c0
-    complex_entries = bool(np.any(im))
-    # the even block on X and 0, which complex entries extend to all of K
-    k = np.empty((2 * h + 1,) * 2 if complex_entries else (h + 1, h + 1))
-    s_re, r_re = re[s_off], re[r_off]
-    np.add(s_re, r_re, out=k[:h, :h])
-    k[:h, h] = k[h, :h] = math.sqrt(2.0) * re[col[:h]]
-    k[h, h] = re[col[h]]
+    flat = np.where(np.abs(flat) > eps ** 2 * np.abs(flat).max(), flat, 0)
+    d, m = gram.dim, gram.half_width
+    box = integer_box(d, m)
+    if np.any(flat.imag):
+        h = len(box) // 2
+        s, r = (flat[gram._offsets(box[:h], cols)] for cols in (box[:h], -box[:h]))
+        u = flat[gram._offsets(box[:h], box[h:h + 1])]
+        re_u, im_u = math.sqrt(2.0) * u.real, math.sqrt(2.0) * u.imag
+        blocks = [np.block([[(s + r).real, re_u, (r - s).imag],
+                            [re_u.T, flat[flat.size // 2].real, im_u.T],
+                            [(r - s).imag.T, im_u, (s - r).real]])]
+    else:
+        c = flat.real.reshape(gram.diffs.shape)
+        axes = [a for a in range(d) if np.abs(np.flip(c, a) - c).sum() <= eps * np.abs(c).max()]
+        for a in axes:
+            c = 0.5 * (c + np.flip(c, a))
+        rest = [a for a in range(d) if a not in axes]
+        groups = [[a] for a in axes] + ([rest] if rest else [])
+        n_groups = len(groups)
+        # the box with its axes in group order is the product of the groups'
+        # sub-boxes; each keeps its points up to its centre, the fixed point
+        sizes = [(2 * m + 1) ** len(g) for g in groups]
+        shape = tuple((size + 1) // 2 for size in sizes)
+        reps = box.reshape(sizes + [d])[tuple(map(slice, shape))]
+        reps = reps[..., np.argsort(sum(groups, []))].reshape(-1, d)
+        flips = np.array(list(product((False, True), repeat=n_groups)))
+        member = np.array([[a in g for a in range(d)] for g in groups])
+        # sums[U][j, k] = c(k - sigma_U j), which is c(sigma_U k - j) by the
+        # invariance; U runs over the subsets of groups, flipped in lex order
+        rows = (np.where(flips @ member, -1, 1)[:, None, :] * reps).reshape(-1, d)
+        sums = c.reshape(-1)[gram._offsets(rows, reps)].reshape((2,) * n_groups + shape * 2)
+        for i in range(n_groups):  # unflipped, flipped -> even, odd in group i
+            lo, hi = np.moveaxis(sums, i, 0)
+            lo[...], hi[...] = lo + hi, lo - hi
+            # 1/sqrt 2 for each of j, k at the group's fixed point
+            at = np.moveaxis(sums, (n_groups + i, 2 * n_groups + i), (0, 1))
+            at[-1, :-1] *= math.sqrt(0.5)
+            at[:-1, -1] *= math.sqrt(0.5)
+            at[-1, -1] *= 0.5
+        blocks = []
+        for odd in flips:  # odd groups skip their fixed points
+            block = sums[tuple(odd.astype(int))][tuple(slice(-1 if o else None) for o in odd) * 2]
+            blocks.append(block.reshape(2 * [math.prod(block.shape[:n_groups])]))
     try:
-        if complex_entries:
-            np.subtract(s_re, r_re, out=k[h + 1:, h + 1:])
-            np.subtract(im[r_off], im[s_off], out=k[:h, h + 1:])
-            k[h + 1:, :h] = k[:h, h + 1:].T
-            k[h + 1:, h] = k[h, h + 1:] = math.sqrt(2.0) * im[col[:h]]
-            eig = np.linalg.eigvalsh(k)
-        else:  # the odd block S - R, written over S
-            eig = np.concatenate([np.linalg.eigvalsh(k),
-                                  np.linalg.eigvalsh(np.subtract(s_re, r_re, out=s_re))])
+        eig = np.concatenate([np.linalg.eigvalsh(k) for k in blocks])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from exc
     return float(eig.min()), float(eig.max())
@@ -192,6 +238,9 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     check_dims(lattice, g)
     check_table(lattice, table)
     ks = np.array(list(c.entries), dtype=int)
+    if ks.shape[1] != lattice.dim:
+        raise ValueError(f"coefficient keys have length {ks.shape[1]}, "
+                         f"the lattice dimension {lattice.dim}")
     cs = np.array(list(c.entries.values()), dtype=complex)
     shifts = ks @ lattice.basis.T
     # direct route: the dropped tail is below sup|weight|^2 * target, so

@@ -49,7 +49,7 @@ import numpy as np
 from . import _integrate
 from .errors import AliasRisk, EpsilonTooSmall, NoDecayInfo, TailNotAchievable
 from .generators import CompactFrequencySupport, Generator, tail_bound
-from .lattice import LatticeSpec, check_dims, check_positive, integer_box
+from .lattice import LatticeSpec, check_dims, check_integer, check_positive, integer_box
 
 # truncation radius caps per dimension
 K_CAP = {1: 10_000, 2: 1_000, 3: 100}
@@ -459,8 +459,7 @@ def periodize_l1(g: Generator, lattice: LatticeSpec, sample_points, radius: int)
     Raises NoDecayInfo unless the generator kind is known to be integrable
     (frequency boxes and sincs are not).
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    check_integer("radius", radius, 0)
     if not g.integrable:
         raise NoDecayInfo(f"{g.label} is not known to be integrable in space")
 
@@ -518,8 +517,7 @@ def phi_fourier_coeffs(table: PeriodizationTable, n_max: int) -> CoefficientTabl
     Grid coefficients alias orders beyond N/4, so larger requests are refused.
     """
     n = table.grid_res
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_integer("n_max", n_max, 0)
     if n_max > n // 4:
         raise AliasRisk(f"n_max {n_max} exceeds alias-safe bound {n // 4}")
     spec = np.fft.fftn(table.values) / table.values.size

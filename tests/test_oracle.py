@@ -49,6 +49,18 @@ def test_gram_size_cap(unit_lattice):
         lf.gram_matrix(lf.Sinc(1), unit_lattice, 2048)
 
 
+@pytest.mark.parametrize("half_width", [2.5, True, 0], ids=["float", "bool", "zero"])
+def test_gram_matrix_takes_integer_half_widths_only(unit_lattice, half_width):
+    with pytest.raises(ValueError, match=f"half_width must be an integer >= 1, got {half_width}"):
+        lf.gram_matrix(lf.BSpline(1), unit_lattice, half_width)
+
+
+def test_analysis_takes_integer_half_widths_only(unit_lattice):
+    # a float radius once gave coefficients at half-integer shifts
+    with pytest.raises(ValueError, match="radius must be an integer >= 0, got 2.5"):
+        lf.analysis_coefficients(lf.BSpline(1), unit_lattice, lf.Gaussian(1.0), 2.5)
+
+
 def test_gram_2d(unit_lattice):
     L = lf.new_lattice([[1.0, 1.0], [0.0, 1.0]])
     gram = lf.gram_matrix(lf.Sinc(2), L, 1)
@@ -215,6 +227,106 @@ def test_eigen_bounds_match_dense_reference_tiny_entries(dim, half_width, comple
     c = c * 10.0 ** rng.uniform(-330.0, 0.0, shape)
     _assert_matches_dense_reference(
         GramMatrix(half_width=half_width, dim=dim, diffs=(c + np.flip(c).conj()) + 0j))
+
+
+def _bounds_and_block_orders(gram):
+    """gram_eigen_bounds(gram) and the orders of the blocks it hands the solver."""
+    orders, solve = [], np.linalg.eigvalsh
+
+    def spy(a):
+        orders.append(len(a))
+        return solve(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", spy)
+        return lf.gram_eigen_bounds(gram), orders
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), half_width=st.integers(0, 3), flipped=st.sets(st.integers(0, 2)),
+       seed=st.integers(0, 2**32 - 1))
+def test_eigen_bounds_split_by_axis_flips(dim, half_width, flipped, seed):
+    # random even real entries, made exactly invariant under the flips of a
+    # random set of axes; the rest of the axes flip jointly (an axis left
+    # alone is invariant too, by the central flip)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((4 * half_width + 1,) * dim)
+    c = c + np.flip(c)
+    flipped = sorted(flipped & set(range(dim)))
+    for a in flipped:
+        c = c + np.flip(c, a)
+    # a single entry (M = 0) respects every flip
+    groups = len(flipped) + 1 if dim - len(flipped) >= 2 and half_width else dim
+    gram = GramMatrix(half_width=half_width, dim=dim, diffs=c + 0j)
+    _assert_matches_dense_reference(gram)
+    _, orders = _bounds_and_block_orders(gram)
+    assert len(orders) == 2**groups and sum(orders) == (2 * half_width + 1) ** dim
+    if half_width:
+        # 5 eps max|c| at n = (1, ..., 1) and at -n: an l1 perturbation of ten
+        # times the invariance threshold breaks every single-axis flip
+        c[(2 * half_width + 1,) * dim] += 5 * np.finfo(float).eps * np.abs(c).max()
+        c[(2 * half_width - 1,) * dim] = c[(2 * half_width + 1,) * dim]
+        gram = GramMatrix(half_width=half_width, dim=dim, diffs=c + 0j)
+        _assert_matches_dense_reference(gram)
+        _, orders = _bounds_and_block_orders(gram)
+        h = ((2 * half_width + 1) ** dim - 1) // 2
+        assert orders == [h + 1, h]
+
+
+def _centrosymmetric_bounds(gram):
+    """The two-block split of real sections and Lee's K of complex ones,
+    built entry by entry from the dense section after the eps^2 flush."""
+    dense = gram.dense()
+    dense[np.abs(dense) <= np.finfo(float).eps ** 2 * np.abs(gram.diffs).max()] = 0
+    h = len(dense) // 2
+    s, r, u, c0 = dense[:h, :h], dense[:h, :h:-1], dense[:h, h], dense[h, h].real
+    even = np.block([[(s + r).real, math.sqrt(2.0) * u.real[:, None]],
+                     [math.sqrt(2.0) * u.real[None], c0]])
+    if not np.any(gram.diffs.imag):
+        eig = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh((s - r).real)])
+    else:
+        k = np.empty((2 * h + 1,) * 2)
+        k[:h + 1, :h + 1] = even
+        k[h + 1:, h + 1:] = (s - r).real
+        k[:h, h + 1:] = (r - s).imag
+        k[h + 1:, :h] = k[:h, h + 1:].T
+        k[h + 1:, h] = k[h, h + 1:] = math.sqrt(2.0) * u.imag
+        eig = np.linalg.eigvalsh(k)
+    return float(eig.min()), float(eig.max())
+
+
+@pytest.mark.parametrize("g, basis, half_width, orders", [
+    (lf.Gaussian(1.0, 2), np.eye(2).tolist(), 15, [256, 240, 240, 225]),
+    (lf.Gaussian(1.0, 2), _ROTATED, 15, [256, 240, 240, 225]),
+    (lf.BSpline(1, 3), [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 2,
+     [39, 36, 26, 24]),
+    (lf.Sinc(2), [[1.0, 1.0], [0.0, 1.0]], 2, [13, 12]),
+    (_ASYMMETRIC_BOX, np.eye(2).tolist(), 3, [49]),
+], ids=["gauss_d2", "gauss_d2_rotated", "bspline1_d3_shear_axis2", "sinc2_shear",
+        "asymmetric_box"])
+def test_eigen_bounds_block_orders(g, basis, half_width, orders):
+    # the Gaussian respects both axis flips, on Z^2 and rotated; the sheared
+    # B-spline respects only the flip of axis 2, and axes 0 and 1 flip
+    # jointly; the sheared sinc respects none, and the box is complex, so
+    # those two keep the centrosymmetric split bit for bit
+    gram = lf.gram_matrix(g, lf.new_lattice(basis), half_width)
+    bounds, got = _bounds_and_block_orders(gram)
+    assert got == orders
+    if len(orders) <= 2:
+        assert bounds == _centrosymmetric_bounds(gram)
+    else:
+        _assert_matches_dense_reference(gram)
+
+
+def test_eigen_bounds_gauss_d3_past_the_dense_reference():
+    # order 3375: the section is the Kronecker cube of the 1-d one, whose
+    # eigenvalues are positive, so its extremes are the cubes of the 1-d ones
+    lo, hi = lf.gram_eigen_bounds(lf.gram_matrix(lf.Gaussian(1.0, 3),
+                                                 lf.new_lattice(np.eye(3).tolist()), 7))
+    mu = np.linalg.eigvalsh(lf.gram_matrix(lf.Gaussian(1.0), lf.new_lattice([[1.0]]), 7).dense())
+    assert mu[0] > 0
+    assert abs(lo - mu[0] ** 3) <= 1e-12 * mu[-1] ** 3
+    assert abs(hi - mu[-1] ** 3) <= 1e-12 * mu[-1] ** 3
 
 
 def test_eigen_bounds_form_no_dense_section(monkeypatch, unit_lattice):
@@ -540,6 +652,20 @@ def test_coefficient_vector_validation():
     c = lf.CoefficientVector({(2,): 1.0, (-1,): 2.0})
     assert c.support_radius() == 2
     assert c.norm_squared() == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("entries", [
+    {(0.5,): 1.0}, {0: 1.0}, {(True,): 1.0}, {(0,): 1.0, (0, 1): 1.0}, {(0,): 1.0, 1: 1.0},
+], ids=["float_key", "bare_int_key", "bool_key", "mixed_lengths", "tuple_then_int"])
+def test_coefficient_vector_takes_integer_tuple_keys(entries):
+    with pytest.raises(ValueError, match="coefficient keys must be tuples of integers"):
+        lf.CoefficientVector(entries)
+
+
+def test_synthesis_rejects_keys_of_another_dimension(unit_lattice, bspline1_table):
+    c = lf.CoefficientVector({(0, 0): 1.0})
+    with pytest.raises(ValueError, match="keys have length 2, the lattice dimension 1"):
+        lf.synthesis_norm(lf.BSpline(1), unit_lattice, c, bspline1_table)
 
 
 def test_project_partial_overlap(unit_lattice):
