@@ -135,23 +135,21 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
     (A. Lee, Linear Algebra Appl. 29, 1980), which complex entries solve
     whole; ``eigvalsh(gram.dense())`` is the test reference.
 
-    Real entries are even, c_(-n) = c_n, and may respect more flips.  Axis a
-    is invariant when D_a = sum_n |c(P_a n) - c(n)| <= eps max|c|, P_a
-    negating coordinate a; averaging c over those flips moves it by at most
-    sum_a D_a / 2 in l1, and a row of the Toeplitz section holds each c_n at
-    most once, so by Weyl no eigenvalue moves more than d eps max|c| / 2.
-    Each invariant axis alone and the other axes jointly (the central flip
-    times the invariant ones) form flip groups whose flips sigma commute with
-    G.  The basis (e_x +- e_(sigma x))/sqrt 2 per group, with e_0 at its fixed
-    point in the even case, splits G into one real block per even / odd
-    pattern of the groups (Cantoni & Butler, Linear Algebra Appl. 13, 1976;
-    Fassler & Stiefel, Group Theoretical Methods and Their Applications,
-    1992).  On the box points j, k up to each group's centre, an entry sums
-    c(sigma_U k - j) over the sets U of flipped groups, signed -1 per odd
-    group in U and weighted 1/sqrt 2 for each of j, k at the fixed point of
-    an even group; odd groups skip their fixed points.  One gather and one even / odd
-    butterfly per group form all blocks.  With no invariant axis, and in
-    d = 1, they are K's real split [[S+R, sqrt2 u], [sqrt2 u^T, c0]] and S-R.
+    Real entries are even and may respect more flips: axis a is invariant when
+    D_a = sum_n |c(P_a n) - c(n)| <= eps max|c|, P_a negating coordinate a.
+    Averaging c over those flips moves it by at most sum_a D_a / 2 in l1, and
+    a row of the section holds each c_n at most once, so by Weyl no
+    eigenvalue moves more than d eps max|c| / 2.  The flip sigma of each
+    group (each invariant axis alone, the other axes jointly) commutes with
+    G, and the bases (e_x +- e_(sigma x))/sqrt 2, with e_0 at the fixed point
+    when even, split G into one real block per even / odd pattern of the
+    groups (Cantoni & Butler, Linear Algebra Appl. 13, 1976; Fassler &
+    Stiefel, Group Theoretical Methods and Their Applications, 1992).  On
+    the points j, k up to each group's centre, an entry sums c(sigma_U k - j)
+    over the sets U of flipped groups, signed -1 per odd group in U and
+    weighted 1/sqrt 2 for each of j, k at an even group's fixed point; odd
+    groups skip their fixed points.  With no invariant axis, and in d = 1,
+    the blocks are K's real ones, [[S+R, sqrt2 u], [sqrt2 u^T, c0]] and S-R.
 
     Entries with |c_n| <= eps^2 max|c| are zeroed first: the autocorrelations
     of smooth generators fall into the subnormal range, where the solver's
@@ -169,16 +167,23 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
     flat = np.where(np.abs(flat) > eps ** 2 * np.abs(flat).max(), flat, 0)
     d, m = gram.dim, gram.half_width
     box = integer_box(d, m)
-    if np.any(flat.imag):
+    re, im = flat.real, flat.imag
+    if np.any(im):
         h = len(box) // 2
-        s, r = (flat[gram._offsets(box[:h], cols)] for cols in (box[:h], -box[:h]))
-        u = flat[gram._offsets(box[:h], box[h:h + 1])]
-        re_u, im_u = math.sqrt(2.0) * u.real, math.sqrt(2.0) * u.imag
-        blocks = [np.block([[(s + r).real, re_u, (r - s).imag],
-                            [re_u.T, flat[flat.size // 2].real, im_u.T],
-                            [(r - s).imag.T, im_u, (s - r).real]])]
+        s_off, r_off = gram._offsets(box[:h], box[:h]), gram._offsets(box[:h], -box[:h])
+        col = gram._offsets(box[:h + 1], box[h:h + 1])[:, 0]  # u, then c0
+        s_re, r_re = re[s_off], re[r_off]
+        k = np.empty((2 * h + 1,) * 2)
+        np.add(s_re, r_re, out=k[:h, :h])
+        np.subtract(s_re, r_re, out=k[h + 1:, h + 1:])
+        np.subtract(im[r_off], im[s_off], out=k[:h, h + 1:])
+        k[h + 1:, :h] = k[:h, h + 1:].T
+        k[:h, h] = k[h, :h] = math.sqrt(2.0) * re[col[:h]]
+        k[h + 1:, h] = k[h, h + 1:] = math.sqrt(2.0) * im[col[:h]]
+        k[h, h] = re[col[h]]
+        blocks = [k]
     else:
-        c = flat.real.reshape(gram.diffs.shape)
+        c = re.reshape(gram.diffs.shape)
         axes = [a for a in range(d) if np.abs(np.flip(c, a) - c).sum() <= eps * np.abs(c).max()]
         for a in axes:
             c = 0.5 * (c + np.flip(c, a))
