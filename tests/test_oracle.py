@@ -263,7 +263,8 @@ def test_eigen_bounds_split_by_axis_flips(dim, half_width, flipped, seed):
     assert len(orders) == 2**groups and sum(orders) == (2 * half_width + 1) ** dim
     if half_width:
         # 5 eps max|c| at n = (1, ..., 1) and at -n: an l1 perturbation of ten
-        # times the invariance threshold breaks every single-axis flip
+        # times the invariance threshold breaks every single-axis flip but the
+        # central one, the only flip in d = 1
         c[(2 * half_width + 1,) * dim] += 5 * np.finfo(float).eps * np.abs(c).max()
         c[(2 * half_width - 1,) * dim] = c[(2 * half_width + 1,) * dim]
         gram = GramMatrix(half_width=half_width, dim=dim, diffs=c + 0j)
