@@ -105,9 +105,14 @@ def check_positive(name: str, value: float):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def is_integer(value) -> bool:
+    """True for a value of any integral type but bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_integer(name: str, value, low: int):
     """Raise ValueError naming the value unless it is an integer >= low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    if not is_integer(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -141,7 +146,7 @@ def lattice_points_in_box(lattice: LatticeSpec, radius: int, side: str = "spatia
 
     ``side`` selects the coordinates: "spatial" maps indices through the
     lattice basis, "frequency" through the dual basis.  Order is
-    lexicographic in the index, which downstream Gram-matrix layouts rely on.
+    lexicographic in the index, the order of ``integer_box``.
     """
     if side == "spatial":
         mat = lattice.basis

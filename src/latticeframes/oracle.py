@@ -9,7 +9,6 @@ cross-check the grid classification without sharing its code path.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import _integrate
 from .errors import ConvergenceFailure, DegenerateSpan, TooLarge
 from .generators import Generator
-from .lattice import LatticeSpec, check_dims, check_integer, check_table, integer_box
+from .lattice import LatticeSpec, check_dims, check_integer, check_table, integer_box, is_integer
 from .periodization import (
     PeriodizationTable,
     _series_values,
@@ -41,8 +40,7 @@ class CoefficientVector:
             raise ValueError("coefficient vector must have nonempty support")
         first = next(iter(self.entries))
         for k in self.entries:
-            if not (isinstance(k, tuple) and len(k) == len(first) and all(
-                    isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in k)):
+            if not (isinstance(k, tuple) and len(k) == len(first) and all(map(is_integer, k))):
                 raise ValueError(f"coefficient keys must be tuples of integers, all as long "
                                  f"as the first key {first!r}; got {k!r}")
         if all(c == 0 for c in self.entries.values()):
@@ -60,11 +58,14 @@ class GramMatrix:
     """Hermitian block-Toeplitz matrix of translate inner products.
 
     Only the difference entries are stored: ``diffs`` has shape (4M+1,)^d and
-    holds c_n at n + 2M for |n|_inf <= 2M, and entry [j, k] is c_(k-j).
-    ``dense()`` materializes the full ((2M+1)^d)^2 matrix in lexicographic
-    index order; it serves the CLI ``gram`` CSV and is the reference in the
-    tests, while ``gram_eigen_bounds`` gathers real blocks, one per even / odd
-    pattern of the axis flips that the entries respect (to eps max|c| in l1).
+    holds c_n at n + 2M for |n|_inf <= 2M, and entry [j, k] is c_(k-j).  The
+    entries must be Hermitian, c_(-n) = conj(c_n), to eps max|c|: the solver
+    reads the section as centrohermitian.  ``dense()`` materializes the full
+    ((2M+1)^d)^2 matrix in lexicographic index order; it serves the CLI
+    ``gram`` CSV and is the reference in the tests, while ``gram_eigen_bounds``
+    gathers real symmetric blocks, one per even / odd pattern of the axis
+    flips that the entries respect (to eps max|c| in l1), for real and
+    complex entries alike.
     """
 
     half_width: int
@@ -76,6 +77,13 @@ class GramMatrix:
         if self.half_width < 0 or self.dim < 1 or np.shape(self.diffs) != shape:
             raise ValueError(f"gram needs half_width >= 0, dim >= 1 and diffs of shape {shape}; "
                              f"got {self.half_width}, {self.dim} and {np.shape(self.diffs)}")
+        check_integer("half_width", self.half_width, 0)
+        c = np.asarray(self.diffs)
+        with np.errstate(invalid="ignore"):  # non-finite entries fail in gram_eigen_bounds
+            gap = float(np.abs(c - np.flip(c).conj()).max())
+        if gap > np.finfo(float).eps * np.abs(c).max():
+            raise ValueError(f"gram difference entries must satisfy c_(-n) = conj(c_n); "
+                             f"the largest |c_(-n) - conj(c_n)| is {gap:.3g}")
 
     def _offsets(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Offsets into the flat ``diffs`` of entries [j, k] for (p, d) index
@@ -122,98 +130,98 @@ def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatr
 def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
     """Extreme eigenvalues of the Gram section, from real symmetric blocks.
 
-    With c_(-n) = conj(c_n) the section is centrohermitian: reversing the box
-    order conjugates it.  Let X be the negative half of the box, S = G[X, X],
-    R = G[X, -X], u = G[X, 0] and c0 the centre entry.  The unitary that takes
-    e_x, e_0, e_(-x) to (e_x + e_(-x))/sqrt 2, e_0, i(e_x - e_(-x))/sqrt 2 turns
-    G into the real symmetric
+    Axis a is invariant when D_a = sum_n |c(P_a n) - c(n)| <= eps max|c|, P_a
+    negating coordinate a.  Averaging c over those flips keeps it Hermitian
+    and moves it by at most sum_a D_a / 2 in l1; a row of the section holds
+    each c_n at most once, so by Weyl no eigenvalue moves more than
+    d eps max|c| / 2.  The flip groups are each invariant axis alone and the
+    other axes jointly.  An invariant group's flip sigma is unitary,
+    G[sigma j, sigma k] = G[j, k]; as c_(-n) = conj(c_n), the joint flip
+    gives conj G[j, k] instead, antiunitary unless c is real.  With every
+    axis invariant c is even and Hermitian, so real up to rounding.
 
-        K = [[Re(S+R),       sqrt2 Re u,  Im(R-S)   ],
-             [sqrt2 Re u^T,  c0,          sqrt2 Im u^T],
-             [Im(R-S)^T,     sqrt2 Im u,  Re(S-R)   ]]
+    On the points j, k up to each group's centre, a pattern's even / odd half
+    sums c(k - sigma_U j) over the sets U of flipped groups, signed -1 per
+    odd group in U and weighted 1/sqrt 2 for each of j, k at an even group's
+    fixed point; odd groups skip their fixed points.  In the bases
+    (e_x +- e_(sigma x))/sqrt 2 these are the blocks of G under the unitary
+    flips (Cantoni & Butler, Linear Algebra Appl. 13, 1976; Fassler &
+    Stiefel, Group Theoretical Methods and Their Applications, 1992), so
+    real entries solve every half.  For complex ones, within one pattern of
+    the invariant groups let X be the points before the joint centre,
+    S = G[X, X] and R = G[X, sigma X]: the joint halves are E = S + conj R,
+    with the centre, and O = S - conj R.  The unitary that takes e_x, e_0,
+    e_(sigma x) to (e_x + e_(sigma x))/sqrt 2, e_0, i(e_x - e_(sigma x))/sqrt 2
+    turns the pattern into the real symmetric (A. Lee, Linear Algebra
+    Appl. 29, 1980)
 
-    (A. Lee, Linear Algebra Appl. 29, 1980), which complex entries solve
-    whole; ``eigvalsh(gram.dense())`` is the test reference.
+        K = [[Re E,   Im O_r^T],
+             [Im O_r, Re O_rr ]],
 
-    Real entries are even and may respect more flips: axis a is invariant when
-    D_a = sum_n |c(P_a n) - c(n)| <= eps max|c|, P_a negating coordinate a.
-    Averaging c over those flips moves it by at most sum_a D_a / 2 in l1, and
-    a row of the section holds each c_n at most once, so by Weyl no
-    eigenvalue moves more than d eps max|c| / 2.  The flip sigma of each
-    group (each invariant axis alone, the other axes jointly) commutes with
-    G, and the bases (e_x +- e_(sigma x))/sqrt 2, with e_0 at the fixed point
-    when even, split G into one real block per even / odd pattern of the
-    groups (Cantoni & Butler, Linear Algebra Appl. 13, 1976; Fassler &
-    Stiefel, Group Theoretical Methods and Their Applications, 1992).  On
-    the points j, k up to each group's centre, an entry sums c(sigma_U k - j)
-    over the sets U of flipped groups, signed -1 per odd group in U and
-    weighted 1/sqrt 2 for each of j, k at an even group's fixed point; odd
-    groups skip their fixed points.  With no invariant axis, and in d = 1,
-    the blocks are K's real ones, [[S+R, sqrt2 u], [sqrt2 u^T, c0]] and S-R.
+    O_r being O without its rows at the centre, O_rr without its columns
+    there too: S is Hermitian and R symmetric, by the antiunitary flip, so
+    Im(R - S) = Im(O)^T closes K.  With no invariant axis these are the
+    centrosymmetric split [[S+R, sqrt2 u], [sqrt2 u^T, c0]] and S-R of a real
+    section, u = G[X, 0], or Lee's whole K.
 
     Entries with |c_n| <= eps^2 max|c| are zeroed first: the autocorrelations
     of smooth generators fall into the subnormal range, where the solver's
-    Householder arithmetic is slow.  The blocks are unitarily similar to G, so
-    by Weyl no eigenvalue moves more than ||dG||_inf <= (2M+1)^d eps^2 max|c|,
-    under the size cap 4096 * 4.9e-32 c0 ~ 2e-28 lambda_max (c0 = ||f||^2 =
-    max|c| <= lambda_max): far below the solver's own backward error.
+    Householder arithmetic is slow.  By Weyl no eigenvalue moves more than
+    ||dG||_inf <= (2M+1)^d eps^2 max|c|, under the size cap 4096 * 4.9e-32
+    c0 ~ 2e-28 lambda_max (c0 = ||f||^2 = max|c| <= lambda_max): far below
+    the solver's own backward error.  ``eigvalsh(gram.dense())`` is the test
+    reference.
     """
     bad = int(np.count_nonzero(~np.isfinite(gram.diffs)))
     if bad:
         raise ConvergenceFailure(
             f"gram difference entries hold {bad} non-finite value(s) of {gram.diffs.size}")
     eps = np.finfo(float).eps
-    flat = gram.diffs.reshape(-1)
-    flat = np.where(np.abs(flat) > eps ** 2 * np.abs(flat).max(), flat, 0)
+    c = np.where(np.abs(gram.diffs) > eps ** 2 * np.abs(gram.diffs).max(), gram.diffs, 0)
+    if not np.any(c.imag):
+        c = c.real
     d, m = gram.dim, gram.half_width
-    box = integer_box(d, m)
-    re, im = flat.real, flat.imag
-    if np.any(im):
-        h = len(box) // 2
-        s_off, r_off = gram._offsets(box[:h], box[:h]), gram._offsets(box[:h], -box[:h])
-        col = gram._offsets(box[:h + 1], box[h:h + 1])[:, 0]  # u, then c0
-        s_re, r_re = re[s_off], re[r_off]
-        k = np.empty((2 * h + 1,) * 2)
-        np.add(s_re, r_re, out=k[:h, :h])
-        np.subtract(s_re, r_re, out=k[h + 1:, h + 1:])
-        np.subtract(im[r_off], im[s_off], out=k[:h, h + 1:])
-        k[h + 1:, :h] = k[:h, h + 1:].T
-        k[:h, h] = k[h, :h] = math.sqrt(2.0) * re[col[:h]]
-        k[h + 1:, h] = k[h, h + 1:] = math.sqrt(2.0) * im[col[:h]]
-        k[h, h] = re[col[h]]
-        blocks = [k]
-    else:
-        c = re.reshape(gram.diffs.shape)
-        axes = [a for a in range(d) if np.abs(np.flip(c, a) - c).sum() <= eps * np.abs(c).max()]
-        for a in axes:
-            c = 0.5 * (c + np.flip(c, a))
-        rest = [a for a in range(d) if a not in axes]
-        groups = [[a] for a in axes] + ([rest] if rest else [])
-        n_groups = len(groups)
-        # the box with its axes in group order is the product of the groups'
-        # sub-boxes; each keeps its points up to its centre, the fixed point
-        sizes = [(2 * m + 1) ** len(g) for g in groups]
-        shape = tuple((size + 1) // 2 for size in sizes)
-        reps = box.reshape(sizes + [d])[tuple(map(slice, shape))]
-        reps = reps[..., np.argsort(sum(groups, []))].reshape(-1, d)
-        flips = np.array(list(product((False, True), repeat=n_groups)))
-        member = np.array([[a in g for a in range(d)] for g in groups])
-        # sums[U][j, k] = c(k - sigma_U j), which is c(sigma_U k - j) by the
-        # invariance; U runs over the subsets of groups, flipped in lex order
-        rows = (np.where(flips @ member, -1, 1)[:, None, :] * reps).reshape(-1, d)
-        sums = c.reshape(-1)[gram._offsets(rows, reps)].reshape((2,) * n_groups + shape * 2)
-        for i in range(n_groups):  # unflipped, flipped -> even, odd in group i
-            lo, hi = np.moveaxis(sums, i, 0)
-            lo[...], hi[...] = lo + hi, lo - hi
-            # 1/sqrt 2 for each of j, k at the group's fixed point
-            at = np.moveaxis(sums, (n_groups + i, 2 * n_groups + i), (0, 1))
-            at[-1, :-1] *= math.sqrt(0.5)
-            at[:-1, -1] *= math.sqrt(0.5)
-            at[-1, -1] *= 0.5
+    axes = [a for a in range(d) if np.abs(np.flip(c, a) - c).sum() <= eps * np.abs(c).max()]
+    for a in axes:
+        c = 0.5 * (c + np.flip(c, a))
+    rest = [a for a in range(d) if a not in axes]
+    if not rest:  # even and Hermitian
+        c = c.real
+    groups = [[a] for a in axes] + ([rest] if rest else [])
+    n_groups = len(groups)
+    # the box with its axes in group order is the product of the groups'
+    # sub-boxes; each keeps its points up to its centre, the fixed point
+    sizes = [(2 * m + 1) ** len(g) for g in groups]
+    shape = tuple((size + 1) // 2 for size in sizes)
+    reps = integer_box(d, m).reshape(sizes + [d])[tuple(map(slice, shape))]
+    reps = reps[..., np.argsort(sum(groups, []))].reshape(-1, d)
+    flips = np.array(list(product((False, True), repeat=n_groups)))
+    member = np.array([[a in g for a in range(d)] for g in groups])
+    # sums[U][j, k] = c(k - sigma_U j); U runs over the subsets of groups,
+    # flipped in lex order
+    rows = (np.where(flips @ member, -1, 1)[:, None, :] * reps).reshape(-1, d)
+    sums = c.reshape(-1)[gram._offsets(rows, reps)].reshape((2,) * n_groups + shape * 2)
+    for i in range(n_groups):  # unflipped, flipped -> even, odd in group i
+        lo, hi = np.moveaxis(sums, i, 0)
+        lo[...], hi[...] = lo + hi, lo - hi
+        # 1/sqrt 2 for each of j, k at the group's fixed point
+        at = np.moveaxis(sums, (n_groups + i, 2 * n_groups + i), (0, 1))
+        at[-1, :-1] *= math.sqrt(0.5)
+        at[:-1, -1] *= math.sqrt(0.5)
+        at[-1, -1] *= 0.5
+
+    def half(odd, cols=True):  # odd groups skip their fixed points, in cols if asked
+        keep = tuple(slice(-1 if o else None) for o in odd)
+        block = sums[tuple(odd.astype(int))][keep + (keep if cols else keep[:-1] + (slice(None),))]
+        return block.reshape(math.prod(block.shape[:n_groups]), math.prod(block.shape[n_groups:]))
+
+    if np.iscomplexobj(c):  # one K per pattern of the invariant groups
         blocks = []
-        for odd in flips:  # odd groups skip their fixed points
-            block = sums[tuple(odd.astype(int))][tuple(slice(-1 if o else None) for o in odd) * 2]
-            blocks.append(block.reshape(2 * [math.prod(block.shape[:n_groups])]))
+        for even, odd in zip(flips[::2], flips[1::2]):
+            o_r = half(odd, cols=False)
+            blocks.append(np.block([[half(even).real, o_r.imag.T], [o_r.imag, half(odd).real]]))
+    else:
+        blocks = [half(odd) for odd in flips]
     try:
         eig = np.concatenate([np.linalg.eigvalsh(k) for k in blocks])
     except np.linalg.LinAlgError as exc:

@@ -49,7 +49,7 @@ import numpy as np
 from . import _integrate
 from .errors import AliasRisk, EpsilonTooSmall, NoDecayInfo, TailNotAchievable
 from .generators import CompactFrequencySupport, Generator, tail_bound
-from .lattice import LatticeSpec, check_dims, check_integer, check_positive, integer_box
+from .lattice import LatticeSpec, check_dims, check_integer, check_positive, integer_box, is_integer
 
 # truncation radius caps per dimension
 K_CAP = {1: 10_000, 2: 1_000, 3: 100}
@@ -491,10 +491,12 @@ def periodize_l1(g: Generator, lattice: LatticeSpec, sample_points, radius: int)
 
 def _shift_index(n, dim: int) -> np.ndarray:
     """The integer shift index n as a (dim,) array."""
-    nvec = np.atleast_1d(np.asarray(n, dtype=int))
+    nvec = np.atleast_1d(np.asarray(n, dtype=object))
     if nvec.shape != (dim,):
         raise ValueError(f"shift index must have dimension {dim}")
-    return nvec
+    if not all(map(is_integer, nvec)):
+        raise ValueError(f"shift index must hold integers, got {n!r}")
+    return nvec.astype(int)
 
 
 def autocorrelation(g: Generator, lattice: LatticeSpec, n) -> complex:

@@ -162,6 +162,7 @@ def test_eigen_bounds_box_singular(unit_lattice):
 # sections are nested principal submatrices, so by Cauchy interlacing the
 # smallest eigenvalue can only fall and the largest only rise as M grows
 _ASYMMETRIC_BOX = lf.FrequencyBox([-0.2, -0.4], [0.45, 0.3])
+_HALF_SYMMETRIC_BOX = lf.FrequencyBox([-0.5, -0.2], [0.5, 0.4])  # flip of axis 0 only
 _ROTATED = [[math.cos(0.37), -math.sin(0.37)], [math.sin(0.37), math.cos(0.37)]]
 
 
@@ -192,7 +193,7 @@ def _assert_matches_dense_reference(gram):
        seed=st.integers(0, 2**32 - 1))
 def test_eigen_bounds_match_dense_reference(dim, half_width, complex_entries, seed):
     # random Hermitian difference entries, c_(-n) = conj(c_n): real ones take
-    # the split real blocks, complex ones the full real symmetric matrix
+    # the centrosymmetric split, complex ones Lee's full real symmetric matrix
     rng = np.random.default_rng(seed)
     shape = (4 * half_width + 1,) * dim
     c = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_entries else 0)
@@ -202,11 +203,12 @@ def test_eigen_bounds_match_dense_reference(dim, half_width, complex_entries, se
 
 @pytest.mark.parametrize("g, basis, half_width, complex_entries", [
     (_ASYMMETRIC_BOX, np.eye(2).tolist(), 15, True),
+    (_HALF_SYMMETRIC_BOX, np.eye(2).tolist(), 15, True),
     (lf.Gaussian(1.0, 3), np.eye(3).tolist(), 4, False),
     (lf.Gaussian(1.0, 2), np.eye(2).tolist(), 15, False),
     (lf.Gaussian(1.0, 2), _ROTATED, 15, False),
     (lf.Gaussian(0.5, 2), np.eye(2).tolist(), 15, False),
-], ids=["asymmetric_box_d2_M15", "gauss_d3_M4", "gauss_d2_M15", "gauss_d2_rotated_M15",
+], ids=["asymmetric_box_d2_M15", "half_symmetric_box_d2_M15", "gauss_d3_M4", "gauss_d2_M15", "gauss_d2_rotated_M15",
         "gauss_narrow_d2_M15"])
 def test_eigen_bounds_match_dense_reference_catalog(g, basis, half_width, complex_entries):
     gram = lf.gram_matrix(g, lf.new_lattice(basis), half_width)
@@ -244,34 +246,42 @@ def _bounds_and_block_orders(gram):
 
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(1, 3), half_width=st.integers(0, 3), flipped=st.sets(st.integers(0, 2)),
-       seed=st.integers(0, 2**32 - 1))
-def test_eigen_bounds_split_by_axis_flips(dim, half_width, flipped, seed):
-    # random even real entries, made exactly invariant under the flips of a
-    # random set of axes; the rest of the axes flip jointly (an axis left
-    # alone is invariant too, by the central flip)
+       complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_eigen_bounds_split_by_axis_flips(dim, half_width, flipped, complex_entries, seed):
+    # random Hermitian entries, made exactly invariant under the flips of a
+    # random set of axes; the rest of the axes flip jointly.  Real entries are
+    # even, so an axis left alone is invariant too, by the central flip, and
+    # every group pattern is a block; complex ones get Lee's K per pattern of
+    # the invariant groups, unless every axis is flipped, which makes c real
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal((4 * half_width + 1,) * dim)
-    c = c + np.flip(c)
+    shape = (4 * half_width + 1,) * dim
+    c = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_entries else 0)
+    c = c + np.flip(c).conj()
     flipped = sorted(flipped & set(range(dim)))
     for a in flipped:
         c = c + np.flip(c, a)
     # a single entry (M = 0) respects every flip
-    groups = len(flipped) + 1 if dim - len(flipped) >= 2 and half_width else dim
+    lee = complex_entries and len(flipped) < dim and half_width > 0
+    if lee:
+        blocks = 2 ** len(flipped)
+    else:
+        blocks = 2 ** (len(flipped) + 1 if dim - len(flipped) >= 2 and half_width else dim)
     gram = GramMatrix(half_width=half_width, dim=dim, diffs=c + 0j)
     _assert_matches_dense_reference(gram)
     _, orders = _bounds_and_block_orders(gram)
-    assert len(orders) == 2**groups and sum(orders) == (2 * half_width + 1) ** dim
+    assert len(orders) == blocks and sum(orders) == (2 * half_width + 1) ** dim
     if half_width:
-        # 5 eps max|c| at n = (1, ..., 1) and at -n: an l1 perturbation of ten
-        # times the invariance threshold breaks every single-axis flip but the
-        # central one, the only flip in d = 1
+        # 5 eps max|c| at n = (1, ..., 1) and its conjugate at -n: an l1
+        # perturbation of ten times the invariance threshold breaks every
+        # single-axis flip but the central one of real entries, the only flip
+        # in d = 1
         c[(2 * half_width + 1,) * dim] += 5 * np.finfo(float).eps * np.abs(c).max()
-        c[(2 * half_width - 1,) * dim] = c[(2 * half_width + 1,) * dim]
+        c[(2 * half_width - 1,) * dim] = np.conj(c[(2 * half_width + 1,) * dim])
         gram = GramMatrix(half_width=half_width, dim=dim, diffs=c + 0j)
         _assert_matches_dense_reference(gram)
         _, orders = _bounds_and_block_orders(gram)
         h = ((2 * half_width + 1) ** dim - 1) // 2
-        assert orders == [h + 1, h]
+        assert orders == ([2 * h + 1] if lee else [h + 1, h])
 
 
 def _centrosymmetric_bounds(gram):
@@ -303,17 +313,22 @@ def _centrosymmetric_bounds(gram):
      [39, 36, 26, 24]),
     (lf.Sinc(2), [[1.0, 1.0], [0.0, 1.0]], 2, [13, 12]),
     (_ASYMMETRIC_BOX, np.eye(2).tolist(), 3, [49]),
+    (_HALF_SYMMETRIC_BOX, np.eye(2).tolist(), 3, [28, 21]),
+    (lf.FrequencyBox([-0.2, -0.5, -0.4], [0.45, 0.5, 0.3]), np.eye(3).tolist(), 2, [75, 50]),
 ], ids=["gauss_d2", "gauss_d2_rotated", "bspline1_d3_shear_axis2", "sinc2_shear",
-        "asymmetric_box"])
+        "asymmetric_box", "half_symmetric_box", "half_symmetric_box_d3_axis1"])
 def test_eigen_bounds_block_orders(g, basis, half_width, orders):
     # the Gaussian respects both axis flips, on Z^2 and rotated; the sheared
     # B-spline respects only the flip of axis 2, and axes 0 and 1 flip
-    # jointly; the sheared sinc respects none, and the box is complex, so
-    # those two keep the centrosymmetric split bit for bit
+    # jointly; the sheared sinc respects none, and neither does the
+    # asymmetric box, which is complex, so those two keep the centrosymmetric
+    # split bit for bit.  The complex boxes symmetric in axis 0 on Z^2, or
+    # axis 1 on Z^3, take one K per even / odd pattern of that axis
     gram = lf.gram_matrix(g, lf.new_lattice(basis), half_width)
     bounds, got = _bounds_and_block_orders(gram)
     assert got == orders
-    if len(orders) <= 2:
+    n = (2 * half_width + 1) ** gram.dim
+    if got in ([n // 2 + 1, n // 2], [n]):
         assert bounds == _centrosymmetric_bounds(gram)
     else:
         _assert_matches_dense_reference(gram)
@@ -343,15 +358,20 @@ def test_eigen_bounds_form_no_dense_section(monkeypatch, unit_lattice):
     assert [lf.gram_eigen_bounds(gram) for gram in grams] == expected
 
 
-@pytest.mark.parametrize("half_width, dim, size, expected", [
-    (1, 1, 9, r"\(5,\); got 1, 1 and \(9,\)"),
-    (1, 1, 4, r"\(5,\); got 1, 1 and \(4,\)"),
-    (-1, 1, 1, "got -1, 1"),
-    (1, 0, 5, "got 1, 0"),
-], ids=["too_many", "too_few", "negative_half_width", "no_dimension"])
-def test_gram_matrix_validates_its_entries(half_width, dim, size, expected):
+@pytest.mark.parametrize("half_width, dim, diffs, expected", [
+    (1, 1, np.ones(9), r"\(5,\); got 1, 1 and \(9,\)"),
+    (1, 1, np.ones(4), r"\(5,\); got 1, 1 and \(4,\)"),
+    (-1, 1, np.ones(1), "got -1, 1"),
+    (1, 0, np.ones(5), "got 1, 0"),
+    # triangular, every eigenvalue 1, once solved as if Hermitian
+    (1, 1, np.array([0, 0.5, 1, 0, 0]), r"largest \|c_\(-n\) - conj\(c_n\)\| is 0.5"),
+    (1.5, 1, np.ones(7), "half_width must be an integer >= 0, got 1.5"),
+    (True, 1, np.ones(5), "half_width must be an integer >= 0, got True"),
+], ids=["too_many", "too_few", "negative_half_width", "no_dimension", "not_hermitian",
+        "float_half_width", "bool_half_width"])
+def test_gram_matrix_validates_its_entries(half_width, dim, diffs, expected):
     with pytest.raises(ValueError, match=expected):
-        GramMatrix(half_width=half_width, dim=dim, diffs=np.ones(size, dtype=complex))
+        GramMatrix(half_width=half_width, dim=dim, diffs=diffs.astype(complex))
 
 
 def test_eigen_envelope_all_presets(unit_lattice):

@@ -471,6 +471,13 @@ def test_autocorrelation_bspline_overlaps(unit_lattice):
     assert abs(lf.autocorrelation(b1, unit_lattice, [2])) < 1e-9
 
 
+@pytest.mark.parametrize("n", [[0.7], [True], 0.7], ids=["float", "bool", "bare_float"])
+def test_autocorrelation_takes_integer_shifts_only(unit_lattice, n):
+    # a fractional index was once truncated: 0.7 gave the hat's c_0 = 2/3
+    with pytest.raises(ValueError, match=r"shift index must hold integers, got \[?(0.7|True)"):
+        lf.autocorrelation(lf.BSpline(1), unit_lattice, n)
+
+
 def _exact_bspline(order, x):
     """Centered B-spline of the given degree at x, in exact rational arithmetic."""
     x = Fraction(x)
@@ -606,6 +613,14 @@ def test_perturbed_phi_zero_shift(bspline1_table):
     pert = lf.perturbed_phi(bspline1_table, [0])
     assert np.allclose(pert.values, 4.0 * bspline1_table.values, rtol=0, atol=0)
     assert pert.tail == pytest.approx(4.0 * bspline1_table.tail)
+
+
+@pytest.mark.parametrize("n", [[0.5], [True], [1, 0]], ids=["float", "bool", "too_long"])
+def test_perturbed_phi_takes_integer_shifts_only(bspline1_table, n):
+    # a fractional index was once truncated: 0.5 gave the n = 0 table,
+    # tagged +translate[0]
+    with pytest.raises(ValueError, match="shift index must"):
+        lf.perturbed_phi(bspline1_table, n)
 
 
 def test_perturbed_phi_sinc_values(sinc_table):
