@@ -73,11 +73,11 @@ class GramMatrix:
     diffs: np.ndarray
 
     def __post_init__(self):
-        shape = (4 * self.half_width + 1,) * self.dim
-        if self.half_width < 0 or self.dim < 1 or np.shape(self.diffs) != shape:
-            raise ValueError(f"gram needs half_width >= 0, dim >= 1 and diffs of shape {shape}; "
-                             f"got {self.half_width}, {self.dim} and {np.shape(self.diffs)}")
         check_integer("half_width", self.half_width, 0)
+        check_integer("dim", self.dim, 1)
+        shape = (4 * self.half_width + 1,) * self.dim
+        if np.shape(self.diffs) != shape:
+            raise ValueError(f"gram diffs must have shape {shape}, got {np.shape(self.diffs)}")
         c = np.asarray(self.diffs)
         with np.errstate(invalid="ignore"):  # non-finite entries fail in gram_eigen_bounds
             gap = float(np.abs(c - np.flip(c).conj()).max())

@@ -237,8 +237,12 @@ def lattice_coefficients(g: Generator, lattice: LatticeSpec, box: np.ndarray) ->
     symmetric about 0, in its lex order.
 
     Entry i of such a box mirrors entry -1 - i: one autocorrelation call over
-    the first half gives the rest as c_(-n) = conj(c_n)."""
+    the first half gives the rest as c_(-n) = conj(c_n).  The centre c_0 =
+    ||f||^2 keeps only its real part, so the set is exactly Hermitian: a
+    sampled generator's overlap at shift 0 can carry a rounding-sized
+    imaginary part."""
     vals = g.autocorrelation(box[: (len(box) + 1) // 2] @ lattice.basis.T).astype(complex)
+    vals[-1] = vals[-1].real
     return np.concatenate([vals, vals[:-1][::-1].conj()])
 
 

@@ -216,6 +216,19 @@ def test_eigen_bounds_match_dense_reference_catalog(g, basis, half_width, comple
     _assert_matches_dense_reference(gram)
 
 
+def test_gram_matrix_of_complex_samples_is_hermitian():
+    # the sampled overlap at shift 0 rebuilds each grid index as
+    # (x_j - origin) / step, which far from the origin can round below the
+    # integer and leave a rounding-sized imaginary part in c_0
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    g = lf.SampledSpatial(values, [44.1], 0.03, support_radius=16.0)
+    assert g.autocorrelation(np.zeros((1, 1)))[0].imag != 0
+    gram = lf.gram_matrix(g, lf.new_lattice([[1.0]]), 3)
+    assert gram.entry([0], [0]).imag == 0
+    _assert_matches_dense_reference(gram)
+
+
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(1, 3), half_width=st.integers(0, 3), complex_entries=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
@@ -244,7 +257,7 @@ def _bounds_and_block_orders(gram):
         return lf.gram_eigen_bounds(gram), orders
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(dim=st.integers(1, 3), half_width=st.integers(0, 3), flipped=st.sets(st.integers(0, 2)),
        complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_eigen_bounds_split_by_axis_flips(dim, half_width, flipped, complex_entries, seed):
@@ -359,16 +372,17 @@ def test_eigen_bounds_form_no_dense_section(monkeypatch, unit_lattice):
 
 
 @pytest.mark.parametrize("half_width, dim, diffs, expected", [
-    (1, 1, np.ones(9), r"\(5,\); got 1, 1 and \(9,\)"),
-    (1, 1, np.ones(4), r"\(5,\); got 1, 1 and \(4,\)"),
-    (-1, 1, np.ones(1), "got -1, 1"),
-    (1, 0, np.ones(5), "got 1, 0"),
+    (1, 1, np.ones(9), r"shape \(5,\), got \(9,\)"),
+    (1, 1, np.ones(4), r"shape \(5,\), got \(4,\)"),
+    (-1, 1, np.ones(1), "half_width must be an integer >= 0, got -1"),
+    (1, 0, np.ones(5), "dim must be an integer >= 1, got 0"),
     # triangular, every eigenvalue 1, once solved as if Hermitian
     (1, 1, np.array([0, 0.5, 1, 0, 0]), r"largest \|c_\(-n\) - conj\(c_n\)\| is 0.5"),
     (1.5, 1, np.ones(7), "half_width must be an integer >= 0, got 1.5"),
     (True, 1, np.ones(5), "half_width must be an integer >= 0, got True"),
+    (1, True, np.ones(5), "dim must be an integer >= 1, got True"),
 ], ids=["too_many", "too_few", "negative_half_width", "no_dimension", "not_hermitian",
-        "float_half_width", "bool_half_width"])
+        "float_half_width", "bool_half_width", "bool_dim"])
 def test_gram_matrix_validates_its_entries(half_width, dim, diffs, expected):
     with pytest.raises(ValueError, match=expected):
         GramMatrix(half_width=half_width, dim=dim, diffs=diffs.astype(complex))
