@@ -164,6 +164,11 @@ def test_eigen_bounds_box_singular(unit_lattice):
 _ASYMMETRIC_BOX = lf.FrequencyBox([-0.2, -0.4], [0.45, 0.3])
 _HALF_SYMMETRIC_BOX = lf.FrequencyBox([-0.5, -0.2], [0.5, 0.4])  # flip of axis 0 only
 _ROTATED = [[math.cos(0.37), -math.sin(0.37)], [math.sin(0.37), math.cos(0.37)]]
+# complex samples far from their origin: the overlap at shift 0 rebuilds each
+# grid index as (x_j - origin) / step, which can round below the integer and
+# leave an imaginary part of 1.3e-14 in the autocorrelation at 0
+_FAR_SAMPLES = lf.SampledSpatial([1, 1j] @ np.random.default_rng(3).standard_normal((2, 40)),
+                                 [44.1], 0.03, support_radius=16.0)
 
 
 def test_eigen_monotone_in_section_size():
@@ -208,24 +213,12 @@ def test_eigen_bounds_match_dense_reference(dim, half_width, complex_entries, se
     (lf.Gaussian(1.0, 2), np.eye(2).tolist(), 15, False),
     (lf.Gaussian(1.0, 2), _ROTATED, 15, False),
     (lf.Gaussian(0.5, 2), np.eye(2).tolist(), 15, False),
+    (_FAR_SAMPLES, [[1.0]], 3, True),
 ], ids=["asymmetric_box_d2_M15", "half_symmetric_box_d2_M15", "gauss_d3_M4", "gauss_d2_M15", "gauss_d2_rotated_M15",
-        "gauss_narrow_d2_M15"])
+        "gauss_narrow_d2_M15", "far_samples_M3"])
 def test_eigen_bounds_match_dense_reference_catalog(g, basis, half_width, complex_entries):
     gram = lf.gram_matrix(g, lf.new_lattice(basis), half_width)
     assert bool(np.any(gram.diffs.imag)) is complex_entries
-    _assert_matches_dense_reference(gram)
-
-
-def test_gram_matrix_of_complex_samples_is_hermitian():
-    # the sampled overlap at shift 0 rebuilds each grid index as
-    # (x_j - origin) / step, which far from the origin can round below the
-    # integer and leave a rounding-sized imaginary part in c_0
-    rng = np.random.default_rng(3)
-    values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    g = lf.SampledSpatial(values, [44.1], 0.03, support_radius=16.0)
-    assert g.autocorrelation(np.zeros((1, 1)))[0].imag != 0
-    gram = lf.gram_matrix(g, lf.new_lattice([[1.0]]), 3)
-    assert gram.entry([0], [0]).imag == 0
     _assert_matches_dense_reference(gram)
 
 
