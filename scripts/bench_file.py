@@ -12,13 +12,16 @@ per-case ``median_s`` of the plain run under ``"cases"``, so case-level
 before and after can be read from the file alone.  The file is written at
 the repository root.  Runs on one machine only compare
 with each other; the file records ``nproc`` and the library versions of each
-run so that a reader can tell.
+run so that a reader can tell, and under ``"machine"`` the load averages and
+the machine's total CPU steal time (``/proc/stat``) read just before and just
+after each run, so that runs slowed by other load can be told apart.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +33,18 @@ RUN_TIMEOUT_S = 600.0
 def git(checkout: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def machine_state() -> dict:
+    """The 1, 5 and 15 minute load averages and the CPU steal time so far, in
+    seconds summed over all CPUs (None where ``/proc/stat`` is missing)."""
+    try:
+        with open("/proc/stat") as fh:
+            # cpu user nice system idle iowait irq softirq steal ...
+            steal = int(fh.readline().split()[8]) / os.sysconf("SC_CLK_TCK")
+    except OSError:
+        steal = None
+    return {"loadavg": list(os.getloadavg()), "steal_s": steal}
 
 
 def run_workload(checkout: Path, bench: dict, workload: str, seed: int, trace: int):
@@ -47,8 +62,12 @@ def bench_checkout(checkout: Path, bench: dict, seed: int) -> dict:
     dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
     workloads = {}
     for workload in (w["name"] for w in bench["workloads"]):
-        report, plain = run_workload(checkout, bench, workload, seed, 0)
-        _, traced = run_workload(checkout, bench, workload, seed, 1)
+        machine, runs = {}, []
+        for key, trace in (("plain", 0), ("traced", 1)):
+            before = machine_state()
+            runs.append(run_workload(checkout, bench, workload, seed, trace))
+            machine[key] = {"before": before, "after": machine_state()}
+        (report, plain), (_, traced) = runs
         workloads[workload] = {
             "correct": plain["correct"] and traced["correct"],
             "attempted": plain["attempted"],
@@ -57,6 +76,7 @@ def bench_checkout(checkout: Path, bench: dict, seed: int) -> dict:
             "end_to_end": plain["metrics"],
             "per_layer": traced["metrics"],
             "cases": {row["case"]: row["median_s"] for row in report["cases"]},
+            "machine": machine,
         }
         print(f"{checkout.name} {workload}: wall_s "
               f"{plain['metrics']['wall_s']['value']:.4f}", file=sys.stderr)

@@ -40,7 +40,6 @@ from .generators import (
     tail_bound,
 )
 from .lattice import (
-    LatticePoint,
     LatticeSpec,
     lattice_points_in_box,
     new_lattice,

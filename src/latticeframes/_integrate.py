@@ -2,7 +2,7 @@
 sum factored over a tensor grid, flat meshes and Gauss-Legendre panel rules.
 
 Panels are sized to the fastest oscillation of the integrand (in cycles per
-unit length) so a fixed-order rule per panel stays spectrally accurate.
+unit length): 1.25 cycles a panel, which a 16-point rule takes to rounding.
 Node layout is deterministic, which keeps every downstream sum reproducible.
 """
 
@@ -21,6 +21,8 @@ BLOCK_BUDGET = 4_000_000
 ORDER = 16
 # panels per unit length for slowly oscillating integrands
 MIN_PANELS_PER_UNIT = 3.0
+# panels per cycle of the integrand's highest frequency plus one
+PANELS_PER_CYCLE = 0.8
 
 
 def mesh(axes) -> np.ndarray:
@@ -81,14 +83,14 @@ def _panel_rule(a: float, b: float, n_panels: int):
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def grid_blocks(lower, upper, osc_freq: float, density: float = 3.0):
+def grid_blocks(lower, upper, osc_freq: float):
     """Tensor-product panel rule on the box prod_i [lower_i, upper_i], walked in
     blocks of its first axis: yields (axes, points, weights), the block's d node
     axes and, in their ``mesh`` order, its (m, d) points and their weights.
 
     ``osc_freq`` is the highest frequency of the integrand in cycles per unit;
-    ``density`` sets panels per cycle (a 16-point rule stays well below 1e-12
-    even at one panel per cycle, so low densities trade margin for speed).
+    an axis gets ``PANELS_PER_CYCLE`` panels per cycle of ``osc_freq + 1``, and
+    at least ``MIN_PANELS_PER_UNIT`` per unit length.
     A block holds at most ``BLOCK_BUDGET`` points (and at least one row).  An
     axis's nodes are held whole, and the walk's time grows with its points, so
     a rule with more than ``BLOCK_BUDGET`` nodes on an axis or ORDER^2 times
@@ -96,7 +98,7 @@ def grid_blocks(lower, upper, osc_freq: float, density: float = 3.0):
     """
     if np.any(np.asarray(upper) <= lower):
         raise ValueError("empty integration interval")
-    per_unit = max(MIN_PANELS_PER_UNIT, density * (abs(osc_freq) + 1.0))
+    per_unit = max(MIN_PANELS_PER_UNIT, PANELS_PER_CYCLE * (abs(osc_freq) + 1.0))
     panels = [max(1, math.ceil((b - a) * per_unit)) for a, b in zip(lower, upper)]
     nodes = [ORDER * p for p in panels]
     if max(nodes) > BLOCK_BUDGET or math.prod(nodes) > ORDER**2 * BLOCK_BUDGET:

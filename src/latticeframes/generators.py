@@ -22,7 +22,8 @@ import numpy as np
 
 from ._integrate import grid_blocks, grid_exp_sum, mesh, row_blocks
 from .errors import NoDecayInfo, NonFiniteInput, ZeroGenerator
-from .lattice import LatticeSpec, check_integer, check_positive, operator_inf_norm, spectral_norm
+from .lattice import (LatticeSpec, check_finite, check_integer, check_positive, operator_inf_norm,
+                      spectral_norm)
 
 # ---------------------------------------------------------------------------
 # decay envelopes
@@ -221,7 +222,7 @@ class Generator(ABC):
             return np.zeros(t.shape[0], dtype=complex)
         # the integrand is the transform of a function on box_other - box_self
         # shifted by t, so it oscillates with that box's sup-norm reach too
-        osc = float(np.max(np.abs(t))) + 1.0
+        osc = float(np.max(np.abs(t)))
         boxes = other.spatial_box(), self.spatial_box()
         if None not in boxes:
             osc += float(np.max(np.abs([boxes[0][0] - boxes[1][1], boxes[0][1] - boxes[1][0]])))
@@ -307,6 +308,8 @@ class FrequencyBox(Generator):
         hi = np.atleast_1d(np.asarray(upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box corners must be 1-d arrays of equal length")
+        check_finite("box lower corner", lo)
+        check_finite("box upper corner", hi)
         if not np.all(lo < hi):
             raise ValueError("box corners must satisfy lower < upper componentwise")
         self.lower = lo
@@ -475,11 +478,13 @@ class SampledSpatial(Generator):
 
     def __init__(self, values, origin, step: float, support_radius: float | None = None):
         v = np.asarray(values, dtype=complex)
+        check_finite("sample values", v)
         self.values = v
         self.dim = v.ndim
         self.origin = np.atleast_1d(np.asarray(origin, dtype=float))
         if self.origin.shape != (self.dim,):
             raise ValueError("origin must have one coordinate per value axis")
+        check_finite("sample origin", self.origin)
         check_positive("grid step", step)
         self.step = float(step)
         self.support_radius = None if support_radius is None else float(support_radius)
@@ -550,6 +555,7 @@ def load_sampled_csv(path, support_radius: float | None = None) -> SampledSpatia
     rows = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
     if rows.shape[1] < 3:
         raise ValueError("CSV rows must be x_1,...,x_d,re,im")
+    check_finite("CSV rows", rows)
     dim = rows.shape[1] - 2
     coords = rows[:, :dim]
     vals = rows[:, dim] + 1j * rows[:, dim + 1]

@@ -49,14 +49,6 @@ class LatticeSpec:
                            dual_basis=self.basis)
 
 
-@dataclass(frozen=True, eq=False)
-class LatticePoint:
-    """An integer index paired with its spatial or frequency coordinates."""
-
-    index: np.ndarray
-    coords: np.ndarray
-
-
 def new_lattice(matrix) -> LatticeSpec:
     """Build a :class:`LatticeSpec` from a square matrix.
 
@@ -105,6 +97,13 @@ def check_positive(name: str, value: float):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def check_finite(name: str, values):
+    """Raise ValueError naming the values unless every one is finite."""
+    bad = np.asarray(values)[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
+
+
 def is_integer(value) -> bool:
     """True for a value of any integral type but bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -142,20 +141,14 @@ def integer_box(dim: int, radius: int) -> np.ndarray:
 
 
 def lattice_points_in_box(lattice: LatticeSpec, radius: int, side: str = "spatial"):
-    """Lattice points indexed by the sup-norm box of the given radius.
-
-    ``side`` selects the coordinates: "spatial" maps indices through the
-    lattice basis, "frequency" through the dual basis.  Order is
-    lexicographic in the index, the order of ``integer_box``.
-    """
-    if side == "spatial":
-        mat = lattice.basis
-    elif side == "frequency":
-        mat = lattice.dual_basis
-    else:
+    """(indices, coords): the rows of ``integer_box`` of the given radius and
+    their points, through the lattice basis for ``side`` "spatial" or through
+    the dual basis for "frequency"."""
+    mats = {"spatial": lattice.basis, "frequency": lattice.dual_basis}
+    if side not in mats:
         raise ValueError(f"side must be 'spatial' or 'frequency', got {side!r}")
     ks = integer_box(lattice.dim, radius)
-    return [LatticePoint(index=k, coords=x) for k, x in zip(ks, ks @ mat.T)]
+    return ks, ks @ mats[side].T
 
 
 def operator_inf_norm(mat: np.ndarray) -> float:

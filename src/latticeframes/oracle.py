@@ -261,11 +261,10 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     # error under 1e-9 for any c
     mass = float(np.sum(np.abs(cs)))
     radius = g.fourier_tail_radius(1e-9 / (1.0 + mass**2))
-    osc = float(np.max(np.abs(shifts)))
-    # |weight|^2 has twice the bandwidth of the weight itself
     box = np.full(lattice.dim, radius)
     direct = 0.0
-    for axes, pts, w in _integrate.grid_blocks(-box, box, 2.0 * osc + 1.0, density=0.8):
+    # |weight|^2 oscillates up to twice the largest shift
+    for axes, pts, w in _integrate.grid_blocks(-box, box, 2.0 * np.max(np.abs(shifts))):
         weight = _integrate.grid_exp_sum(cs, shifts, axes)
         direct += float(np.sum(w * np.abs(weight) ** 2 * np.abs(g.fourier(pts)) ** 2))
 

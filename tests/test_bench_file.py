@@ -46,6 +46,14 @@ def test_bench_file_records_both_checkouts_and_all_metrics(bench_file, tmp_path)
         assert gram["per_layer"]["oracle.gram_eig_self_s"]["value"] == 1.5
         # per-case medians come from the plain run's report
         assert gram["cases"] == {"gram_oracle_a": 0.25, "gram_oracle_b": 0.125}
+        # load and steal time around each of the two runs
+        assert set(gram["machine"]) == {"plain", "traced"}
+        for around in gram["machine"].values():
+            before, after = around["before"], around["after"]
+            for state in (before, after):
+                assert set(state) == {"loadavg", "steal_s"}
+                assert len(state["loadavg"]) == 3 and min(state["loadavg"]) >= 0.0
+            assert 0.0 <= before["steal_s"] <= after["steal_s"]
 
 
 def test_bench_file_requires_a_parent(bench_file):

@@ -297,6 +297,10 @@ _CONFIG_ERRORS = {
     "nan_class_tol": (_sinc_config(class_tol=math.nan), ["classify"], "class_tol"),
     "nan_gaussian_width": (
         _sinc_config(generator={**_GAUSS, "width": math.nan}), ["classify"], "width"),
+    # a -1e400 corner raised an untyped OverflowError (exit 1)
+    "infinite_box_corner": (
+        _sinc_config(generator={"kind": "frequency_box", "lower": [-math.inf], "upper": [0.5]}),
+        ["classify"], "box lower corner"),
     # integer fields were truncated: order 1.5 classified the hat
     "fractional_bspline_order": (
         _sinc_config(generator={**_HAT, "order": 1.5}), ["classify"], "order"),

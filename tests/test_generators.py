@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import latticeframes as lf
@@ -326,6 +328,35 @@ def test_sampled_csv_rejects_nonuniform(tmp_path):
         lf.load_sampled_csv(path)
 
 
+def _csv_samples(text):
+    def load(tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        return lf.load_sampled_csv(path)
+    return load
+
+
+# parameters that failed later, far from their cause: a -1e400 corner raised
+# OverflowError in the tail bound, a NaN origin gave Gram bounds (0, 0), a NaN
+# sample blamed target_tail and a NaN coordinate "negative dimensions"
+_NONFINITE_PARAMETERS = {
+    "box_lower": (lambda _: lf.FrequencyBox([-math.inf], [0.5]), "box lower corner"),
+    "box_upper": (lambda _: lf.FrequencyBox([-0.5, 0.0], [0.5, math.nan]), "box upper corner"),
+    "sample_value": (lambda _: lf.SampledSpatial([1.0, math.nan, 0.5], [0.0], 0.5),
+                     "sample values"),
+    "sample_origin": (lambda _: lf.SampledSpatial([1.0, 0.5], [math.nan], 0.5), "sample origin"),
+    "csv_coordinate": (_csv_samples("0,1,0\nnan,0.5,0\n1,0.25,0\n"), "CSV rows"),
+    "csv_value": (_csv_samples("0,1,0\n0.5,-1e400,0\n1,0.25,0\n"), "CSV rows"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NONFINITE_PARAMETERS))
+def test_nonfinite_parameters_rejected_at_construction(name, tmp_path):
+    build, parameter = _NONFINITE_PARAMETERS[name]
+    with pytest.raises(ValueError, match=f"^{parameter} must be finite, got "):
+        build(tmp_path)
+
+
 def test_eval_rejects_nonfinite():
     from latticeframes.errors import NonFiniteInput
 
@@ -335,7 +366,8 @@ def test_eval_rejects_nonfinite():
         lf.eval_spatial(lf.Sinc(1), [np.inf])
 
 
-@pytest.mark.parametrize("widths,dim", [((0.3, 1.0), 1), ((1.0, 3.0), 1), ((0.7, 1.3), 2)])
+@pytest.mark.parametrize("widths,dim", [((0.3, 1.0), 1), ((1.0, 3.0), 1), ((0.7, 1.3), 2),
+                                        ((1.0, 1.7), 3)])
 def test_gaussian_pair_closed_form(widths, dim):
     # <g_s', g_s(. + t)> = (s s' / sqrt(s^2 + s'^2))^d exp(-pi |t|^2 / (s^2 + s'^2))
     # against the base-class frequency quadrature, in both orientations
@@ -346,6 +378,30 @@ def test_gaussian_pair_closed_form(widths, dim):
         np.testing.assert_allclose(a.cross_correlation(b, t),
                                    lf.Generator.cross_correlation(a, b, t), rtol=0, atol=1e-12)
     assert f.norm_squared() == pytest.approx((widths[0] / math.sqrt(2.0)) ** dim, rel=1e-15)
+
+
+# tensor pairs with no closed form, with their one-dimensional factor pairs
+_TENSOR_PAIRS = {
+    "hat_gauss": (lf.BSpline(1, 2), lf.Gaussian(1.0, 2), [(lf.BSpline(1), lf.Gaussian(1.0))] * 2),
+    "box_quadratic": (lf.FrequencyBox([-0.2, 0.1], [0.35, 0.6]), lf.BSpline(2, 2),
+                      [(lf.FrequencyBox([-0.2], [0.35]), lf.BSpline(2)),
+                       (lf.FrequencyBox([0.1], [0.6]), lf.BSpline(2))]),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(_TENSOR_PAIRS)), flipped=st.booleans(),
+       t=st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * 2), min_size=1, max_size=6))
+def test_tensor_pair_quadrature_is_the_product_of_its_axes(name, flipped, t):
+    # <h, f(. + t)> of f = f_1 (x) f_2 and h = h_1 (x) h_2 is the product of
+    # <h_a, f_a(. + t_a)>; the 2-d and 1-d quadratures size their own meshes
+    f, h, factors = _TENSOR_PAIRS[name]
+    if flipped:
+        f, h, factors = h, f, [(h1, f1) for f1, h1 in factors]
+    t = np.array(t)
+    product = np.prod([f1.cross_correlation(h1, t[:, [a]]) for a, (f1, h1) in enumerate(factors)],
+                      axis=0)
+    np.testing.assert_allclose(f.cross_correlation(h, t), product, rtol=0, atol=1e-12)
 
 
 def _old_sampled_overlap(values, origin, step, t):

@@ -70,25 +70,26 @@ def test_wrap_periodicity():
 
 def test_points_in_box_counts_and_order():
     L = lf.new_lattice([[1.0]])
-    pts = lf.lattice_points_in_box(L, 0)
-    assert len(pts) == 1 and pts[0].index == pytest.approx([0])
+    ks, xs = lf.lattice_points_in_box(L, 0)
+    assert ks.shape == xs.shape == (1, 1) and ks[0] == pytest.approx([0])
 
-    pts = lf.lattice_points_in_box(L, 2)
-    assert [int(p.index[0]) for p in pts] == [-2, -1, 0, 1, 2]
+    ks, _ = lf.lattice_points_in_box(L, 2)
+    assert [int(k[0]) for k in ks] == [-2, -1, 0, 1, 2]
 
     L2 = lf.new_lattice([[2.0, 0.0], [0.0, 1.0]])
-    pts2 = lf.lattice_points_in_box(L2, 1)
-    assert len(pts2) == 9
-    idx = [tuple(p.index) for p in pts2]
+    ks2, xs2 = lf.lattice_points_in_box(L2, 1)
+    assert ks2.shape == xs2.shape == (9, 2)
+    idx = [tuple(k) for k in ks2]
     assert idx == sorted(idx)  # lexicographic
-    assert pts2[0].coords == pytest.approx([-2.0, -1.0])
+    assert xs2[0] == pytest.approx([-2.0, -1.0])
 
 
 def test_points_frequency_side():
     L = lf.new_lattice(np.diag([2.0, 3.0]))
-    pts = lf.lattice_points_in_box(L, 1, side="frequency")
-    for p in pts:
-        assert p.coords == pytest.approx(L.dual_basis @ p.index)
+    ks, xs = lf.lattice_points_in_box(L, 1, side="frequency")
+    assert len(ks) == len(xs) == 9
+    for k, x in zip(ks, xs):
+        assert x == pytest.approx(L.dual_basis @ k)
 
 
 def test_duality_pairing():
