@@ -82,8 +82,8 @@ class PerturbationCheck:
 def _bounds_from_values(values: np.ndarray, tail: float, eps_zero: float) -> SpectralBounds:
     sup_all = float(values.max()) + tail
     inf_all = float(values.min())
-    offzero = values[values >= eps_zero]
-    inf_offzero = float(offzero.min()) if offzero.size else 0.0
+    off = values >= eps_zero  # a masked min, not a copy of the off-zero values
+    inf_offzero = float(values.min(where=off, initial=np.inf)) if off.any() else 0.0
     zero_fraction = float(np.count_nonzero(values < eps_zero)) / values.size
     return SpectralBounds(
         sup_all=sup_all,

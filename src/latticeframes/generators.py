@@ -22,8 +22,7 @@ import numpy as np
 
 from ._integrate import grid_blocks, grid_exp_sum, mesh, row_blocks
 from .errors import NoDecayInfo, NonFiniteInput, ZeroGenerator
-from .lattice import (LatticeSpec, check_finite, check_integer, check_positive, operator_inf_norm,
-                      spectral_norm)
+from .lattice import LatticeSpec, check_finite, check_integer, check_positive, operator_inf_norm
 
 # ---------------------------------------------------------------------------
 # decay envelopes
@@ -139,7 +138,7 @@ class GaussianDecay(DecayBound):
     def lattice_tail(self, lattice, radius):
         # on shell m, m - 1 <= |gamma + k|_2 <= |B^T|_2 |dual(gamma + k)|_2
         d = lattice.dim
-        a = self.rate / spectral_norm(lattice.basis.T) ** 2
+        a = self.rate / lattice.basis_norm**2
         total = _shell_sum(d, radius, lambda u: np.exp(-a * u**2))
         # past the explicit shells, (2u + 3)^d - (2u + 1)^d = sum_k coef_k u^k
         j = radius + _EXPLICIT_SHELLS
@@ -487,6 +486,8 @@ class SampledSpatial(Generator):
         check_finite("sample origin", self.origin)
         check_positive("grid step", step)
         self.step = float(step)
+        if support_radius is not None:
+            check_positive("support_radius", support_radius)
         self.support_radius = None if support_radius is None else float(support_radius)
         if np.sum(np.abs(v) ** 2) * step**self.dim < 1e-14:
             raise ZeroGenerator("sampled generator is numerically zero")

@@ -7,6 +7,7 @@ live on ``basis @ k`` for integer vectors k.  The dual lattice has basis
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ class LatticeSpec:
     basis : d x d matrix whose integer combinations form the lattice
     det_abs : |det basis|, the volume of the fundamental cell
     dual_basis : inv(basis.T); generates the dual lattice
+    basis_norm : largest singular value of basis, computed on first use
     """
 
     dim: int
@@ -42,6 +44,10 @@ class LatticeSpec:
     def __post_init__(self):
         self.basis.setflags(write=False)
         self.dual_basis.setflags(write=False)
+
+    @functools.cached_property
+    def basis_norm(self) -> float:
+        return spectral_norm(self.basis.T)
 
     def dual(self) -> LatticeSpec:
         """The dual lattice inv(basis.T) Z^d; its dual is this lattice."""

@@ -266,12 +266,11 @@ def compute_phi(g: Generator, lattice: LatticeSpec, grid_res: int,
                 target_tail: float | None = None) -> PeriodizationTable:
     """Tabulate the periodized power spectrum of ``g`` on the [0,1)^d grid:
     the self pair of ``compute_cross_phi``, which chooses the route and the
-    truncation, with rounding below zero clipped.  Its default targets are
-    lower bounds on max phi, so the tail stays negligible against
-    classification tolerances.
+    truncation and clips rounding below zero.  Its default targets are lower
+    bounds on max phi, so the tail stays negligible against classification
+    tolerances.
     """
-    table = compute_cross_phi(g, g, lattice, grid_res, target_tail)
-    return replace(table, values=np.maximum(table.values, 0.0))
+    return compute_cross_phi(g, g, lattice, grid_res, target_tail)
 
 
 def _cross_sum(g: Generator, psi: Generator, lattice: LatticeSpec, pts: np.ndarray,
@@ -299,23 +298,6 @@ def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
     return _cross_sum(g, psi, lattice, pts, ks).reshape((grid_res,) * lattice.dim)
 
 
-def _row_counts(edges, base, slope: float, n: int, strict: bool) -> np.ndarray:
-    """(R, n) counts of the edges at or below (``strict``: below) u = base +
-    slope j, j < n, on the rows of the (R,) array base.  u crosses an edge at
-    j = (edge - base) / slope: a ceil or floor gives the first j past it, and a
-    cumulative count of those (down from the total when slope < 0) the count."""
-    if slope == 0.0:
-        below = (np.less if strict else np.less_equal)(edges, base[:, None])
-        return np.broadcast_to(below.sum(axis=1)[:, None], (base.size, n))
-    with np.errstate(over="ignore"):  # a crossing far off the row, clipped below
-        t = (edges - base[:, None]) / slope
-    start = np.clip(np.floor(t) + 1 if (slope > 0) == strict else np.ceil(t), 0, n)
-    starts = start.astype(np.intp) + (n + 1) * np.arange(base.size)[:, None]
-    crossed = np.bincount(starts.ravel(), minlength=base.size * (n + 1))
-    crossed = crossed.reshape(base.size, n + 1)[:, :n].cumsum(axis=1)
-    return crossed if slope > 0 else edges.size - crossed
-
-
 def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     """Grid samples, radius and essential range of phi for a generator whose
     |fhat|^2 is the indicator of the half-open box [lo, hi), or None.
@@ -328,9 +310,12 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     image, widened by ``near``, under B.T; one that rounding drops has faces
     about ``near`` outside it and adds 0 at every grid point.  Faces closer
     than ``_MERGE_FRAC`` of the axis scale merge, so a cell that thin counts
-    as null; the count is taken at each cell midpoint.  On each axis a grid
-    point's cell counts the face clusters its row has crossed (``_row_counts``).
-    A point within ``near`` (``_FACE_FRAC`` of the scale) of a face takes the
+    as null; the count is taken at each cell midpoint.  Along a grid row (the
+    last axis) u is affine, so the row crosses each face cluster once: a ceil
+    or floor of (edge - u_0) / slope gives the first grid index past it.  The
+    row's crossings, sorted with their axis and start or end label, cut it
+    into runs, and a cumulative count of the labels gives each run's cell.  A
+    run within ``near`` (``_FACE_FRAC`` of the scale) of a face takes the
     lattice sum over the kept k: its summands are 0 or 1, and the other k add
     zeros, so the table equals ``cross_phi_values`` at the same radius bit for
     bit.  The count is A Z^d-periodic, so the cells meeting the bounding box
@@ -364,19 +349,14 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     kept = np.all((shift >= q_lo) & (shift <= q_hi), axis=1)
     ks, shift = ks[kept], shift[kept]
     lows, highs = lo - shift, hi - shift
-    # u = base + slope j on the row of each grid prefix; a point is clear of
-    # every face when as many face clusters start at or below u + near as end
-    # below u - near; that number is its cell
-    base = _integrate.mesh([np.arange(grid_res) / grid_res] * (d - 1) + [[0.0]]) @ a.T
-    slope, mids, meets, cell, on_face = a[:, -1] / grid_res, [], [], [], False
-    for i in range(d):
+    mids, meets, bounds = [], [], []
+    for i, width in enumerate(scale):
         f = np.sort(np.concatenate([lows[:, i], highs[:, i]]))
-        cut = np.flatnonzero(np.diff(f) > _MERGE_FRAC * scale[i])
-        first, last = f[np.r_[0, cut + 1]], f[np.r_[cut, -1]]
-        mids.append(np.r_[first[0] - scale[i], 0.5 * (last[:-1] + first[1:]), last[-1] + scale[i]])
-        meets.append((np.r_[-np.inf, last] < cell_hi[i]) & (np.r_[first, np.inf] > cell_lo[i]))
-        cell.append(_row_counts(first - near[i], base[:, i], slope[i], grid_res, False))
-        on_face |= cell[i] != _row_counts(last + near[i], base[:, i], slope[i], grid_res, True)
+        split = np.diff(f) > _MERGE_FRAC * width
+        first, last = f[np.append(True, split)], f[np.append(split, True)]
+        mids.append(np.hstack([first[0] - width, 0.5 * (last[:-1] + first[1:]), last[-1] + width]))
+        meets.append(np.append(True, last < cell_hi[i]) & np.append(first > cell_lo[i], True))
+        bounds.append((first - near[i], last + near[i]))
     if lows.shape[0] * math.prod(m.size for m in mids) > _integrate.BLOCK_BUDGET:
         return None
     inside = [((lows[:, i, None] <= m) & (m < highs[:, i, None])).astype(float)
@@ -384,11 +364,36 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     axes = "abc"[:d]
     counts = np.einsum(",".join("k" + c for c in axes) + "->" + axes, *inside)
     seen = np.sort(counts[np.ix_(*meets)], axis=None)
-    value_range = tuple((seen[np.r_[True, np.diff(seen) > 0]] / lattice.det_abs).tolist())
-    values = counts[tuple(cell)] / lattice.det_abs
+    value_range = tuple((seen[np.append(True, np.diff(seen) > 0)] / lattice.det_abs).tolist())
+    # label 0 opens a row, 2i + 1 and 2i + 2 pass a start and an end of a cluster
+    # of axis i: starts step the flat cell index by the axis's stride (down where u
+    # falls), and starts less ends, negated there so that none is < 0, count faces
+    base = _integrate.mesh([np.arange(grid_res) / grid_res] * (d - 1) + [[0.0]]) @ a.T
+    slope, size = a[:, -1] / grid_res, [m.size for m in mids]
+    keys, to_cell, to_face = [np.zeros((1, base.shape[0]), np.intp)], [0], [0]
+    with np.errstate(over="ignore"):  # a crossing far off the row, clipped below
+        for i, (starts, ends) in enumerate(bounds):
+            rise, stride = (-1 if slope[i] < 0 else 1), math.prod(size[i + 1:])
+            to_cell[0] += stride * (size[i] - 1) * (rise < 0)
+            to_cell, to_face = to_cell + [rise * stride, 0], to_face + [rise, -rise]
+            for label, e, strict in ((2 * i + 1, starts, False), (2 * i + 2, ends, True)):
+                if slope[i] == 0.0:
+                    below = (np.less if strict else np.less_equal)(e[:, None], base[:, i])
+                    start = np.where(below, 0, grid_res)
+                else:
+                    t = (e[:, None] - base[:, i]) / slope[i]
+                    start = np.clip(np.floor(t) + 1 if (rise > 0) == strict else np.ceil(t),
+                                    0, grid_res).astype(np.intp)
+                keys.append(start * (2 * d + 1) + label)
+    at, label = np.divmod(np.sort(np.concatenate(keys).T, axis=1), 2 * d + 1)
+    runs = np.diff(at, axis=1, append=grid_res).ravel()
+    cell = np.cumsum(np.array(to_cell)[label], axis=1).ravel()
+    values = np.repeat(counts.ravel()[cell] / lattice.det_abs, runs)
+    on_face = (np.cumsum(np.array(to_face)[label], axis=1).ravel() > 0) & (runs > 0)
     if np.any(on_face):
-        pts = np.stack(np.unravel_index(np.flatnonzero(on_face), (grid_res,) * d), axis=1)
-        values[on_face] = _cross_sum(g, g, lattice, pts / grid_res, ks)
+        idx = np.flatnonzero(np.repeat(on_face, runs))
+        pts = np.stack(np.unravel_index(idx, (grid_res,) * d), axis=1)
+        values[idx] = _cross_sum(g, g, lattice, pts / grid_res, ks)
     return values.reshape((grid_res,) * d), radius, value_range
 
 
@@ -396,7 +401,8 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
                       target_tail: float | None = None) -> PeriodizationTable:
     """The table of the mixed periodization of psihat * conj(fhat), with the
     route, the sup-norm radius and the certified tail bound taken; its values
-    are real for the self pair (``psi is g``) and complex otherwise.
+    are real for the self pair (``psi is g``), with rounding below zero
+    clipped, and complex otherwise.
 
     Step route: for the self pair of a generator with an ``indicator_box``,
     the exact step function (``_step_table``) and its essential range, tail 0.
@@ -418,9 +424,12 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
     tag = g.label if psi is g else f"{psi.label} against {g.label}"
 
     def table(values, route, radius, tail, essential_range=None):
+        if psi is g:  # each route computes a fresh array: clip it in place
+            values = np.maximum(values.real, 0.0, out=values.real)
+        else:
+            values = values.astype(complex, copy=False)
         return PeriodizationTable(
-            lattice=lattice, grid_res=grid_res,
-            values=values.real if psi is g else values.astype(complex, copy=False),
+            lattice=lattice, grid_res=grid_res, values=values,
             trunc_radius=radius, tail=tail, generator_tag=tag, route=route,
             essential_range=essential_range)
 
@@ -561,14 +570,11 @@ def perturbed_phi(table: PeriodizationTable, n) -> PeriodizationTable:
 
 def table_to_csv(table: PeriodizationTable) -> str:
     """CSV dump ``gamma_1,...,gamma_d,phi`` in lexicographic grid order."""
-    pts = grid_gamma(table.dim, table.grid_res)
-    flat = table.values.ravel()
+    pts = grid_gamma(table.dim, table.grid_res).tolist()
+    row = ",".join(["{:.12g}"] * (table.dim + 1)).format
     header = ",".join(f"gamma_{i + 1}" for i in range(table.dim)) + ",phi"
-    lines = [header]
-    for row, v in zip(pts, flat):
-        coords = ",".join(f"{c:.12g}" for c in row)
-        lines.append(f"{coords},{v:.12g}")
-    return "\n".join(lines) + "\n"
+    rows = [row(*p, v) for p, v in zip(pts, table.values.ravel().tolist())]
+    return "\n".join([header] + rows) + "\n"
 
 
 def table_to_json(table: PeriodizationTable) -> dict:

@@ -2,8 +2,14 @@
 wrappers used to cross-check the perturbation and translation identities."""
 
 import dataclasses
+import os
 
-import numpy as np
+# one BLAS thread, set before numpy loads: OpenBLAS's own threads stall when
+# another process shares the cores, and a test then takes many times as long
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 import latticeframes as lf

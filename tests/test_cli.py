@@ -315,6 +315,18 @@ _CONFIG_ERRORS = {
 }
 
 
+@pytest.mark.parametrize("radius", [-1.0, math.nan])
+def test_bad_support_radius_is_exit_2(radius, capsys, tmp_path):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("-0.5,0.5,0\n0,1,0\n0.5,0.5,0\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_sinc_config(generator={
+        "kind": "sampled", "csv": str(samples), "support_radius": radius})))
+    code, out, err = _run(capsys, ["classify", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error") and "support_radius" in err
+
+
 @pytest.mark.parametrize("name", sorted(_CONFIG_ERRORS))
 def test_command_stage_errors_are_exit_2(name, capsys, tmp_path):
     cfg, argv, detail = _CONFIG_ERRORS[name]

@@ -357,6 +357,14 @@ def test_nonfinite_parameters_rejected_at_construction(name, tmp_path):
         build(tmp_path)
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_support_radius_must_be_finite_and_positive(radius):
+    # -1.0 gave a table from a certified tail of 0, NaN and inf untyped errors
+    # in the tail bound
+    with pytest.raises(ValueError, match="^support_radius must be finite and positive, got "):
+        lf.SampledSpatial([0.5, 1.0, 0.5], [-0.5], 0.5, support_radius=radius)
+
+
 def test_eval_rejects_nonfinite():
     from latticeframes.errors import NonFiniteInput
 

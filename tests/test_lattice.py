@@ -3,6 +3,7 @@ import pytest
 
 import latticeframes as lf
 from latticeframes.errors import NonFiniteInput, SingularMatrix, UnsupportedDimension
+from latticeframes.lattice import spectral_norm
 
 
 def test_identity_lattice():
@@ -110,6 +111,17 @@ def test_dual_volume():
         assert abs(np.linalg.det(L.dual_basis)) == pytest.approx(
             1.0 / L.det_abs, rel=1e-12
         )
+
+
+def test_basis_norm_is_the_spectral_norm_of_the_basis():
+    # the Gaussian autocorrelation tail reads it on every probe of its radius
+    # search, from the dual lattice: computed once, and the same number
+    rotated = [[np.cos(0.9), -np.sin(0.9)], [np.sin(0.9), np.cos(0.9)]]
+    for basis in ([[0.7]], rotated, [[1.0, 0.3, 0.0], [0.2, 0.9, 0.1], [0.0, 0.4, 1.3]]):
+        L = lf.new_lattice(basis)
+        for lat in (L, L.dual()):
+            assert lat.basis_norm == spectral_norm(lat.basis.T)
+            assert lat.basis_norm is lat.basis_norm
 
 
 def test_wrap_tiny_negative_rounds_into_cell():

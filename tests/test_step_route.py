@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import latticeframes as lf
 from latticeframes import _integrate
 from latticeframes.cli import build_generator, main, preset_config
-from latticeframes.periodization import choose_truncation, compute_cross_phi, cross_phi_values
+from latticeframes.periodization import (_step_table, choose_truncation, compute_cross_phi,
+                                         cross_phi_values)
 
 _SHEAR = [[1.0, 1.0], [0.0, 1.0]]
 _SKEW = [[0.9, 0.35], [-0.2, 1.3]]  # |det| 1.24
@@ -45,6 +46,10 @@ _EQUIVALENCE_CASES = [
     (lf.Sinc(2), [[1.0, -1.0], [0.0, 1.0]], 64),
     (lf.Sinc(3), [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]], 16),
     (lf.FrequencyBox([-0.5, 0.0], [0.6, 0.4]), [[0.75, -0.75], [-0.125, -1.125]], 32),
+    # a box several cells wide on a fine skew lattice, u rising on one axis and
+    # falling on the other: each row crosses 16 face clusters, and on a 1/8
+    # grid crossings tie at one grid index
+    (lf.FrequencyBox([-1.25, -0.75], [1.5, 1.0]), [[0.375, 0.125], [0.125, -0.25]], 64),
 ]
 
 
@@ -76,6 +81,26 @@ def test_step_table_equals_lattice_sum_on_random_lattices(basis, lo, width, n):
     table = lf.compute_phi(g, L, n)
     assert table.route == "step"
     assert np.array_equal(table.values, cross_phi_values(g, g, L, n, table.trunc_radius))
+
+
+# corners within 1/2 of 0: wider boxes on these lattices keep more k than one
+# block of cells holds, and their tables take the direct route
+_near = st.one_of(st.integers(-4, 4).map(lambda i: i / 8),
+                  st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=20, deadline=None)
+@given(basis=st.lists(_entry, min_size=9, max_size=9), lo=st.tuples(_near, _near, _near),
+       width=st.tuples(_near, _near, _near), n=st.sampled_from([8, 16]))
+def test_step_table_equals_lattice_sum_on_random_3d_lattices(basis, lo, width, n):
+    b = np.array(basis).reshape(3, 3)
+    assume(abs(np.linalg.det(b)) > 0.25 and np.linalg.cond(b) < 20.0)
+    lo = np.array(lo)
+    g, L = lf.FrequencyBox(lo, lo + 0.1 + np.abs(width)), lf.new_lattice(b)
+    step = _step_table(g, L, n)
+    assume(step is not None)
+    values, radius, _ = step
+    assert np.array_equal(values, cross_phi_values(g, g, L, n, radius))
 
 
 def test_step_route_evaluates_fourier_only_on_faces():
