@@ -1,18 +1,31 @@
 """Write BENCH_<pr>.json: every benchmark metric of a change and of its parent
-commit.
+commit, from paired runs.
 
     python3 scripts/bench_file.py --pr N --parent ../parent-checkout
 
-For both checkouts (this repository and ``--parent``) it runs the benchmark's
-command on every workload that ``BENCHMARK.json`` lists, at its
-``run_seconds``, first with ``--trace 0`` (the end-to-end metrics) and then
-with ``--trace 1`` (the per-layer metrics), and records them with the seed,
-the run length and the checkout's commit.  Each workload also keeps the
-per-case ``median_s`` of the plain run under ``"cases"``, so case-level
-before and after can be read from the file alone.  The file is written at
-the repository root.  Runs on one machine only compare
+For every workload that ``BENCHMARK.json`` lists it runs the benchmark's
+command at its ``run_seconds`` with ``--trace 0`` ``PAIRS`` times on each
+checkout (this repository and ``--parent``), in pairs that alternate which
+side goes first, and then once per side with ``--trace 1`` for the per-layer
+metrics.  Each side records the seed, the run length and the checkout's
+commit; its ``end_to_end`` value per metric is the median of its plain runs
+(every run's value is kept under ``runs``), and ``cases`` holds each case's
+median ``median_s`` over them, so case-level before and after can be read
+from the file alone.  ``comparison`` holds per workload and end-to-end metric
+each side's median and quartiles, the pairs the change won (ties count for
+neither) and a reading:
+
+* ``better`` -- the change won at least 9 in 10 pairs, and its median beats
+  the parent's by more than the parent's interquartile range;
+* ``unresolved`` -- the parent's interquartile range exceeds the metric's
+  ``bound`` times its median, unless every change run beats every parent run;
+* ``worse`` -- the change's median is worse than the parent's by more than
+  ``bound`` times the parent's median;
+* ``held`` -- otherwise.
+
+The file is written at the repository root.  Runs on one machine only compare
 with each other; the file records ``nproc`` and the library versions of each
-run so that a reader can tell, and under ``"machine"`` the load averages and
+workload so that a reader can tell, and under ``"machine"`` the load averages and
 the machine's total CPU steal time (``/proc/stat``) read just before and just
 after each run, so that runs slowed by other load can be told apart.
 """
@@ -22,12 +35,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600.0
+PAIRS = 10  # plain runs per side and workload
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -56,36 +71,75 @@ def run_workload(checkout: Path, bench: dict, workload: str, seed: int, trace: i
     return json.loads(out[-2])["report"], json.loads(out[-1])
 
 
-def bench_checkout(checkout: Path, bench: dict, seed: int) -> dict:
-    commit = git(checkout, "rev-parse", "HEAD")
-    # tracked files that differ from the commit; untracked ones do not count
-    dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
-    workloads = {}
-    for workload in (w["name"] for w in bench["workloads"]):
-        machine, runs = {}, []
-        for key, trace in (("plain", 0), ("traced", 1)):
-            before = machine_state()
-            runs.append(run_workload(checkout, bench, workload, seed, trace))
-            machine[key] = {"before": before, "after": machine_state()}
-        (report, plain), (_, traced) = runs
-        workloads[workload] = {
-            "correct": plain["correct"] and traced["correct"],
-            "attempted": plain["attempted"],
-            "failed": plain["failed"],
-            "passes": report["passes"],
-            "end_to_end": plain["metrics"],
-            "per_layer": traced["metrics"],
-            "cases": {row["case"]: row["median_s"] for row in report["cases"]},
-            "machine": machine,
-        }
-        print(f"{checkout.name} {workload}: wall_s "
-              f"{plain['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+def measured_run(checkout: Path, bench: dict, workload: str, seed: int, trace: int):
+    """``run_workload`` with the machine state read around it."""
+    before = machine_state()
+    report, result = run_workload(checkout, bench, workload, seed, trace)
+    return report, result, {"before": before, "after": machine_state()}
+
+
+def side_record(plain: list, traced: tuple) -> dict:
+    """One side's workload entry from its plain runs and its traced run."""
+    reports, results, _ = zip(*plain)
+    values = {name: [res["metrics"][name]["value"] for res in results]
+              for name in results[0]["metrics"]}
+    times = {}
+    for report in reports:
+        for row in report["cases"]:
+            times.setdefault(row["case"], []).append(row["median_s"])
     return {
-        "commit": commit,
-        "dirty": dirty,
-        "hygiene": report["hygiene"],
-        "workloads": workloads,
+        "hygiene": traced[0]["hygiene"],
+        "correct": all(res["correct"] for res in results) and traced[1]["correct"],
+        "attempted": [res["attempted"] for res in results],
+        "failed": [res["failed"] for res in results],
+        "passes": [report["passes"] for report in reports],
+        "end_to_end": {name: {"value": statistics.median(runs),
+                              "unit": results[0]["metrics"][name]["unit"], "runs": runs}
+                       for name, runs in values.items()},
+        "per_layer": traced[1]["metrics"],
+        "cases": {case: statistics.median(t) for case, t in times.items()},
+        "machine": {"plain": [m for _, _, m in plain], "traced": traced[2]},
     }
+
+
+def quartiles(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(parent: list, change: list, bound: float, better: str) -> dict:
+    """Quartiles of both sides' runs, the pairs the change won and the reading
+    (see the module docstring); run i of each side form pair i."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * value: lower is better
+    p, c = quartiles(parent), quartiles(change)
+    won = sum(sign * b < sign * a for a, b in zip(parent, change))
+    spread, gap = p["q3"] - p["q1"], sign * (p["median"] - c["median"])
+    margin = bound * abs(p["median"])
+    if 10 * won >= 9 * len(parent) and gap > spread:
+        reading = "better"
+    elif spread > margin and max(sign * v for v in change) >= min(sign * v for v in parent):
+        reading = "unresolved"
+    elif -gap > margin:
+        reading = "worse"
+    else:
+        reading = "held"
+    return {"parent": p, "change": c, "pairs_won": won, "pairs": len(parent),
+            "bound": bound, "reading": reading}
+
+
+def bench_workload(checkouts: dict, bench: dict, workload: str, seed: int) -> dict:
+    """PAIRS plain runs per side, pair i led by the parent when i is even and
+    by the change when it is odd, then one traced run per side."""
+    plain = {side: [] for side in checkouts}
+    for i in range(PAIRS):
+        for side in list(checkouts)[:: 1 if i % 2 == 0 else -1]:
+            plain[side].append(measured_run(checkouts[side], bench, workload, seed, 0))
+    records = {side: side_record(runs, measured_run(checkouts[side], bench, workload, seed, 1))
+               for side, runs in plain.items()}
+    for side, record in records.items():
+        print(f"{side} {workload}: wall_s {record['end_to_end']['wall_s']['value']:.4f}",
+              file=sys.stderr)
+    return records
 
 
 def main(argv=None) -> int:
@@ -97,17 +151,32 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    runs = {
-        "parent": bench_checkout(args.parent.resolve(), bench, args.seed),
-        "change": bench_checkout(ROOT, bench, args.seed),
-    }
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    records = {w["name"]: bench_workload(checkouts, bench, w["name"], args.seed)
+               for w in bench["workloads"]}
+    runs = {}
+    for side, checkout in checkouts.items():
+        runs[side] = {
+            "commit": git(checkout, "rev-parse", "HEAD"),
+            # tracked files that differ from the commit; untracked ones do not count
+            "dirty": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
+            "workloads": {name: sides[side] for name, sides in records.items()},
+        }
+    comparison = {
+        name: {m["name"]: compare(sides["parent"]["end_to_end"][m["name"]]["runs"],
+                                  sides["change"]["end_to_end"][m["name"]]["runs"],
+                                  m["bound"], m["better"])
+               for m in bench["end_to_end"]}
+        for name, sides in records.items()}
     doc = {
         "pr": args.pr,
         "seed": args.seed,
         "seconds": bench["run_seconds"],
+        "pairs": PAIRS,
         "command": " ".join(bench["command"])
                    + " --workload W --seed SEED --seconds SECONDS --trace {0,1}",
         "runs": runs,
+        "comparison": comparison,
     }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")

@@ -47,7 +47,7 @@ class RunConfig:
     grid_res: int = 4096
     target_tail: float | None = None
     eps_zero: float | None = None
-    class_tol: float = 1e-6
+    class_tol: float = _classify.DEFAULT_CLASS_TOL
     gram_half_width: int = 8
     out: str | None = None
 

@@ -243,8 +243,9 @@ class Generator(ABC):
 
     def indicator_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Corners (lower, upper) of the half-open box whose indicator |fhat|^2
-        is exactly, or None.  It lets ``compute_phi`` tabulate phi as a step
-        function and cuts the quadrature of ``cross_correlation``."""
+        is exactly, or None; ``decay_bound`` must then vanish past it, as
+        ``FrequencyBox``'s does.  It lets ``compute_phi`` tabulate phi as a
+        step function and cuts the quadrature of ``cross_correlation``."""
         return None
 
     def autocorrelation_decay(self) -> DecayBound | None:
@@ -344,8 +345,7 @@ class FrequencyBox(Generator):
         return self.lower, self.upper
 
     def decay_bound(self):
-        radius = float(np.max(np.maximum(np.abs(self.lower), np.abs(self.upper))))
-        return CompactFrequencySupport(radius=radius, peak=1.0)
+        return CompactFrequencySupport(radius=float(np.max(np.abs([self.lower, self.upper]))))
 
 
 class Sinc(FrequencyBox):

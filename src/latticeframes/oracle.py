@@ -235,8 +235,7 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
 
 
 def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
-                   table: PeriodizationTable,
-                   gram: GramMatrix | None = None) -> tuple[float, float, float]:
+                   table: PeriodizationTable) -> tuple[float, float, float]:
     """Squared norm of sum_k c_k (translate of f by B k), three ways.
 
     direct    -- frequency quadrature of |weight|^2 |fhat|^2 over R^d
@@ -244,8 +243,7 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     quadratic -- the Gram quadratic form over the support of c
 
     All three estimate the same quantity; their agreement validates both the
-    table and the Gram entries.  A precomputed ``gram`` (covering the support
-    of c) avoids rebuilding the difference entries on repeated calls.  A direct
+    table and the Gram section, built here over the support of c.  A direct
     mesh past the panel cap of ``_integrate.grid_blocks`` raises TooLarge.
     """
     check_dims(lattice, g)
@@ -273,15 +271,9 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     poly = _series_values(-ks, cs, table.grid_res)
     spectral = float(np.mean(np.abs(poly) ** 2 * table.values))
 
-    # quadratic form through the Gram matrix
-    if gram is None:
-        gram = gram_matrix(g, lattice, max(1, c.support_radius()))
-    elif gram.dim != lattice.dim:
-        raise ValueError(f"supplied gram matrix is {gram.dim}-d, the lattice {lattice.dim}-d")
-    elif gram.half_width < c.support_radius():
-        raise ValueError("supplied gram matrix does not cover the support of c")
-    quadratic = cs @ gram._block(ks, ks) @ cs.conj()
-    return direct, spectral, float(quadratic.real)
+    # quadratic form through the Gram section over the support of c
+    gram = gram_matrix(g, lattice, max(1, c.support_radius()))._block(ks, ks)
+    return direct, spectral, float((cs @ gram @ cs.conj()).real)
 
 
 def analysis_coefficients(g: Generator, lattice: LatticeSpec, h: Generator,

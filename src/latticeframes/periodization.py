@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _integrate
 from .errors import AliasRisk, EpsilonTooSmall, NoDecayInfo, TailNotAchievable
-from .generators import CompactFrequencySupport, Generator, tail_bound
+from .generators import Generator, tail_bound
 from .lattice import LatticeSpec, check_dims, check_integer, check_positive, integer_box, is_integer
 
 # truncation radius caps per dimension
@@ -207,8 +207,8 @@ def _coefficient_set(g: Generator, psi: Generator, lattice: LatticeSpec,
       boundary;
     * else, for the self pair, the smallest cube |n|_inf <= R <= K_CAP whose
       tail is at most target_tail (default 1e-10 * ||f||^2) by the
-      autocorrelation envelope: its lattice sum on the dual lattice (dual
-      basis B), times |det B|, bounds sum_{|n|_inf > R} |c(B n)|;
+      autocorrelation envelope: its lattice sum on the dual lattice past
+      R + 1, times |det B|, bounds sum_{|n|_inf > R} |c(B n)|;
     * None otherwise, or when the set would exceed one block of terms.
     """
     boxes = g.spatial_box(), psi.spatial_box()
@@ -222,9 +222,13 @@ def _coefficient_set(g: Generator, psi: Generator, lattice: LatticeSpec,
         if target_tail is None:
             target_tail = 1e-10 * g.norm_squared()
         dual = lattice.dual()
+        # lattice_tail charges shell m at distance m - 1, as a table tail must for
+        # every gamma; at gamma = 0 shell m has |B n|_2 >= m / |B^-1|_2 and shell
+        # counts grow with m, so k + 1 bounds the sum past k.  That is exact in
+        # 1-d: 1 + 1e-13 covers ulps of its exponents a m^2 ~ ln(||f||^2 / target)
         try:
-            radius, tail = _smallest_radius(lambda k: decay.lattice_tail(dual, k) / lattice.det_abs,
-                                            K_CAP[lattice.dim], target_tail, g.label)
+            radius, tail = _smallest_radius(lambda k: decay.lattice_tail(dual, k + 1) * (
+                1 + 1e-13) / lattice.det_abs, K_CAP[lattice.dim], target_tail, g.label)
         except TailNotAchievable:
             return None
         cube = np.full(lattice.dim, float(radius))
@@ -321,21 +325,18 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     bit.  The count is A Z^d-periodic, so the cells meeting the bounding box
     show exactly the values phi takes on sets of positive measure.
 
-    The radius is the smallest one whose tail under the box's envelope is 0,
-    the one the direct route records; None when it passes ``K_CAP`` or the
-    cells times the kept k exceed one block.
+    The radius is the smallest one whose tail under ``g.decay_bound()`` is 0,
+    the one the direct route records: past ``K_CAP`` it raises at once
+    (TailNotAchievable); None when the cells times the kept k exceed one block.
     """
     box = g.indicator_box()
     if box is None:
         return None
     d, a = lattice.dim, lattice.dual_basis
     lo, hi = (np.asarray(c, dtype=float) for c in box)
-    envelope = CompactFrequencySupport(radius=float(np.max(np.abs(np.concatenate([lo, hi])))))
-    try:
-        radius, _ = _smallest_radius(lambda k: envelope.lattice_tail(lattice, k), K_CAP[d],
-                                     0.0, g.label)
-    except TailNotAchievable:
-        return None
+    envelope = g.decay_bound()  # vanishes past the box
+    radius, _ = _smallest_radius(lambda k: envelope.lattice_tail(lattice, k), K_CAP[d], 0.0,
+                                 g.label)
     cell_lo, cell_hi = np.minimum(a, 0.0).sum(axis=1), np.maximum(a, 0.0).sum(axis=1)
     # bounds |A (gamma + k)| in the lattice sum and |lo|, |hi|
     scale = np.abs(a).sum(axis=1) * (radius + 1) + np.maximum(np.abs(lo), np.abs(hi))

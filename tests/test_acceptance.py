@@ -134,11 +134,10 @@ def test_criterion_06_synthesis_identity(unit_lattice, sinc_table,
         (lf.Gaussian(1.0), gauss_table),
     ]
     for g, table in smooth:
-        gram = lf.gram_matrix(g, unit_lattice, 4)
         worst = 0.0
         for _ in range(100):
             c = random_vector()
-            d, s, q = lf.synthesis_norm(g, unit_lattice, c, table, gram=gram)
+            d, s, q = lf.synthesis_norm(g, unit_lattice, c, table)
             scale = max(1.0, d)
             worst = max(worst, abs(d - s) / scale, abs(d - q) / scale,
                         abs(s - q) / scale)
@@ -148,11 +147,10 @@ def test_criterion_06_synthesis_identity(unit_lattice, sinc_table,
     # jumps, an O(1/N) floor, so the example preset runs at a widened
     # tolerance rather than 1e-6
     box = lf.FrequencyBox([-1 / 3], [1 / 3])
-    gram = lf.gram_matrix(box, unit_lattice, 4)
     worst = 0.0
     for _ in range(25):
         c = random_vector()
-        d, s, q = lf.synthesis_norm(box, unit_lattice, c, example_table, gram=gram)
+        d, s, q = lf.synthesis_norm(box, unit_lattice, c, example_table)
         scale = max(1.0, d)
         worst = max(worst, abs(d - s) / scale, abs(d - q) / scale)
     crit.check(f"box widened (worst {worst:.2e})", worst <= 5e-2)

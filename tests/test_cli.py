@@ -46,11 +46,11 @@ def test_classify_bspline(capsys):
 
 def test_classify_gauss_pins_dual_route_tail(capsys):
     # the one preset whose certified tail is nonzero: the l1 norm of the
-    # Fourier coefficients past radius 4 on the dual route
+    # Fourier coefficients past radius 3 on the dual route
     code, out, _ = _run(capsys, ["classify", "--preset", "gauss"])
     assert code == 0
     report = json.loads(out)
-    assert report["trunc_radius"] == 4
+    assert report["trunc_radius"] == 3
     assert report["tail"] == 1.71990509064e-11
 
 

@@ -112,21 +112,6 @@ def test_gram_entry_beyond_stored_radius(unit_lattice):
             gram.entry(0, n)
 
 
-def test_synthesis_gram_too_small(unit_lattice, bspline1_table):
-    c = lf.CoefficientVector({(0,): 1.0, (2,): 1.0})
-    assert c.support_radius() == 2
-    with pytest.raises(ValueError):
-        lf.synthesis_norm(lf.BSpline(1), unit_lattice, c, bspline1_table,
-                          gram=lf.gram_matrix(lf.BSpline(1), unit_lattice, 1))
-
-
-def test_synthesis_gram_of_another_dimension(unit_lattice, bspline1_table):
-    gram = lf.gram_matrix(lf.BSpline(1, 2), lf.new_lattice(np.eye(2).tolist()), 1)
-    with pytest.raises(ValueError, match="gram matrix is 2-d, the lattice 1-d"):
-        lf.synthesis_norm(lf.BSpline(1), unit_lattice, lf.CoefficientVector({(0,): 1.0}),
-                          bspline1_table, gram=gram)
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_synthesis_mesh_past_the_cap_fails_fast(d):
     # |fhat|^2 of the hat decays only like |xi|^-4 per axis, so the direct
@@ -436,7 +421,6 @@ def test_synthesis_bspline_difference(unit_lattice, bspline1_table):
 def test_synthesis_three_way_random(maker, unit_lattice):
     g = maker() if maker is not lf.Sinc else lf.Sinc(1)
     table = lf.compute_phi(g, unit_lattice, 4096)
-    gram = lf.gram_matrix(g, unit_lattice, 4)
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(20):
         support = rng.integers(-4, 5, size=rng.integers(1, 5))
@@ -445,7 +429,7 @@ def test_synthesis_three_way_random(maker, unit_lattice):
             for k in support
         }
         c = lf.CoefficientVector(entries)
-        d, s, q = lf.synthesis_norm(g, unit_lattice, c, table, gram=gram)
+        d, s, q = lf.synthesis_norm(g, unit_lattice, c, table)
         scale = max(1.0, d)
         assert abs(d - s) <= 1e-6 * scale
         assert abs(d - q) <= 1e-6 * scale
@@ -872,7 +856,7 @@ def test_project_records_route(unit_lattice):
     # a dual table's coefficient radius no longer floors the cross sum
     L = lf.new_lattice([[0.7]])
     wide = lf.compute_phi(lf.Gaussian(3.0), L, 64)
-    assert wide.route == "dual" and wide.trunc_radius == 17
+    assert wide.route == "dual" and wide.trunc_radius == 16
     res = lf.project_onto_span(lf.Gaussian(3.0), L, lf.Gaussian(1.0), wide)
     assert (res.route, res.trunc_radius) == ("direct", 1)
 

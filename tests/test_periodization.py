@@ -187,6 +187,14 @@ def test_dual_tail_bounds_coefficient_tail(width, basis):
     assert dropped <= table.tail
 
 
+def test_dual_coefficient_cube_charges_shell_m_at_distance_m():
+    # the coefficients sit at gamma = 0, where shell m lies at distance m: the
+    # nearly flat Gaussian(0.3) drops c_n for |n| >= 2, about 2e-31, at R = 1
+    table = lf.compute_phi(lf.Gaussian(0.3), lf.new_lattice([[1.0]]), 64)
+    assert (table.route, table.trunc_radius) == ("dual", 1)
+    assert 0.0 < table.tail <= 1e-30
+
+
 def test_wide_gaussian_on_fine_lattice_falls_back_to_direct():
     # the coefficient box would need radius ~2400 in d = 3; the cap is found
     # out of reach with one tail evaluation and the lattice sum takes over

@@ -116,6 +116,17 @@ def test_step_route_evaluates_fourier_only_on_faces():
     assert sum(points) == 31 * 6
 
 
+def test_step_route_raises_past_the_radius_cap():
+    # a box reaching 10001 on Z needs radius 10001 > K_CAP[1]: the radius
+    # search refuses it before any transform point, pilot pass included
+    g, points = lf.FrequencyBox([-10001.0], [10001.0]), []
+    fourier = g.fourier
+    g.fourier = lambda xi: points.append(len(xi)) or fourier(xi)
+    with pytest.raises(lf.errors.TailNotAchievable):
+        lf.compute_phi(g, lf.new_lattice([[1.0]]), 4096)
+    assert points == []
+
+
 def test_step_route_falls_back_past_one_block(monkeypatch):
     # Sinc(1) on Z keeps k = -1, 0 and four cells: 8 entries
     monkeypatch.setattr(_integrate, "BLOCK_BUDGET", 7)
