@@ -9,11 +9,10 @@ checkout (this repository and ``--parent``), in pairs that alternate which
 side goes first, and then once per side with ``--trace 1`` for the per-layer
 metrics.  Each side records the seed, the run length and the checkout's
 commit; its ``end_to_end`` value per metric is the median of its plain runs
-(every run's value is kept under ``runs``), and ``cases`` holds each case's
-median ``median_s`` over them, so case-level before and after can be read
-from the file alone.  ``comparison`` holds per workload and end-to-end metric
-each side's median and quartiles, the pairs the change won (ties count for
-neither) and a reading:
+(every run's value is kept under ``runs``), ``cases`` holds each case's
+median ``median_s`` over them and ``case_runs`` every run's.  ``comparison``
+holds per workload and end-to-end metric each side's median and quartiles,
+the pairs the change won (ties count for neither) and a reading:
 
 * ``better`` -- the change won at least 9 in 10 pairs, and its median beats
   the parent's by more than the parent's interquartile range;
@@ -22,6 +21,10 @@ neither) and a reading:
 * ``worse`` -- the change's median is worse than the parent's by more than
   ``bound`` times the parent's median;
 * ``held`` -- otherwise.
+
+``case_comparison`` holds the same quartiles and pairs won per workload and
+case, from the cases' ``median_s`` (lower is better), with no reading, so
+case-level before and after can be read from the file alone.
 
 The file is written at the repository root.  Runs on one machine only compare
 with each other; the file records ``nproc`` and the library versions of each
@@ -98,6 +101,7 @@ def side_record(plain: list, traced: tuple) -> dict:
                        for name, runs in values.items()},
         "per_layer": traced[1]["metrics"],
         "cases": {case: statistics.median(t) for case, t in times.items()},
+        "case_runs": times,
         "machine": {"plain": [m for _, _, m in plain], "traced": traced[2]},
     }
 
@@ -107,12 +111,20 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(parent: list, change: list, bound: float, better: str) -> dict:
-    """Quartiles of both sides' runs, the pairs the change won and the reading
-    (see the module docstring); run i of each side form pair i."""
+def paired(parent: list, change: list, better: str = "lower") -> dict:
+    """Quartiles of both sides' runs and the pairs the change won; run i of
+    each side form pair i."""
     sign = 1.0 if better == "lower" else -1.0  # sign * value: lower is better
-    p, c = quartiles(parent), quartiles(change)
     won = sum(sign * b < sign * a for a, b in zip(parent, change))
+    return {"parent": quartiles(parent), "change": quartiles(change), "pairs_won": won,
+            "pairs": len(parent)}
+
+
+def compare(parent: list, change: list, bound: float, better: str) -> dict:
+    """``paired`` and the reading (see the module docstring)."""
+    sign = 1.0 if better == "lower" else -1.0
+    pair = paired(parent, change, better)
+    p, c, won = pair["parent"], pair["change"], pair["pairs_won"]
     spread, gap = p["q3"] - p["q1"], sign * (p["median"] - c["median"])
     margin = bound * abs(p["median"])
     if 10 * won >= 9 * len(parent) and gap > spread:
@@ -123,8 +135,7 @@ def compare(parent: list, change: list, bound: float, better: str) -> dict:
         reading = "worse"
     else:
         reading = "held"
-    return {"parent": p, "change": c, "pairs_won": won, "pairs": len(parent),
-            "bound": bound, "reading": reading}
+    return {**pair, "bound": bound, "reading": reading}
 
 
 def bench_workload(checkouts: dict, bench: dict, workload: str, seed: int) -> dict:
@@ -168,6 +179,11 @@ def main(argv=None) -> int:
                                   m["bound"], m["better"])
                for m in bench["end_to_end"]}
         for name, sides in records.items()}
+    case_comparison = {
+        name: {case: paired(runs, sides["change"]["case_runs"][case])
+               for case, runs in sides["parent"]["case_runs"].items()
+               if case in sides["change"]["case_runs"]}
+        for name, sides in records.items()}
     doc = {
         "pr": args.pr,
         "seed": args.seed,
@@ -177,6 +193,7 @@ def main(argv=None) -> int:
                    + " --workload W --seed SEED --seconds SECONDS --trace {0,1}",
         "runs": runs,
         "comparison": comparison,
+        "case_comparison": case_comparison,
     }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import grid_blocks, grid_exp_sum, mesh, row_blocks
+from ._integrate import cis, grid_blocks, grid_exp_sum, mesh, row_blocks
 from .errors import NoDecayInfo, NonFiniteInput, ZeroGenerator
 from .lattice import LatticeSpec, check_finite, check_integer, check_positive, operator_inf_norm
 
@@ -327,7 +327,7 @@ class FrequencyBox(Generator):
         x = np.asarray(x, dtype=float)
         width = self.upper - self.lower
         center = 0.5 * (self.upper + self.lower)
-        vals = width * np.sinc(width * x) * np.exp(2j * np.pi * center * x)
+        vals = width * np.sinc(width * x) * cis(-center * x)
         return np.prod(vals, axis=-1)
 
     def cross_correlation(self, other, t):

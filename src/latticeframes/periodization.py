@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _integrate
-from .errors import AliasRisk, EpsilonTooSmall, NoDecayInfo, TailNotAchievable
+from .errors import AliasRisk, EpsilonTooSmall, NoDecayInfo, TailNotAchievable, TooLarge
 from .generators import Generator, tail_bound
 from .lattice import LatticeSpec, check_dims, check_integer, check_positive, integer_box, is_integer
 
@@ -133,6 +133,16 @@ def grid_gamma(dim: int, n: int) -> np.ndarray:
 def _validate_grid(n: int):
     if n < _MIN_GRID or (n & (n - 1)) != 0:
         raise ValueError(f"grid resolution must be a power of two >= {_MIN_GRID}, got {n}")
+
+
+def _sum_box(dim: int, radius: int, points: int) -> np.ndarray:
+    """``integer_box(dim, radius)`` for a lattice sum at ``points`` points, or
+    TooLarge first when its terms x points pass ``POINT_CAP``."""
+    terms = (2 * radius + 1) ** dim
+    if terms * points > _integrate.POINT_CAP:
+        raise TooLarge(f"lattice sum of {terms} terms at {points} points: {terms * points:.3g} "
+                       f"terms x points past the cap {_integrate.POINT_CAP}")
+    return integer_box(dim, radius)
 
 
 def _lattice_sum(eval_fn, pts: np.ndarray, ks: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -297,8 +307,8 @@ def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
     with one transform evaluation per point.
     """
     _validate_grid(grid_res)
+    ks = _sum_box(lattice.dim, radius, grid_res**lattice.dim)
     pts = grid_gamma(lattice.dim, grid_res)
-    ks = integer_box(lattice.dim, radius)
     return _cross_sum(g, psi, lattice, pts, ks).reshape((grid_res,) * lattice.dim)
 
 
@@ -485,11 +495,11 @@ def periodize_l1(g: Generator, lattice: LatticeSpec, sample_points, radius: int)
         raise ValueError("sample points must lie in the fundamental cell")
 
     # f(x + B k) = f(B (u + k)) with u the cell coordinates of x
-    ks = integer_box(lattice.dim, radius)
+    m_per_axis = {1: 2048, 2: 128, 3: 32}[lattice.dim]
+    ks = _sum_box(lattice.dim, radius, len(u) + m_per_axis**lattice.dim)
     psi = _lattice_sum(g.spatial, u, ks, lattice.basis)
 
     # cell integral: periodic rectangle rule on the warped unit grid
-    m_per_axis = {1: 2048, 2: 128, 3: 32}[lattice.dim]
     ugrid = grid_gamma(lattice.dim, m_per_axis)
     psi_grid = _lattice_sum(g.spatial, ugrid, ks, lattice.basis)
     cell_integral = lattice.det_abs * float(np.mean(psi_grid.real))

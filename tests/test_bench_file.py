@@ -24,13 +24,15 @@ def bench_file(monkeypatch, tmp_path):
     def fake_run(checkout, bench, workload, seed, trace):
         side = checkout.name if checkout.name == "parent" else "change"
         # plain run i of a side: wall_s 0.5 + i / 100 on the parent, 0.1 less
-        # on the change; case times 0.25 + i / 1000 and 0.125
+        # on the change; case times 0.25 + i / 1000 (0.01 less on the change)
+        # and 0.125
         i = sum(call == (workload, side, 0) for call in calls)
         calls.append((workload, side, trace))
         name = "wall_s" if trace == 0 else "oracle.gram_eig_self_s"
         value = 0.5 + i / 100 - (side == "change") / 10 + trace
         report = {"passes": 3, "hygiene": {"nproc": 2},
-                  "cases": [{"case": f"{workload}_a", "median_s": 0.25 + i / 1000 + trace,
+                  "cases": [{"case": f"{workload}_a",
+                             "median_s": 0.25 + i / 1000 - (side == "change") / 100 + trace,
                              "status": "ok"},
                             {"case": f"{workload}_b", "median_s": 0.125 + trace,
                              "status": "ok"}]}
@@ -58,8 +60,12 @@ def test_bench_file_records_both_checkouts_and_all_metrics(bench_file, tmp_path)
         assert wall["value"] == pytest.approx(0.545 - (side == "change") / 10)
         assert gram["per_layer"]["oracle.gram_eig_self_s"]["value"] == pytest.approx(
             1.6 - (side == "change") / 10)
-        # per-case medians over the plain runs' reports
-        assert gram["cases"] == pytest.approx({"gram_oracle_a": 0.2545, "gram_oracle_b": 0.125})
+        # per-case medians and runs over the plain runs' reports
+        faster = (side == "change") / 100
+        assert gram["cases"] == pytest.approx({"gram_oracle_a": 0.2545 - faster,
+                                               "gram_oracle_b": 0.125})
+        assert gram["case_runs"]["gram_oracle_a"] == pytest.approx(
+            [0.25 + i / 1000 - faster for i in range(module.PAIRS)])
         assert (gram["attempted"], gram["failed"]) == ([6] * 10, [0] * 10)
         # load and steal time around each run
         assert len(gram["machine"]["plain"]) == module.PAIRS
@@ -72,6 +78,14 @@ def test_bench_file_records_both_checkouts_and_all_metrics(bench_file, tmp_path)
     wall = doc["comparison"]["phi_grid"]["wall_s"]
     assert (wall["pairs_won"], wall["pairs"], wall["reading"]) == (10, 10, "better")
     assert wall["parent"] == pytest.approx({"median": 0.545, "q1": 0.5225, "q3": 0.5675})
+    # per case: both sides' quartiles and the pairs won, ties counting for neither
+    cases = doc["case_comparison"]["gram_oracle"]
+    assert set(cases) == {"gram_oracle_a", "gram_oracle_b"}
+    a, b = cases["gram_oracle_a"], cases["gram_oracle_b"]
+    assert (a["pairs_won"], a["pairs"], b["pairs_won"], b["pairs"]) == (10, 10, 0, 10)
+    assert a["parent"] == pytest.approx({"median": 0.2545, "q1": 0.25225, "q3": 0.25675})
+    assert a["change"] == pytest.approx({"median": 0.2445, "q1": 0.24225, "q3": 0.24675})
+    assert b["change"] == pytest.approx({"median": 0.125, "q1": 0.125, "q3": 0.125})
 
 
 def test_bench_file_alternates_which_side_runs_first(bench_file, tmp_path):

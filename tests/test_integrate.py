@@ -4,7 +4,7 @@ factored exponential sum is checked against the plain exponential matrix."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latticeframes as lf
@@ -113,3 +113,51 @@ def test_grid_exp_sum_matches_exponential_matrix(case):
                          (grid_shifts, _naive_exp_sum(grid_c, grid, scattered), grid_c)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(c))
+
+
+# exp(-2 pi i q / 4) for q mod 4
+_QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
+
+
+@pytest.mark.parametrize("grid_side", ["points", "shifts"])
+def test_grid_exp_sum_is_exact_at_large_quarter_integer_phases(grid_side):
+    # axes near +-1e6 on a quarter grid against integer vectors: every phase
+    # x . s is an exact quarter-integer near 1e6 cycles, so each term is
+    # exactly +-1 or +-i, which an exponential of 2 pi 1e6 radians misses by
+    # about 1e-9
+    rng = np.random.default_rng(5)
+    axes = [1e6 + np.arange(5) / 4, -1e6 + 0.5 + np.arange(3) / 4]
+    ints = rng.integers(-3, 4, (7, 2)).astype(float)
+    grid = _points(axes)
+    turns = (np.rint(4 * ints @ grid.T).astype(np.int64) % 4)  # (7, 15)
+    if grid_side == "points":
+        c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        got, want = _integrate.grid_exp_sum(c, ints, axes), _QUARTER_TURNS[turns.T] @ c
+    else:
+        c = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+        got, want = _integrate.grid_exp_sum(c, axes, ints), _QUARTER_TURNS[turns] @ c
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 4), st.lists(st.integers(-512, 512), min_size=2,
+                                                      max_size=2),
+       st.lists(st.integers(-256, 256), min_size=2, max_size=2), st.integers(-1000, 1000),
+       st.integers(0, 1), st.integers(0, 2**32 - 1))
+@example(1, 3, [353, 0], [40, 0], 1000, 0, 0)
+def test_sampled_fourier_shift_by_a_period_is_a_phase(d, log_inv_h, origin, xi, m, axis, seed):
+    # fourier(xi + m e_a / h) = exp(-2 pi i m o_a / h) fourier(xi) for samples
+    # at o + h j: with a dyadic step, origin (in eighths) and xi (in 64ths)
+    # every phase is exact, so both sides agree to rounding; the example is
+    # h = 1/8, o = 44.125 and m = 1000
+    h, axis = 2.0**-log_inv_h, axis % d
+    o, x = np.array(origin[:d]) / 8, np.array(xi[:d], dtype=float) / 64
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((5,) * d) + 1j * rng.standard_normal((5,) * d)
+    g = lf.SampledSpatial(values, o, h)
+    shifted = x.copy()
+    shifted[axis] += m / h
+    turn = (m * o[axis] / h) % 1.0  # exact: a dyadic fraction
+    got = g.fourier(shifted[None])[0]
+    want = np.exp(-2j * np.pi * turn) * g.fourier(x[None])[0]
+    assert abs(got - want) <= 1e-13 * h**d * np.sum(np.abs(values))

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import latticeframes as lf
-from latticeframes.errors import AliasRisk, NoDecayInfo, TailNotAchievable
+from latticeframes.errors import AliasRisk, NoDecayInfo, TailNotAchievable, TooLarge
 from latticeframes.generators import tail_bound
 from latticeframes.periodization import (
     K_CAP,
@@ -203,6 +203,15 @@ def test_wide_gaussian_on_fine_lattice_falls_back_to_direct():
     assert time.perf_counter() - start < 5.0
     assert table.route == "direct" and table.trunc_radius == 1
     assert np.all(np.isfinite(table.values))
+
+
+def test_direct_cross_sum_past_the_point_cap_raises_at_once():
+    # two narrow Gaussians take the direct route at R = 43 on Z^3: 87^3 terms
+    # at 64^3 points, 1.7e11 terms x points against the cap of 1.024e9
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"658503 terms at 262144 points: .* cap 1024000000"):
+        compute_cross_phi(lf.Gaussian(0.05, 3), lf.Gaussian(0.06, 3), lf.new_lattice(np.eye(3)), 64)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_route_per_catalog_kind(unit_lattice, translate_sum):
@@ -442,6 +451,14 @@ def test_periodize_l1_rejects_sinc(unit_lattice):
 def test_periodize_l1_point_validation(unit_lattice):
     with pytest.raises(ValueError):
         lf.periodize_l1(lf.BSpline(1), unit_lattice, [[1.5]], 2)
+
+
+def test_periodize_l1_past_the_point_cap_raises_before_the_box():
+    # radius 1000 in 3-d: the integer box alone would hold 8e9 vectors
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"8012006001 terms at 32769 points"):
+        lf.periodize_l1(lf.Gaussian(1.0, 3), lf.new_lattice(np.eye(3)), [[0.1, 0.2, 0.3]], 1000)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
