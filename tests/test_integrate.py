@@ -129,7 +129,7 @@ def test_grid_exp_sum_is_exact_at_large_quarter_integer_phases(grid_side):
     axes = [1e6 + np.arange(5) / 4, -1e6 + 0.5 + np.arange(3) / 4]
     ints = rng.integers(-3, 4, (7, 2)).astype(float)
     grid = _points(axes)
-    turns = (np.rint(4 * ints @ grid.T).astype(np.int64) % 4)  # (7, 15)
+    turns = np.rint(4 * ints @ grid.T).astype(np.int64) % 4  # (7, 15)
     if grid_side == "points":
         c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         got, want = _integrate.grid_exp_sum(c, ints, axes), _QUARTER_TURNS[turns.T] @ c
@@ -139,12 +139,14 @@ def test_grid_exp_sum_is_exact_at_large_quarter_integer_phases(grid_side):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(c))
 
 
+def _pair(bound):
+    return st.lists(st.integers(-bound, bound), min_size=2, max_size=2)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2), st.integers(0, 4), st.lists(st.integers(-512, 512), min_size=2,
-                                                      max_size=2),
-       st.lists(st.integers(-256, 256), min_size=2, max_size=2), st.integers(-1000, 1000),
-       st.integers(0, 1), st.integers(0, 2**32 - 1))
-@example(1, 3, [353, 0], [40, 0], 1000, 0, 0)
+@given(d=st.integers(1, 2), log_inv_h=st.integers(0, 4), origin=_pair(512), xi=_pair(256),
+       m=st.integers(-1000, 1000), axis=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+@example(d=1, log_inv_h=3, origin=[353, 0], xi=[40, 0], m=1000, axis=0, seed=0)
 def test_sampled_fourier_shift_by_a_period_is_a_phase(d, log_inv_h, origin, xi, m, axis, seed):
     # fourier(xi + m e_a / h) = exp(-2 pi i m o_a / h) fourier(xi) for samples
     # at o + h j: with a dyadic step, origin (in eighths) and xi (in 64ths)
