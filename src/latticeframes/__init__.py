@@ -39,12 +39,7 @@ from .generators import (
     load_sampled_csv,
     tail_bound,
 )
-from .lattice import (
-    LatticeSpec,
-    lattice_points_in_box,
-    new_lattice,
-    wrap_to_unit_cell,
-)
+from .lattice import LatticeSpec, new_lattice
 from .oracle import (
     CoefficientVector,
     GramMatrix,

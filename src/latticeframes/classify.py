@@ -191,9 +191,10 @@ def compact_support_riesz_check(g: Generator, lattice: LatticeSpec,
     """Riesz test for generators with a ``spatial_box``: does phi vanish anywhere?
 
     Compact spatial support makes the periodization continuous (it has
-    finitely many Fourier coefficients), so a grid minimum above the zero
-    threshold certifies the everywhere-positive condition up to grid
-    resolution.  The minimum and the threshold are ``spectral_bounds``'s; the
+    finitely many Fourier coefficients), so ``is_riesz`` reads a grid minimum
+    above the zero threshold as positivity everywhere.  That is a grid
+    estimate, not a proof: phi may dip below the threshold between grid
+    points.  The minimum and the threshold are ``spectral_bounds``'s; the
     witness is the argmin grid point.
     """
     if g.spatial_box() is None:

@@ -1,4 +1,4 @@
-"""Translation lattices B·Z^d, their duals, and unit-cell geometry.
+"""Translation lattices B·Z^d, their duals, integer boxes and argument checks.
 
 A lattice is described by an invertible d x d matrix ``basis``; translates
 live on ``basis @ k`` for integer vectors k.  The dual lattice has basis
@@ -128,33 +128,11 @@ def check_table(lattice: LatticeSpec, table):
                          f"lattice {lattice.basis.tolist()}")
 
 
-def wrap_to_unit_cell(gamma) -> np.ndarray:
-    """Reduce a point componentwise mod Z^d into [0, 1)^d."""
-    g = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteInput("cannot wrap non-finite coordinates")
-    r = np.mod(g, 1.0)
-    # mod can round up to exactly 1.0 for tiny negative inputs
-    r[r >= 1.0] = 0.0
-    return r
-
-
 def integer_box(dim: int, radius: int) -> np.ndarray:
     """(n, dim) array of all integer vectors with sup-norm <= radius, rows
     lexicographically ascending."""
     check_integer("radius", radius, 0)
     return mesh([np.arange(-radius, radius + 1)] * dim)
-
-
-def lattice_points_in_box(lattice: LatticeSpec, radius: int, side: str = "spatial"):
-    """(indices, coords): the rows of ``integer_box`` of the given radius and
-    their points, through the lattice basis for ``side`` "spatial" or through
-    the dual basis for "frequency"."""
-    mats = {"spatial": lattice.basis, "frequency": lattice.dual_basis}
-    if side not in mats:
-        raise ValueError(f"side must be 'spatial' or 'frequency', got {side!r}")
-    ks = integer_box(lattice.dim, radius)
-    return ks, ks @ mats[side].T
 
 
 def operator_inf_norm(mat: np.ndarray) -> float:

@@ -8,6 +8,7 @@ cross-check the grid classification without sharing its code path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -62,10 +63,11 @@ class GramMatrix:
     entries must be Hermitian, c_(-n) = conj(c_n), to eps max|c|: the solver
     reads the section as centrohermitian.  ``dense()`` materializes the full
     ((2M+1)^d)^2 matrix in lexicographic index order; it serves the CLI
-    ``gram`` CSV and is the reference in the tests, while ``gram_eigen_bounds``
-    gathers real symmetric blocks, one per even / odd pattern of the axis
-    flips that the entries respect (to eps max|c| in l1), for real and
-    complex entries alike.
+    ``gram`` CSV and is the reference in the tests.  ``gram_eigen_bounds``
+    forms neither: entries that factor, c_n = c_0 prod_a u_a(n_a) within its
+    bound, take d Toeplitz sections of order 2M+1; the rest take real
+    symmetric blocks, one per even / odd pattern of the axis flips that the
+    entries respect (to eps max|c| in l1), for real and complex entries alike.
     """
 
     half_width: int
@@ -128,49 +130,47 @@ def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatr
 
 
 def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
-    """Extreme eigenvalues of the Gram section, from real symmetric blocks.
+    """Extreme eigenvalues of the Gram section, from small Hermitian solves.
 
-    Axis a is invariant when D_a = sum_n |c(P_a n) - c(n)| <= eps max|c|, P_a
-    negating coordinate a.  Averaging c over those flips keeps it Hermitian
-    and moves it by at most sum_a D_a / 2 in l1; a row of the section holds
-    each c_n at most once, so by Weyl no eigenvalue moves more than
-    d eps max|c| / 2.  The flip groups are each invariant axis alone and the
-    other axes jointly.  An invariant group's flip sigma is unitary,
-    G[sigma j, sigma k] = G[j, k]; as c_(-n) = conj(c_n), the joint flip
-    gives conj G[j, k] instead, antiunitary unless c is real.  With every
-    axis invariant c is even and Hermitian, so real up to rounding.
+    A row of the section holds each c_n at most once, so by Weyl a change dc
+    of the entries moves no eigenvalue more than ||dc||_1, nor more than
+    (2M+1)^d max|dc|; and max|c| <= ||G||_2.  Entries with |c_n| <=
+    eps^2 max|c| are zeroed first, as smooth autocorrelations reach the
+    subnormal range, where the solver is slow: under the size cap that moves
+    no eigenvalue more than 4096 eps^2 max|c| ~ 2e-28 ||G||_2.
 
+    Entries that factor (d >= 2, M >= 1, |c_0| = max|c|, as Cauchy-Schwarz
+    gives every autocorrelation): with u_a the Hermitian part of
+    c(j e_a) / c_0, c^(n) = c_0 prod_a u_a(n_a) has the section
+    c_0 (x)_a T(u_a), T(u_a) Toeplitz of order 2M+1, so its eigenvalues are
+    the products c_0 prod_a lambda_a of theirs (Horn & Johnson, Topics in
+    Matrix Analysis, 1991, Thm 4.2.12).  They stand for G's when
+    ||c - c^||_1 <= (2M+1)^d eps max|c| <= (2M+1)^d eps ||G||_2, within the
+    dense solver's own backward error at order (2M+1)^d.  Tensor-product
+    kinds factor on diagonal lattices, the Gaussian on orthogonal ones too.
+
+    Otherwise axis a is invariant when D_a = sum_n |c(P_a n) - c(n)| <=
+    eps max|c|, P_a negating coordinate a; averaging c over those flips moves
+    it by at most sum_a D_a / 2 <= d eps max|c| / 2.  The flip groups are
+    each invariant axis alone and the other axes jointly.  An invariant
+    group's flip sigma is unitary, G[sigma j, sigma k] = G[j, k]; as
+    c_(-n) = conj(c_n), the joint flip gives conj G[j, k], antiunitary
+    unless c is real, as it is up to rounding with every axis invariant.
     On the points j, k up to each group's centre, a pattern's even / odd half
     sums c(k - sigma_U j) over the sets U of flipped groups, signed -1 per
     odd group in U and weighted 1/sqrt 2 for each of j, k at an even group's
-    fixed point; odd groups skip their fixed points.  In the bases
-    (e_x +- e_(sigma x))/sqrt 2 these are the blocks of G under the unitary
-    flips (Cantoni & Butler, Linear Algebra Appl. 13, 1976; Fassler &
-    Stiefel, Group Theoretical Methods and Their Applications, 1992), so
-    real entries solve every half.  For complex ones, within one pattern of
-    the invariant groups let X be the points before the joint centre,
-    S = G[X, X] and R = G[X, sigma X]: the joint halves are E = S + conj R,
-    with the centre, and O = S - conj R.  The unitary that takes e_x, e_0,
-    e_(sigma x) to (e_x + e_(sigma x))/sqrt 2, e_0, i(e_x - e_(sigma x))/sqrt 2
-    turns the pattern into the real symmetric (A. Lee, Linear Algebra
-    Appl. 29, 1980)
-
-        K = [[Re E,   Im O_r^T],
-             [Im O_r, Re O_rr ]],
-
-    O_r being O without its rows at the centre, O_rr without its columns
-    there too: S is Hermitian and R symmetric, by the antiunitary flip, so
-    Im(R - S) = Im(O)^T closes K.  With no invariant axis these are the
-    centrosymmetric split [[S+R, sqrt2 u], [sqrt2 u^T, c0]] and S-R of a real
-    section, u = G[X, 0], or Lee's whole K.
-
-    Entries with |c_n| <= eps^2 max|c| are zeroed first: the autocorrelations
-    of smooth generators fall into the subnormal range, where the solver's
-    Householder arithmetic is slow.  By Weyl no eigenvalue moves more than
-    ||dG||_inf <= (2M+1)^d eps^2 max|c|, under the size cap 4096 * 4.9e-32
-    c0 ~ 2e-28 lambda_max (c0 = ||f||^2 = max|c| <= lambda_max): far below
-    the solver's own backward error.  ``eigvalsh(gram.dense())`` is the test
-    reference.
+    fixed point; odd groups skip their fixed points.  These are the blocks
+    of G in the bases (e_x +- e_(sigma x))/sqrt 2 (Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976), so real entries solve every half.  For complex
+    ones, within a pattern of the invariant groups let X be the points
+    before the joint centre, S = G[X, X], R = G[X, sigma X]: the joint halves
+    are E = S + conj R, with the centre, and O = S - conj R.  The unitary
+    taking e_x, e_0, e_(sigma x) to (e_x + e_(sigma x))/sqrt 2, e_0,
+    i(e_x - e_(sigma x))/sqrt 2 makes the pattern the real symmetric
+    K = [[Re E, Im O_r^T], [Im O_r, Re O_rr]] (A. Lee, Linear Algebra Appl.
+    29, 1980), O_r being O without its rows at the centre, O_rr without its
+    columns there too; S Hermitian and R symmetric give Im(R - S) = Im O^T.
+    ``eigvalsh(gram.dense())`` is the test reference.
     """
     bad = int(np.count_nonzero(~np.isfinite(gram.diffs)))
     if bad:
@@ -181,6 +181,16 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
     if not np.any(c.imag):
         c = c.real
     d, m = gram.dim, gram.half_width
+    c0 = c[(2 * m,) * d].real
+    if d > 1 and m and 0 < np.abs(c).max() <= abs(c0):
+        fibres = [c[(2 * m,) * a + (slice(None),) + (2 * m,) * (d - a - 1)] for a in range(d)]
+        fibres = [(f + f[::-1].conj()) / (2 * c0) for f in fibres]
+        gap = np.abs(c - c0 * functools.reduce(np.multiply.outer, fibres)).sum()
+        if gap <= (2 * m + 1) ** d * eps * abs(c0):
+            idx = np.arange(2 * m + 1)
+            toeplitz = 2 * m + idx - idx[:, None]  # entry [j, k] is u(k - j)
+            eig = c0 * functools.reduce(np.multiply.outer, _eigvalsh(u[toeplitz] for u in fibres))
+            return float(eig.min()), float(eig.max())
     axes = [a for a in range(d) if np.abs(np.flip(c, a) - c).sum() <= eps * np.abs(c).max()]
     for a in axes:
         c = 0.5 * (c + np.flip(c, a))
@@ -222,11 +232,15 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
             blocks.append(np.block([[half(even).real, o_r.imag.T], [o_r.imag, half(odd).real]]))
     else:
         blocks = [half(odd) for odd in flips]
+    eig = np.concatenate(_eigvalsh(blocks))
+    return float(eig.min()), float(eig.max())
+
+
+def _eigvalsh(blocks) -> list:
     try:
-        eig = np.concatenate([np.linalg.eigvalsh(k) for k in blocks])
+        return [np.linalg.eigvalsh(k) for k in blocks]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from exc
-    return float(eig.min()), float(eig.max())
 
 
 # ---------------------------------------------------------------------------

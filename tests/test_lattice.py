@@ -47,52 +47,6 @@ def test_nonfinite_matrix():
         lf.new_lattice([[np.nan]])
 
 
-def test_wrap_basic():
-    assert lf.wrap_to_unit_cell([0.25]) == pytest.approx([0.25])
-    assert lf.wrap_to_unit_cell([-0.25]) == pytest.approx([0.75])
-    assert lf.wrap_to_unit_cell([3.5, -1.2]) == pytest.approx([0.5, 0.8], abs=1e-12)
-
-
-def test_wrap_nonfinite():
-    with pytest.raises(NonFiniteInput):
-        lf.wrap_to_unit_cell([np.inf])
-
-
-def test_wrap_periodicity():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        g = rng.uniform(-5, 5, size=2)
-        k = rng.integers(-4, 5, size=2)
-        assert lf.wrap_to_unit_cell(g + k) == pytest.approx(
-            lf.wrap_to_unit_cell(g), abs=1e-12
-        )
-    assert np.all(lf.wrap_to_unit_cell(rng.uniform(-9, 9, size=3)) < 1.0)
-
-
-def test_points_in_box_counts_and_order():
-    L = lf.new_lattice([[1.0]])
-    ks, xs = lf.lattice_points_in_box(L, 0)
-    assert ks.shape == xs.shape == (1, 1) and ks[0] == pytest.approx([0])
-
-    ks, _ = lf.lattice_points_in_box(L, 2)
-    assert [int(k[0]) for k in ks] == [-2, -1, 0, 1, 2]
-
-    L2 = lf.new_lattice([[2.0, 0.0], [0.0, 1.0]])
-    ks2, xs2 = lf.lattice_points_in_box(L2, 1)
-    assert ks2.shape == xs2.shape == (9, 2)
-    idx = [tuple(k) for k in ks2]
-    assert idx == sorted(idx)  # lexicographic
-    assert xs2[0] == pytest.approx([-2.0, -1.0])
-
-
-def test_points_frequency_side():
-    L = lf.new_lattice(np.diag([2.0, 3.0]))
-    ks, xs = lf.lattice_points_in_box(L, 1, side="frequency")
-    assert len(ks) == len(xs) == 9
-    for k, x in zip(ks, xs):
-        assert x == pytest.approx(L.dual_basis @ k)
-
-
 def test_duality_pairing():
     rng = np.random.default_rng(11)
     for d in (1, 2, 3):
@@ -122,12 +76,6 @@ def test_basis_norm_is_the_spectral_norm_of_the_basis():
         for lat in (L, L.dual()):
             assert lat.basis_norm == spectral_norm(lat.basis.T)
             assert lat.basis_norm is lat.basis_norm
-
-
-def test_wrap_tiny_negative_rounds_into_cell():
-    # float mod can round -1e-18 up to exactly 1.0; the wrap must stay in [0,1)
-    out = lf.wrap_to_unit_cell([-1e-18])
-    assert out[0] == 0.0
 
 
 # every entry point that pairs a generator with a lattice checks that their

@@ -149,6 +149,7 @@ def test_eigen_bounds_box_singular(unit_lattice):
 _ASYMMETRIC_BOX = lf.FrequencyBox([-0.2, -0.4], [0.45, 0.3])
 _HALF_SYMMETRIC_BOX = lf.FrequencyBox([-0.5, -0.2], [0.5, 0.4])  # flip of axis 0 only
 _ROTATED = [[math.cos(0.37), -math.sin(0.37)], [math.sin(0.37), math.cos(0.37)]]
+_SHEAR = [[1.0, 0.5], [0.0, 1.0]]
 # complex samples far from their origin: the overlap at shift 0 rebuilds each
 # grid index as (x_j - origin) / step, which can round below the integer and
 # leave an imaginary part of 1.3e-14 in the autocorrelation at 0
@@ -199,8 +200,9 @@ def test_eigen_bounds_match_dense_reference(dim, half_width, complex_entries, se
     (lf.Gaussian(1.0, 2), _ROTATED, 15, False),
     (lf.Gaussian(0.5, 2), np.eye(2).tolist(), 15, False),
     (_FAR_SAMPLES, [[1.0]], 3, True),
+    (lf.BSpline(3, 2), np.diag([0.7, 1.3]).tolist(), 10, False),
 ], ids=["asymmetric_box_d2_M15", "half_symmetric_box_d2_M15", "gauss_d3_M4", "gauss_d2_M15", "gauss_d2_rotated_M15",
-        "gauss_narrow_d2_M15", "far_samples_M3"])
+        "gauss_narrow_d2_M15", "far_samples_M3", "bspline3_diag_d2_M10"])
 def test_eigen_bounds_match_dense_reference_catalog(g, basis, half_width, complex_entries):
     gram = lf.gram_matrix(g, lf.new_lattice(basis), half_width)
     assert bool(np.any(gram.diffs.imag)) is complex_entries
@@ -251,7 +253,7 @@ def test_eigen_bounds_split_by_axis_flips(dim, half_width, flipped, complex_entr
     flipped = sorted(flipped & set(range(dim)))
     for a in flipped:
         c = c + np.flip(c, a)
-    # a single entry (M = 0) respects every flip
+    # a single entry (M = 0) respects every flip; the factor route needs M >= 1
     lee = complex_entries and len(flipped) < dim and half_width > 0
     if lee:
         blocks = 2 ** len(flipped)
@@ -297,32 +299,100 @@ def _centrosymmetric_bounds(gram):
     return float(eig.min()), float(eig.max())
 
 
-@pytest.mark.parametrize("g, basis, half_width, orders", [
-    (lf.Gaussian(1.0, 2), np.eye(2).tolist(), 15, [256, 240, 240, 225]),
-    (lf.Gaussian(1.0, 2), _ROTATED, 15, [256, 240, 240, 225]),
-    (lf.BSpline(1, 3), [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 2,
+def _two_products(kinds, half_width, real=False, seed=5):
+    """Hermitian entries sum_r prod_a v_(r,a)(n_a) over two terms r, with
+    v_(r,a) random of length 4M+1, real and even where ``kinds[a]`` is "e",
+    complex and Hermitian where it is "h"; ``real`` keeps the real part.
+    They respect the flips of the "e" axes and do not factor."""
+    rng = np.random.default_rng(seed)
+    c = 0
+    for _ in range(2):
+        term = 1
+        for kind in kinds:
+            v = rng.standard_normal(4 * half_width + 1) + (1j * rng.standard_normal(
+                4 * half_width + 1) if kind == "h" else 0)
+            term = np.multiply.outer(term, v + v[::-1].conj())
+        c = c + term
+    return GramMatrix(half_width=half_width, dim=len(kinds), diffs=(c.real if real else c) + 0j)
+
+
+def _section(g, basis, half_width):
+    return lf.gram_matrix(g, lf.new_lattice(basis), half_width)
+
+
+@pytest.mark.parametrize("make, orders", [
+    (lambda: _section(lf.Gaussian(1.0, 2), np.eye(2).tolist(), 15), [31, 31]),
+    (lambda: _section(lf.Gaussian(1.0, 2), _ROTATED, 15), [31, 31]),
+    (lambda: _section(lf.BSpline(1, 3), [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 2),
      [39, 36, 26, 24]),
-    (lf.Sinc(2), [[1.0, 1.0], [0.0, 1.0]], 2, [13, 12]),
-    (_ASYMMETRIC_BOX, np.eye(2).tolist(), 3, [49]),
-    (_HALF_SYMMETRIC_BOX, np.eye(2).tolist(), 3, [28, 21]),
-    (lf.FrequencyBox([-0.2, -0.5, -0.4], [0.45, 0.5, 0.3]), np.eye(3).tolist(), 2, [75, 50]),
+    (lambda: _section(lf.Sinc(2), [[1.0, 1.0], [0.0, 1.0]], 2), [5, 5]),
+    (lambda: _section(_ASYMMETRIC_BOX, np.eye(2).tolist(), 3), [7, 7]),
+    (lambda: _section(_HALF_SYMMETRIC_BOX, np.eye(2).tolist(), 3), [7, 7]),
+    (lambda: _section(lf.FrequencyBox([-0.2, -0.5, -0.4], [0.45, 0.5, 0.3]),
+                      np.eye(3).tolist(), 2), [5, 5, 5]),
+    (lambda: _two_products("ee", 15, real=True), [256, 240, 240, 225]),
+    (lambda: _section(lf.Gaussian(1.0, 2), _SHEAR, 1), [5, 4]),
+    (lambda: _section(lf.Gaussian(1.0, 2), _SHEAR, 2), [13, 12]),
+    (lambda: _section(lf.Gaussian(1.0, 2), _SHEAR, 15), [481, 480]),
+    (lambda: _two_products("hh", 2, real=True), [13, 12]),
+    (lambda: _two_products("hh", 3), [49]),
+    (lambda: _two_products("eh", 3), [28, 21]),
+    (lambda: _two_products("heh", 2), [75, 50]),
 ], ids=["gauss_d2", "gauss_d2_rotated", "bspline1_d3_shear_axis2", "sinc2_shear",
-        "asymmetric_box", "half_symmetric_box", "half_symmetric_box_d3_axis1"])
-def test_eigen_bounds_block_orders(g, basis, half_width, orders):
-    # the Gaussian respects both axis flips, on Z^2 and rotated; the sheared
-    # B-spline respects only the flip of axis 2, and axes 0 and 1 flip
-    # jointly; the sheared sinc respects none, and neither does the
-    # asymmetric box, which is complex, so those two keep the centrosymmetric
-    # split bit for bit.  The complex boxes symmetric in axis 0 on Z^2, or
-    # axis 1 on Z^3, take one K per even / odd pattern of that axis
-    gram = lf.gram_matrix(g, lf.new_lattice(basis), half_width)
+        "asymmetric_box", "half_symmetric_box", "half_symmetric_box_d3_axis1",
+        "two_even_products_d2", "gauss_d2_shear_M1", "gauss_d2_shear_M2",
+        "gauss_d2_shear_M15", "two_real_products_d2",
+        "two_complex_products_d2", "two_products_d2_axis0", "two_products_d3_axis1"])
+def test_eigen_bounds_block_orders(make, orders):
+    # entries that factor, the catalog's tensor kinds on diagonal lattices,
+    # the Gaussian rotated and the sinc's delta on its shear, take one
+    # Toeplitz section of order 2M+1 per axis.  The rest split by flips: the
+    # sheared B-spline respects only the flip of axis 2, and axes 0 and 1
+    # flip jointly; two products of even sequences respect both flips.  The
+    # sheared Gaussian, c_n = exp(-pi |B n|^2 / 2) with a cross term
+    # n_0 n_1 in the exponent, and the real part of two products of
+    # Hermitian sequences respect none, and neither do the complex products, so those
+    # keep the centrosymmetric split bit for bit.  Complex products even in
+    # axis 0 in d = 2, or axis 1 in d = 3, take one K per even / odd pattern
+    # of that axis
+    gram = make()
     bounds, got = _bounds_and_block_orders(gram)
     assert got == orders
-    n = (2 * half_width + 1) ** gram.dim
+    n = (2 * gram.half_width + 1) ** gram.dim
     if got in ([n // 2 + 1, n // 2], [n]):
         assert bounds == _centrosymmetric_bounds(gram)
     else:
         _assert_matches_dense_reference(gram)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 3), half_width=st.integers(1, 3), complex_entries=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_eigen_bounds_factor_route(dim, half_width, complex_entries, seed):
+    # a product of random Hermitian 1-d sequences, 1 at 0 and below 2^(1/2-|j|)
+    # elsewhere like an autocorrelation, takes d solves of order 2M+1
+    rng = np.random.default_rng(seed)
+    j = np.arange(-2 * half_width, 2 * half_width + 1)
+    c = rng.uniform(0.5, 2.0)
+    for _ in range(dim):
+        v = rng.uniform(-1, 1, j.size)
+        if complex_entries:
+            v = v + 1j * rng.uniform(-1, 1, j.size)
+        v = (v + v[::-1].conj()) * 0.5 ** (np.abs(j) + 1)
+        v[2 * half_width] = 1.0
+        c = np.multiply.outer(c, v)
+    gram = GramMatrix(half_width=half_width, dim=dim, diffs=c + 0j)
+    _assert_matches_dense_reference(gram)
+    assert _bounds_and_block_orders(gram)[1] == [2 * half_width + 1] * dim
+    # ten times the route's threshold (2M+1)^d eps max|c| in l1, at
+    # n = (1, ..., 1) and its conjugate, sends it back to the flip split
+    step = 5 * (2 * half_width + 1) ** dim * np.finfo(float).eps * np.abs(c).max()
+    c[(2 * half_width + 1,) * dim] += step
+    c[(2 * half_width - 1,) * dim] = np.conj(c[(2 * half_width + 1,) * dim])
+    gram = GramMatrix(half_width=half_width, dim=dim, diffs=c + 0j)
+    _assert_matches_dense_reference(gram)
+    orders = _bounds_and_block_orders(gram)[1]
+    assert orders != [2 * half_width + 1] * dim and sum(orders) == (2 * half_width + 1) ** dim
 
 
 def test_eigen_bounds_gauss_d3_past_the_dense_reference():
@@ -337,8 +407,10 @@ def test_eigen_bounds_gauss_d3_past_the_dense_reference():
 
 
 def test_eigen_bounds_form_no_dense_section(monkeypatch, unit_lattice):
+    # the first two factor, the other two take the flip split
     grams = [lf.gram_matrix(lf.Gaussian(1.0, 2), lf.new_lattice(np.eye(2).tolist()), 3),
-             lf.gram_matrix(_ASYMMETRIC_BOX, lf.new_lattice(np.eye(2).tolist()), 3)]
+             lf.gram_matrix(_ASYMMETRIC_BOX, lf.new_lattice(np.eye(2).tolist()), 3),
+             _section(lf.Gaussian(1.0, 2), _SHEAR, 3), _two_products("eh", 3)]
     expected = [lf.gram_eigen_bounds(gram) for gram in grams]
 
     def forbidden(*args, **kwargs):

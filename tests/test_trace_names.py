@@ -13,6 +13,10 @@ from pathlib import Path
 import latticeframes as lf
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+# names the tracer still lists that were deleted from the package on purpose:
+# no workload calls them, so no per-layer metric read anything from them.
+# Drop them here when the tracer's lists drop them
+DELETED = ["lattice.lattice_points_in_box", "lattice.wrap_to_unit_cell"]
 
 
 def _tracing():
@@ -37,7 +41,7 @@ def test_traced_names_resolve_in_the_package():
                     if not any(meth in c.__dict__
                                and not getattr(c.__dict__[meth], "__isabstractmethod__", False)
                                for c in classes)]
-    assert missing == []
+    assert missing == DELETED
 
 
 def test_compute_phi_counter_reads_every_route():
