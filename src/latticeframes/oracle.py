@@ -169,7 +169,8 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
     i(e_x - e_(sigma x))/sqrt 2 makes the pattern the real symmetric
     K = [[Re E, Im O_r^T], [Im O_r, Re O_rr]] (A. Lee, Linear Algebra Appl.
     29, 1980), O_r being O without its rows at the centre, O_rr without its
-    columns there too; S Hermitian and R symmetric give Im(R - S) = Im O^T.
+    columns there too: S is Hermitian and R, by the antiunitary flip,
+    symmetric, so Im(R - S) = Im O^T.
     ``eigvalsh(gram.dense())`` is the test reference.
     """
     bad = int(np.count_nonzero(~np.isfinite(gram.diffs)))
