@@ -181,6 +181,8 @@ class Generator(ABC):
     # with a partner are finite sums of the partner's spatial values, which the
     # comb's own cross_correlation takes
     comb: bool = False
+    # the factors ``axis_factors`` returns, set once by each tensor-product kind
+    _factors: tuple[Generator, ...] | None = None
 
     @abstractmethod
     def fourier(self, xi: np.ndarray) -> np.ndarray:
@@ -194,39 +196,15 @@ class Generator(ABC):
         """<other, f(. + t)> at an (m, d) array of spatial shifts t.
 
         Equals integral otherhat conj(fhat) exp(-2 pi i xi . t) d xi, taken by
-        quadrature on one node set sized for the largest shift plus, when both
-        sides declare a spatial box, the sup-norm reach of box_other - box_f.  By
-        Cauchy-Schwarz the part beyond R is at most sqrt(T_f(R) T_o(R)) for the
-        tails T of |fhat|^2 and |otherhat|^2, and a tail is at most its squared
-        norm, so R may be where both tails are below tol or one is below tol^2
-        over the other's squared norm.  For other = f that is where the one
-        tail is below tol, and asking for the norm would recurse.  A comb
-        partner takes the inner product itself: <other, f(. + t)> is the
+        ``_frequency_integral`` to within 1e-12: d one-dimensional rules when
+        both sides have ``axis_factors``, one d-dimensional mesh otherwise.  A
+        comb partner takes the inner product itself: <other, f(. + t)> is the
         conjugate of <f, other(. - t)>.
         """
         t = np.asarray(t, dtype=float)
         if other.comb and not self.comb:
             return np.conj(other.cross_correlation(self, -t))
-        tol = 1e-12
-        rf, ro = self.fourier_tail_radius, other.fourier_tail_radius
-        radius = rf(tol) if other is self else min(
-            max(rf(tol), ro(tol)), rf(tol**2 / other.norm_squared()),
-            ro(tol**2 / self.norm_squared()))
-        # a factor's indicator box cuts the cube, so its faces are panel edges
-        lo, hi = np.full(self.dim, -radius), np.full(self.dim, radius)
-        for box in (self.indicator_box(), other.indicator_box()):
-            if box is not None:
-                lo, hi = np.maximum(lo, box[0]), np.minimum(hi, box[1])
-        if np.any(lo >= hi):
-            return np.zeros(t.shape[0], dtype=complex)
-        # the integrand is the transform of a function on box_other - box_self
-        # shifted by t, so it oscillates with that box's sup-norm reach too
-        osc = float(np.max(np.abs(t)))
-        boxes = other.spatial_box(), self.spatial_box()
-        if None not in boxes:
-            osc += float(np.max(np.abs([boxes[0][0] - boxes[1][1], boxes[0][1] - boxes[1][0]])))
-        return sum(grid_exp_sum(w * other.fourier(pts) * np.conj(self.fourier(pts)), axes, t)
-                   for axes, pts, w in grid_blocks(lo, hi, osc))
+        return _frequency_integral(self, other, t, 1e-12)
 
     def autocorrelation(self, t: np.ndarray) -> np.ndarray:
         """<f, f(. + t)> at an (m, d) array of spatial shifts t.
@@ -235,6 +213,14 @@ class Generator(ABC):
         forms; a subclass may override either.
         """
         return self.cross_correlation(self, t)
+
+    def axis_factors(self) -> tuple[Generator, ...] | None:
+        """The d one-dimensional generators f_a with fhat(xi) = prod_a
+        fhat_a(xi_a), or None; a generator in d = 1 is its own factor.  With
+        factors on both sides the frequency integral of ``cross_correlation``
+        takes d one-dimensional rules, not a d-dimensional mesh.  A subclass
+        that changes ``fourier`` must override this too."""
+        return self._factors
 
     def spatial_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Corners (lower, upper) of a closed box outside which the inverse
@@ -269,6 +255,75 @@ class Generator(ABC):
         return self.decay_bound().tail_radius(self.dim, tol)
 
 
+def _axis_tolerance(norms, tol: float) -> float:
+    """One tolerance eps for the axis integrals I_a, |I_a| <= norms[a], that
+    keeps their product within tol.  With errors |delta_a| <= eps_a the
+    product telescopes, prod_a (I_a + delta_a) - prod_a I_a =
+    sum_a delta_a prod_(b<a) I_b prod_(b>a) (I_b + delta_b), so its error is
+    at most sum_a eps_a prod_(b!=a) (norms[b] + eps_b); eps <= 1 bounds each
+    factor by norms[b] + 1."""
+    return min(1.0, tol / sum(math.prod(n + 1.0 for b, n in enumerate(norms) if b != a)
+                              for a in range(len(norms))))
+
+
+def _frequency_integral(f: Generator, other: Generator, t: np.ndarray, tol: float) -> np.ndarray:
+    """integral otherhat conj(fhat) exp(-2 pi i xi . t) d xi at an (m, d) array
+    of shifts t, to within tol: no comb redirect and no closed form.
+
+    When both sides have ``axis_factors`` (d >= 2) the integral is the product
+    over the axes of the one-dimensional integrals of the factor pairs at t_a
+    (Fubini), each taken at ``_axis_tolerance`` of the factor norms
+    ||f_a|| ||o_a||, which bound the axis integrals by Cauchy-Schwarz.  One
+    rule serves the axes of one factor pair, at the union of their values.
+
+    Otherwise one quadrature on a node set sized for the largest shift plus,
+    when both sides declare a spatial box, the sup-norm reach of
+    box_other - box_f.  By Cauchy-Schwarz the part beyond R is at most
+    sqrt(T_f(R) T_o(R)) for the tails T of |fhat|^2 and |otherhat|^2, and a
+    tail is at most its squared norm, so R may be where both tails are below
+    tol or one is below tol^2 over the other's squared norm.  For other = f
+    that is where the one tail is below tol, and asking for the norm would
+    recurse.
+    """
+    factors = f.axis_factors(), other.axis_factors()
+    if f.dim > 1 and None not in factors:
+        pairs = list(zip(*factors))
+        eps = _axis_tolerance([math.sqrt(fa.norm_squared() * oa.norm_squared())
+                               for fa, oa in pairs], tol)
+        rules = {}
+        for a, pair in enumerate(pairs):
+            rules.setdefault(pair, []).append(a)
+        out = np.ones(t.shape[0], dtype=complex)
+        for (fa, oa), axes in rules.items():
+            values, inverse = np.unique(t[:, axes], return_inverse=True)
+            axis = _frequency_integral(fa, oa, values[:, None], eps)
+            out *= np.prod(axis[inverse].reshape(-1, len(axes)), axis=1)
+        return out
+    rf, ro = f.fourier_tail_radius, other.fourier_tail_radius
+    radius = rf(tol) if other is f else min(
+        max(rf(tol), ro(tol)), rf(tol**2 / other.norm_squared()),
+        ro(tol**2 / f.norm_squared()))
+    # a factor's indicator box cuts the cube, so its faces are panel edges
+    lo, hi = np.full(f.dim, -radius), np.full(f.dim, radius)
+    for box in (f.indicator_box(), other.indicator_box()):
+        if box is not None:
+            lo, hi = np.maximum(lo, box[0]), np.minimum(hi, box[1])
+    if np.any(lo >= hi):
+        return np.zeros(t.shape[0], dtype=complex)
+    # the integrand is the transform of a function on box_other - box_f
+    # shifted by t, so it oscillates with that box's sup-norm reach too
+    osc = float(np.max(np.abs(t)))
+    boxes = other.spatial_box(), f.spatial_box()
+    if None not in boxes:
+        osc += float(np.max(np.abs([boxes[0][0] - boxes[1][1], boxes[0][1] - boxes[1][0]])))
+
+    def integrand(pts):
+        fhat = f.fourier(pts)
+        return np.abs(fhat) ** 2 if other is f else other.fourier(pts) * np.conj(fhat)
+
+    return sum(grid_exp_sum(w * integrand(pts), axes, t) for axes, pts, w in grid_blocks(lo, hi, osc))
+
+
 def _point(x, dim: int) -> np.ndarray:
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     if pt.shape != (dim,):
@@ -295,6 +350,14 @@ def l2_norm_squared(g: Generator) -> float:
     return n2
 
 
+def _box_inverse(lower, upper, x: np.ndarray) -> np.ndarray:
+    """Inverse transform of the indicator of the box [lower, upper) at the
+    (m, d) points x: a per-axis modulated sinc."""
+    width = upper - lower
+    vals = width * np.sinc(width * x) * cis(-0.5 * (upper + lower) * x)
+    return np.prod(vals, axis=-1)
+
+
 class FrequencyBox(Generator):
     """fhat is the indicator of the half-open box [lower, upper) in frequency.
 
@@ -316,6 +379,10 @@ class FrequencyBox(Generator):
         self.upper = hi
         self.dim = lo.size
         self.label = f"box{lo.tolist()}..{hi.tolist()}"
+        # one factor per distinct edge pair, so that equal axes share a rule
+        edges = list(zip(lo.tolist(), hi.tolist()))
+        made = {ab: FrequencyBox(*ab) for ab in edges} if self.dim > 1 else {}
+        self._factors = tuple(made[ab] for ab in edges) if made else (self,)
 
     def fourier(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -323,12 +390,7 @@ class FrequencyBox(Generator):
         return inside.astype(complex)
 
     def spatial(self, x):
-        # inverse transform of a box indicator: per-axis modulated sinc
-        x = np.asarray(x, dtype=float)
-        width = self.upper - self.lower
-        center = 0.5 * (self.upper + self.lower)
-        vals = width * np.sinc(width * x) * cis(-center * x)
-        return np.prod(vals, axis=-1)
+        return _box_inverse(self.lower, self.upper, np.asarray(x, dtype=float))
 
     def cross_correlation(self, other, t):
         # two indicators multiply to the indicator of their intersection box,
@@ -339,7 +401,7 @@ class FrequencyBox(Generator):
         lo, hi = np.maximum(self.lower, other.lower), np.minimum(self.upper, other.upper)
         if np.any(lo >= hi):
             return np.zeros(t.shape[0], dtype=complex)
-        return FrequencyBox(lo, hi).spatial(-t)
+        return _box_inverse(lo, hi, -t)
 
     def indicator_box(self):
         return self.lower, self.upper
@@ -390,6 +452,7 @@ class BSpline(Generator):
         self.order = int(order)
         self.dim = int(dim)
         self.label = f"bspline{order}(d={dim})"
+        self._factors = (BSpline(order),) * self.dim if self.dim > 1 else (self,)
 
     def fourier(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -427,6 +490,7 @@ class Gaussian(Generator):
         self.width = float(width)
         self.dim = int(dim)
         self.label = f"gaussian(width={width},d={dim})"
+        self._factors = (Gaussian(width),) * self.dim if self.dim > 1 else (self,)
 
     def fourier(self, xi):
         xi = np.asarray(xi, dtype=float)

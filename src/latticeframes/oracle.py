@@ -15,9 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from . import _integrate
 from .errors import ConvergenceFailure, DegenerateSpan, TooLarge
-from .generators import Generator
+from .generators import Generator, _frequency_integral
 from .lattice import LatticeSpec, check_dims, check_integer, check_table, integer_box, is_integer
 from .periodization import (
     PeriodizationTable,
@@ -253,13 +252,17 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
                    table: PeriodizationTable) -> tuple[float, float, float]:
     """Squared norm of sum_k c_k (translate of f by B k), three ways.
 
-    direct    -- frequency quadrature of |weight|^2 |fhat|^2 over R^d
+    direct    -- sum_(j,k) c_j conj(c_k) Q(B (k_j - k_k)), Q(t) the frequency
+                 quadrature of |fhat|^2 exp(-2 pi i xi . t) over R^d, taken
+                 once per distinct difference
     spectral  -- grid quadrature of |trig poly of c|^2 times the table
     quadratic -- the Gram quadratic form over the support of c
 
     All three estimate the same quantity; their agreement validates both the
-    table and the Gram section, built here over the support of c.  A direct
-    mesh past the panel cap of ``_integrate.grid_blocks`` raises TooLarge.
+    table and the Gram section, built here over the support of c.  The direct
+    route shares no closed form with the Gram route: Q takes d one-dimensional
+    rules when g has ``axis_factors``, else one d-dimensional mesh, which
+    raises TooLarge past the panel cap of ``_integrate.grid_blocks``.
     """
     check_dims(lattice, g)
     check_table(lattice, table)
@@ -268,27 +271,30 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
         raise ValueError(f"coefficient keys have length {ks.shape[1]}, "
                          f"the lattice dimension {lattice.dim}")
     cs = np.array(list(c.entries.values()), dtype=complex)
-    shifts = ks @ lattice.basis.T
-    # direct route: the dropped tail is below sup|weight|^2 * target, so
-    # scaling the target by the squared coefficient mass keeps the absolute
-    # error under 1e-9 for any c
+    # direct route: an error of at most tol in each Q moves the double sum by
+    # at most (sum |c|)^2 tol, so the absolute error stays under 1e-9 for any c
     mass = float(np.sum(np.abs(cs)))
-    radius = g.fourier_tail_radius(1e-9 / (1.0 + mass**2))
-    box = np.full(lattice.dim, radius)
-    direct = 0.0
-    # |weight|^2 oscillates up to twice the largest shift
-    for axes, pts, w in _integrate.grid_blocks(-box, box, 2.0 * np.max(np.abs(shifts))):
-        weight = _integrate.grid_exp_sum(cs, shifts, axes)
-        direct += float(np.sum(w * np.abs(weight) ** 2 * np.abs(g.fourier(pts)) ** 2))
+    # the differences k_j - k_k, |.|_inf <= 2r, by their offsets in the lex
+    # order of that box; sorted, they are symmetric, the last i-th the
+    # negative of the i-th, and Q(-t) = conj Q(t): the half up to 0 gives the rest
+    r = c.support_radius()
+    strides = (4 * r + 1) ** np.arange(lattice.dim - 1, -1, -1)
+    offsets, inverse = np.unique((ks @ strides)[:, None] - ks @ strides, return_inverse=True)
+    half = offsets[:len(offsets) // 2 + 1] + 2 * r * int(strides.sum())
+    diffs = np.stack(np.unravel_index(half, (4 * r + 1,) * lattice.dim), axis=1) - 2 * r
+    q = _frequency_integral(g, g, diffs @ lattice.basis.T, 1e-9 / (1.0 + mass**2))
+    q = np.concatenate([q, q[-2::-1].conj()])
+    direct = float(np.real(cs @ q[inverse].reshape(len(cs), -1) @ cs.conj()))
 
     # spectral route on the table grid: sum_k c_k exp(-2 pi i k . gamma) is
     # the series of the coefficients at -k
     poly = _series_values(-ks, cs, table.grid_res)
     spectral = float(np.mean(np.abs(poly) ** 2 * table.values))
 
-    # quadratic form through the Gram section over the support of c
+    # quadratic form through the Gram section over the support of c: entry
+    # [j, k] is <f(. - B k_k), f(. - B k_j)>, so the norm is conj(c)^T G c
     gram = gram_matrix(g, lattice, max(1, c.support_radius()))._block(ks, ks)
-    return direct, spectral, float((cs @ gram @ cs.conj()).real)
+    return direct, spectral, float((cs.conj() @ gram @ cs).real)
 
 
 def analysis_coefficients(g: Generator, lattice: LatticeSpec, h: Generator,

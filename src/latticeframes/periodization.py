@@ -421,8 +421,9 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
     autocorrelations for the self pair (``lattice_coefficients``), over
     ``_coefficient_set``, whose coefficient cube has the default target
     1e-10 ||f||^2, the mean of phi.
-    Direct route: ``cross_phi_values`` at the smallest radius R whose tail
-    bound is at most ``target_tail``: T_g(R) for the self pair
+    Direct route: the lattice sum of ``cross_phi_values``, its k = 0 term
+    first and then the ring 1 <= |k|_inf <= R, at the smallest radius R whose
+    tail bound is at most ``target_tail``: T_g(R) for the self pair
     (``choose_truncation``), else sqrt(T_psi(R) T_g(R)), which bounds the
     dropped cross terms by Cauchy-Schwarz at each gamma.  The default target
     is 1e-10 times the grid maximum of the k = 0 term; for the self pair
@@ -455,8 +456,8 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
                   else g.cross_correlation(psi, ns @ lattice.basis.T))
         radius = int(np.abs(ns).max(initial=0))  # 0 for an empty set: every a_n vanishes
         return table(_series_values(ns, coeffs, grid_res, psi is g), "dual", radius, tail)
+    k0 = cross_phi_values(g, psi, lattice, grid_res, 0)
     if target_tail is None:
-        k0 = cross_phi_values(g, psi, lattice, grid_res, 0)
         target_tail = 1e-10 * max(float(np.abs(k0).max()), 1e-30)
     if psi is g:
         radius, tail = choose_truncation(g, lattice, target_tail)
@@ -464,7 +465,10 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
         radius, tail = _smallest_radius(
             lambda k: math.sqrt(tail_bound(psi, lattice, k) * tail_bound(g, lattice, k)),
             K_CAP[lattice.dim], target_tail, tag)
-    return table(cross_phi_values(g, psi, lattice, grid_res, radius), "direct", radius, tail)
+    ks = _sum_box(lattice.dim, radius, grid_res**lattice.dim)
+    ring = _cross_sum(g, psi, lattice, grid_gamma(lattice.dim, grid_res), ks[np.any(ks, axis=1)])
+    values = k0 + ring.reshape(k0.shape)
+    return table(values, "direct", radius, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,39 @@ class Translated(lf.Generator):
         return self.base.fourier_tail_radius(tol)
 
 
+class MeshOnly(lf.Generator):
+    """A generator without axis factors: its frequency integrals take the
+    d-dimensional mesh, the reference for the per-axis rules."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.label = f"{base.label}@mesh"
+
+    def fourier(self, xi):
+        return self.base.fourier(xi)
+
+    def spatial(self, x):
+        return self.base.spatial(x)
+
+    def norm_squared(self):
+        return self.base.norm_squared()
+
+    def decay_bound(self):
+        return self.base.decay_bound()
+
+    def indicator_box(self):
+        return self.base.indicator_box()
+
+    def spatial_box(self):
+        return self.base.spatial_box()
+
+
+@pytest.fixture(scope="session")
+def mesh_only():
+    return MeshOnly
+
+
 @pytest.fixture
 def translate_sum():
     return TranslateSum

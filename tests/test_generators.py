@@ -9,7 +9,8 @@ from scipy.integrate import quad
 import latticeframes as lf
 from latticeframes._integrate import grid_blocks
 from latticeframes.errors import NoDecayInfo, TailNotAchievable, ZeroGenerator
-from latticeframes.generators import CompactFrequencySupport, DecayBound, _gaussian_moment_sum
+from latticeframes.generators import (CompactFrequencySupport, DecayBound, _axis_tolerance,
+                                      _frequency_integral, _gaussian_moment_sum)
 from latticeframes.lattice import operator_inf_norm
 from latticeframes.periodization import choose_truncation
 
@@ -388,28 +389,47 @@ def test_gaussian_pair_closed_form(widths, dim):
     assert f.norm_squared() == pytest.approx((widths[0] / math.sqrt(2.0)) ** dim, rel=1e-15)
 
 
-# tensor pairs with no closed form, with their one-dimensional factor pairs
+# tensor pairs with no closed form
 _TENSOR_PAIRS = {
-    "hat_gauss": (lf.BSpline(1, 2), lf.Gaussian(1.0, 2), [(lf.BSpline(1), lf.Gaussian(1.0))] * 2),
-    "box_quadratic": (lf.FrequencyBox([-0.2, 0.1], [0.35, 0.6]), lf.BSpline(2, 2),
-                      [(lf.FrequencyBox([-0.2], [0.35]), lf.BSpline(2)),
-                       (lf.FrequencyBox([0.1], [0.6]), lf.BSpline(2))]),
+    "hat_gauss": (lf.BSpline(1, 2), lf.Gaussian(1.0, 2)),
+    "box_quadratic": (lf.FrequencyBox([-0.2, 0.1], [0.35, 0.6]), lf.BSpline(2, 2)),
 }
 
 
 @settings(max_examples=20, deadline=None)
 @given(name=st.sampled_from(sorted(_TENSOR_PAIRS)), flipped=st.booleans(),
        t=st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * 2), min_size=1, max_size=6))
-def test_tensor_pair_quadrature_is_the_product_of_its_axes(name, flipped, t):
+def test_tensor_pair_quadrature_is_the_product_of_its_axes(name, flipped, t, mesh_only):
     # <h, f(. + t)> of f = f_1 (x) f_2 and h = h_1 (x) h_2 is the product of
-    # <h_a, f_a(. + t_a)>; the 2-d and 1-d quadratures size their own meshes
-    f, h, factors = _TENSOR_PAIRS[name]
+    # <h_a, f_a(. + t_a)>, one rule per axis; the same pair without axis
+    # factors takes the 2-d mesh
+    f, h = _TENSOR_PAIRS[name]
     if flipped:
-        f, h, factors = h, f, [(h1, f1) for f1, h1 in factors]
+        f, h = h, f
     t = np.array(t)
-    product = np.prod([f1.cross_correlation(h1, t[:, [a]]) for a, (f1, h1) in enumerate(factors)],
-                      axis=0)
-    np.testing.assert_allclose(f.cross_correlation(h, t), product, rtol=0, atol=1e-12)
+    mesh = lf.Generator.cross_correlation(mesh_only(f), mesh_only(h), t)
+    np.testing.assert_allclose(f.cross_correlation(h, t), mesh, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(norms=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=3),
+       tol=st.floats(1e-16, 10.0))
+def test_axis_tolerance_keeps_the_product_within_tol(norms, tol):
+    # the worst product error of axis integrals |I_a| <= N_a taken within eps:
+    # every I_a = N_a and every error +eps, prod (N_a + eps) - prod N_a
+    eps = _axis_tolerance(norms, tol)
+    assert 0.0 < eps <= 1.0
+    assert math.prod(n + eps for n in norms) - math.prod(norms) <= tol * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+def test_per_axis_rules_meet_the_tolerance(tol):
+    # the d = 3 Gaussian pair against its closed form, at a tolerance loose
+    # enough that the axis tails, not rounding, set the error
+    f, h = lf.Gaussian(1.0, 3), lf.Gaussian(1.7, 3)
+    t = np.random.default_rng(5).uniform(-2.0, 2.0, (8, 3))
+    err = np.abs(_frequency_integral(f, h, t, tol) - f.cross_correlation(h, t)).max()
+    assert err <= tol
 
 
 def _old_sampled_overlap(values, origin, step, t):

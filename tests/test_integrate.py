@@ -46,6 +46,17 @@ def _synthesis_3d():
     return lf.synthesis_norm(g, _SHEAR_3D, c, lf.compute_phi(g, _SHEAR_3D, 16))
 
 
+def _synthesis_sampled_2d():
+    # sampled data has no axis factors, so the direct route keeps the blocked
+    # 2-d mesh, here of 160 nodes per axis, six mesh rows a block at a budget
+    # of 1000
+    x, y = np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-0.75, 0.75, 4), indexing="ij")
+    g = lf.SampledSpatial((1.0 - 0.5 * np.abs(x)) * np.exp(1j * (x - y)), [-1.0, -0.75], 0.5,
+                          support_radius=1.0)
+    c = lf.CoefficientVector({(i, j): complex(1 - j, i + 0.5) for i in (-1, 0, 1) for j in (0, 1)})
+    return lf.synthesis_norm(g, _SHEAR, c, lf.compute_phi(g, _SHEAR, 16))
+
+
 _EVALUATIONS = {
     "sampled_fourier": lambda: _sampled().fourier(np.linspace(-3.0, 3.0, 41)[:, None]),
     "sampled_fourier_d2": lambda: _sampled_2d().fourier(
@@ -61,6 +72,7 @@ _EVALUATIONS = {
         _sampled(), lf.new_lattice([[1.0]]), 64).values,
     "synthesis_norm": lambda: np.array(_synthesis()),
     "synthesis_norm_d3": lambda: np.array(_synthesis_3d()),
+    "synthesis_norm_sampled_d2": lambda: np.array(_synthesis_sampled_2d()),
 }
 
 

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -94,8 +94,9 @@ def test_synthesis_quadratic_complex_generator(basis):
     rng = np.random.default_rng(RNG_SEED)
     ks = [tuple(int(v) for v in k) for k in integer_box(d, 1)]
     c = {k: complex(rng.standard_normal(), rng.standard_normal()) for k in ks}
+    # ||sum_k c_k f(. - B k)||^2 = sum_(j,k) c_j conj(c_k) <f, f(. + B (j - k))>
     explicit = sum(
-        c[j] * np.conj(c[k]) * lf.autocorrelation(g, L, np.subtract(k, j))
+        c[j] * np.conj(c[k]) * lf.autocorrelation(g, L, np.subtract(j, k))
         for j in ks for k in ks
     )
     table = lf.compute_phi(g, L, 16)
@@ -112,13 +113,61 @@ def test_gram_entry_beyond_stored_radius(unit_lattice):
             gram.entry(0, n)
 
 
+def _random_coefficients(rng, dim, size):
+    keys = rng.choice(integer_box(dim, 1), size=size, replace=False)
+    return lf.CoefficientVector({tuple(int(v) for v in k): complex(*rng.standard_normal(2))
+                                 for k in keys})
+
+
+@pytest.mark.parametrize("g, basis", [(lf.BSpline(1, 2), [[1.0, 1.0], [0.0, 1.0]]),
+                                      (lf.Gaussian(1.0, 3), np.eye(3).tolist())],
+                         ids=["hat_shear", "gauss_d3"])
+def test_synthesis_direct_route_per_axis(g, basis):
+    # past the d-dimensional mesh: the hat on the shear needed 3.5e6 nodes per
+    # axis and raised TooLarge, the d = 3 Gaussian took 1.4e7 points; per
+    # axis both match the Gram quadratic form to the route's 1e-9
+    L = lf.new_lattice(basis)
+    c = _random_coefficients(np.random.default_rng(RNG_SEED), g.dim, 3**g.dim)
+    direct, _, quadratic = lf.synthesis_norm(g, L, c, lf.compute_phi(g, L, 8))
+    assert abs(direct - quadratic) <= 1e-9
+
+
+_TENSOR_KINDS = {
+    "box": lambda rng, d: lf.FrequencyBox(*(lambda lo: (lo, lo + rng.uniform(0.2, 1.0, d)))(
+        rng.uniform(-0.6, 0.0, d))),
+    "sinc": lambda rng, d: lf.Sinc(d),
+    "bspline": lambda rng, d: lf.BSpline(int(rng.integers(1, 4)), d),
+    "gaussian": lambda rng, d: lf.Gaussian(rng.uniform(0.5, 2.0), d),
+}
+
+
+@seed(RNG_SEED)
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_TENSOR_KINDS)), dim=st.integers(2, 3),
+       draw=st.integers(0, 2**32 - 1))
+def test_synthesis_direct_matches_quadratic_on_tensor_kinds(kind, dim, draw):
+    # a well-conditioned basis, diag(s) (I + U / 4) with |U|_2 <= 3/4, and up
+    # to four complex coefficients: the per-axis direct route is within its
+    # 1e-9 of the Gram form, whose own rounding scales with (sum |c|)^2 ||f||^2
+    rng = np.random.default_rng(draw)
+    g = _TENSOR_KINDS[kind](rng, dim)
+    basis = np.diag(rng.uniform(0.6, 1.5, dim)) @ (np.eye(dim) + rng.uniform(-0.25, 0.25,
+                                                                            (dim, dim)))
+    L = lf.new_lattice(basis.tolist())
+    c = _random_coefficients(rng, dim, int(rng.integers(1, 5)))
+    direct, _, quadratic = lf.synthesis_norm(g, L, c, lf.compute_phi(g, L, 8))
+    mass = sum(abs(v) for v in c.entries.values())
+    assert abs(direct - quadratic) <= 1e-9 + 1e-13 * mass**2 * g.norm_squared()
+
+
 @pytest.mark.parametrize("d", [2, 3])
-def test_synthesis_mesh_past_the_cap_fails_fast(d):
-    # |fhat|^2 of the hat decays only like |xi|^-4 per axis, so the direct
-    # route would need 870,000 nodes per axis in d = 2 (a 7.6e11-point mesh)
-    # and billions in d = 3; the panel arithmetic alone shows it
-    g, L = lf.BSpline(1, d), lf.new_lattice(np.eye(d).tolist())
-    table = lf.compute_phi(g, L, 8)
+def test_synthesis_mesh_past_the_cap_fails_fast(d, mesh_only):
+    # the hat without axis factors keeps the d-dimensional mesh: |fhat|^2
+    # decays only like |xi|^-4 per axis, so the direct route would need
+    # 870,000 nodes per axis in d = 2 (a 7.6e11-point mesh) and billions in
+    # d = 3; the panel arithmetic alone shows it
+    L = lf.new_lattice(np.eye(d).tolist())
+    g, table = mesh_only(lf.BSpline(1, d)), lf.compute_phi(lf.BSpline(1, d), L, 8)
     start = time.perf_counter()
     with pytest.raises(TooLarge, match=r"nodes per axis, .* the caps are 4000000 per axis"):
         lf.synthesis_norm(g, L, lf.CoefficientVector({(0,) * d: 1.0}), table)
