@@ -275,8 +275,8 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     # at most (sum |c|)^2 tol, so the absolute error stays under 1e-9 for any c
     mass = float(np.sum(np.abs(cs)))
     # the differences k_j - k_k, |.|_inf <= 2r, by their offsets in the lex
-    # order of that box; sorted, they are symmetric, the last i-th the
-    # negative of the i-th, and Q(-t) = conj Q(t): the half up to 0 gives the rest
+    # order of that box; sorted, entry -1 - i is minus entry i, and
+    # Q(-t) = conj Q(t), so the half up to 0 gives the rest
     r = c.support_radius()
     strides = (4 * r + 1) ** np.arange(lattice.dim - 1, -1, -1)
     offsets, inverse = np.unique((ks @ strides)[:, None] - ks @ strides, return_inverse=True)
@@ -293,7 +293,7 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
 
     # quadratic form through the Gram section over the support of c: entry
     # [j, k] is <f(. - B k_k), f(. - B k_j)>, so the norm is conj(c)^T G c
-    gram = gram_matrix(g, lattice, max(1, c.support_radius()))._block(ks, ks)
+    gram = gram_matrix(g, lattice, max(1, r))._block(ks, ks)
     return direct, spectral, float((cs.conj() @ gram @ cs).real)
 
 

@@ -37,9 +37,9 @@ def _synthesis():
 
 
 def _synthesis_3d():
-    # 48 nodes per axis: at a budget of 1000 each mesh row is its own block and
-    # the 27 coefficients split 20 + 7; the box table takes the step route or,
-    # past one block, the lattice sum it equals bit for bit
+    # the box factors, so the direct route takes 1-d rules; the box table
+    # takes the step route or, past one block, the lattice sum it equals bit
+    # for bit
     g = lf.FrequencyBox([-0.2, -0.3, -0.25], [0.3, 0.25, 0.3])
     c = lf.CoefficientVector({(i, j, k): complex(1 + i - k, j + 0.5 * k) for i in (-1, 0, 1)
                               for j in (-1, 0, 1) for k in (-1, 0, 1)})
