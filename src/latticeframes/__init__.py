@@ -33,9 +33,6 @@ from .generators import (
     PolynomialDecay,
     SampledSpatial,
     Sinc,
-    eval_fourier,
-    eval_spatial,
-    l2_norm_squared,
     load_sampled_csv,
     tail_bound,
 )
@@ -51,7 +48,6 @@ from .oracle import (
     synthesis_norm,
 )
 from .periodization import (
-    CoefficientTable,
     PeriodizationTable,
     autocorrelation,
     compute_phi,

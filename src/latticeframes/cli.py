@@ -212,9 +212,8 @@ def _gram_csv(cfg: RunConfig, args) -> str:
 
 
 def _coeffs_report(cfg: RunConfig, args) -> dict:
-    coeffs = _periodization.phi_fourier_coeffs(_table(cfg)[2], args.nmax)
-    entries = [{"n": list(n), "re": coeffs.entries[n].real, "im": coeffs.entries[n].imag}
-               for n in sorted(coeffs.entries)]
+    ns, values = _periodization.phi_fourier_coeffs(_table(cfg)[2], args.nmax)
+    entries = [{"n": n, "re": v.real, "im": v.imag} for n, v in zip(ns.tolist(), values.tolist())]
     return {"n_max": args.nmax, "coefficients": entries}
 
 

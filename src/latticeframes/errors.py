@@ -14,7 +14,7 @@ class UnsupportedDimension(LatticeFramesError):
 
 
 class NonFiniteInput(LatticeFramesError):
-    """An input coordinate is NaN or infinite."""
+    """An input coordinate, or a generator's transform on the grid, is NaN or infinite."""
 
 
 class ZeroGenerator(LatticeFramesError):

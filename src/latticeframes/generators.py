@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import cis, grid_blocks, grid_exp_sum, mesh, row_blocks
-from .errors import NoDecayInfo, NonFiniteInput, ZeroGenerator
+from .errors import NoDecayInfo, ZeroGenerator
 from .lattice import LatticeSpec, check_finite, check_integer, check_positive, operator_inf_norm
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,7 @@ class GaussianDecay(DecayBound):
         return self.constant * total / lattice.det_abs
 
     def tail_radius(self, dim, tol):
+        check_positive("tail tolerance", tol)
         a, c = self.rate, self.constant
         r = max(1.0, math.sqrt(dim / a))
         while True:
@@ -169,8 +170,7 @@ class Generator(ABC):
     """A function in L2(R^d) with an evaluable Fourier transform.
 
     Batch evaluation methods take an (m, d) array of points and return an
-    (m,) complex array.  The module-level ``eval_fourier`` / ``eval_spatial``
-    wrappers accept single points.
+    (m,) complex array.
     """
 
     dim: int
@@ -250,10 +250,6 @@ class Generator(ABC):
     def decay_bound(self) -> DecayBound:
         raise NoDecayInfo(f"no decay information for {self.label}")
 
-    def fourier_tail_radius(self, tol: float) -> float:
-        """Radius R with integral of |fhat|^2 over {sup-norm > R} at most tol."""
-        return self.decay_bound().tail_radius(self.dim, tol)
-
 
 def _axis_tolerance(norms, tol: float) -> float:
     """One tolerance eps for the axis integrals I_a, |I_a| <= norms[a], that
@@ -299,10 +295,11 @@ def _frequency_integral(f: Generator, other: Generator, t: np.ndarray, tol: floa
             axis = _frequency_integral(fa, oa, values[:, None], eps)
             out *= np.prod(axis[inverse].reshape(-1, len(axes)), axis=1)
         return out
-    rf, ro = f.fourier_tail_radius, other.fourier_tail_radius
-    radius = rf(tol) if other is f else min(
-        max(rf(tol), ro(tol)), rf(tol**2 / other.norm_squared()),
-        ro(tol**2 / f.norm_squared()))
+    d, ef, eo = f.dim, f.decay_bound(), other.decay_bound()
+    radius = ef.tail_radius(d, tol) if other is f else min(
+        max(ef.tail_radius(d, tol), eo.tail_radius(d, tol)),
+        ef.tail_radius(d, tol**2 / other.norm_squared()),
+        eo.tail_radius(d, tol**2 / f.norm_squared()))
     # a factor's indicator box cuts the cube, so its faces are panel edges
     lo, hi = np.full(f.dim, -radius), np.full(f.dim, radius)
     for box in (f.indicator_box(), other.indicator_box()):
@@ -322,32 +319,6 @@ def _frequency_integral(f: Generator, other: Generator, t: np.ndarray, tol: floa
         return np.abs(fhat) ** 2 if other is f else other.fourier(pts) * np.conj(fhat)
 
     return sum(grid_exp_sum(w * integrand(pts), axes, t) for axes, pts, w in grid_blocks(lo, hi, osc))
-
-
-def _point(x, dim: int) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (dim,):
-        raise ValueError(f"expected a point of dimension {dim}, got shape {pt.shape}")
-    if not np.all(np.isfinite(pt)):
-        raise NonFiniteInput("evaluation point has non-finite coordinates")
-    return pt.reshape(1, dim)
-
-
-def eval_fourier(g: Generator, xi) -> complex:
-    """fhat at a single frequency point (scalar allowed when d = 1)."""
-    return complex(g.fourier(_point(xi, g.dim))[0])
-
-
-def eval_spatial(g: Generator, x) -> complex:
-    """f at a single spatial point (scalar allowed when d = 1)."""
-    return complex(g.spatial(_point(x, g.dim))[0])
-
-
-def l2_norm_squared(g: Generator) -> float:
-    n2 = g.norm_squared()
-    if n2 < 1e-14:
-        raise ZeroGenerator(f"{g.label} has numerically zero L2 norm")
-    return n2
 
 
 def _box_inverse(lower, upper, x: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ class LatticeSpec:
 
     @functools.cached_property
     def basis_norm(self) -> float:
-        return spectral_norm(self.basis.T)
+        return float(np.linalg.norm(self.basis.T, 2))
 
     def dual(self) -> LatticeSpec:
         """The dual lattice inv(basis.T) Z^d; its dual is this lattice."""
@@ -138,8 +138,3 @@ def integer_box(dim: int, radius: int) -> np.ndarray:
 def operator_inf_norm(mat: np.ndarray) -> float:
     """Induced sup-norm of a matrix (max absolute row sum)."""
     return float(np.max(np.sum(np.abs(mat), axis=1)))
-
-
-def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(mat, 2))

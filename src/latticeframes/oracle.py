@@ -39,10 +39,12 @@ class CoefficientVector:
         if not self.entries:
             raise ValueError("coefficient vector must have nonempty support")
         first = next(iter(self.entries))
-        for k in self.entries:
+        for k, c in self.entries.items():
             if not (isinstance(k, tuple) and len(k) == len(first) and all(map(is_integer, k))):
                 raise ValueError(f"coefficient keys must be tuples of integers, all as long "
                                  f"as the first key {first!r}; got {k!r}")
+            if not np.isfinite(c):
+                raise ValueError(f"coefficient at {k!r} must be finite, got {c!r}")
         if all(c == 0 for c in self.entries.values()):
             raise ValueError("coefficient vector must not be identically zero")
 

@@ -47,7 +47,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _integrate
-from .errors import AliasRisk, EpsilonTooSmall, NoDecayInfo, TailNotAchievable, TooLarge
+from .errors import (AliasRisk, EpsilonTooSmall, NoDecayInfo, NonFiniteInput, TailNotAchievable,
+                     TooLarge)
 from .generators import Generator, tail_bound
 from .lattice import LatticeSpec, check_dims, check_integer, check_positive, integer_box, is_integer
 
@@ -114,17 +115,6 @@ class PeriodizationTable:
         return eps_zero
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Fourier coefficients of a table, indexed by integer vectors."""
-
-    entries: dict
-    n_max: int
-
-    def get(self, n) -> complex:
-        return self.entries[tuple(int(v) for v in np.atleast_1d(n))]
-
-
 def grid_gamma(dim: int, n: int) -> np.ndarray:
     """Flat (n^dim, dim) array of grid points j/n in lexicographic j order."""
     return _integrate.mesh([np.arange(n) / n] * dim)
@@ -164,7 +154,7 @@ def _smallest_radius(tail, cap: int, target_tail: float, label: str):
     smallest radius in about 2 log2(radius) calls.
     """
     tails = {cap: tail(cap)}
-    if tails[cap] > target_tail:
+    if not tails[cap] <= target_tail:  # a NaN tail or target reaches nothing
         raise TailNotAchievable(
             f"{label}: tail {tails[cap]:.3e} at radius cap {cap} exceeds target "
             f"{target_tail:.3e}"
@@ -457,6 +447,9 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
         radius = int(np.abs(ns).max(initial=0))  # 0 for an empty set: every a_n vanishes
         return table(_series_values(ns, coeffs, grid_res, psi is g), "dual", radius, tail)
     k0 = cross_phi_values(g, psi, lattice, grid_res, 0)
+    bad = int(np.count_nonzero(~np.isfinite(k0)))
+    if bad:
+        raise NonFiniteInput(f"{tag}: k = 0 term not finite at {bad} of {k0.size} grid points")
     if target_tail is None:
         target_tail = 1e-10 * max(float(np.abs(k0).max()), 1e-30)
     if psi is g:
@@ -541,8 +534,10 @@ def autocorrelation(g: Generator, lattice: LatticeSpec, n) -> complex:
     return complex(g.autocorrelation(shift[None, :])[0])
 
 
-def phi_fourier_coeffs(table: PeriodizationTable, n_max: int) -> CoefficientTable:
-    """Discrete Fourier coefficients of the table for |n|_inf <= n_max.
+def phi_fourier_coeffs(table: PeriodizationTable, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete Fourier coefficients of the table for |n|_inf <= n_max: the
+    integer vectors n of ``integer_box(d, n_max)``, in its lex order, and the
+    complex coefficients at them.
 
     Grid coefficients alias orders beyond N/4, so larger requests are refused.
     """
@@ -552,9 +547,7 @@ def phi_fourier_coeffs(table: PeriodizationTable, n_max: int) -> CoefficientTabl
         raise AliasRisk(f"n_max {n_max} exceeds alias-safe bound {n // 4}")
     spec = np.fft.fftn(table.values) / table.values.size
     ks = integer_box(table.dim, n_max)
-    vals = spec[tuple((ks % n).T)]
-    entries = {tuple(k): complex(v) for k, v in zip(ks.tolist(), vals)}
-    return CoefficientTable(entries=entries, n_max=n_max)
+    return ks, spec[tuple((ks % n).T)]
 
 
 def perturbed_phi(table: PeriodizationTable, n) -> PeriodizationTable:

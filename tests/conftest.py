@@ -3,6 +3,9 @@ wrappers used to cross-check the perturbation and translation identities."""
 
 import dataclasses
 import os
+import subprocess
+import sys
+import textwrap
 
 # one BLAS thread, set before numpy loads: OpenBLAS's own threads stall when
 # another process shares the cores, and a test then takes many times as long
@@ -13,6 +16,35 @@ import numpy as np  # noqa: E402
 import pytest
 
 import latticeframes as lf
+
+
+def _cold_python(code: str, timeout: float | None = None) -> str:
+    """Stdout of ``python -c code`` in a fresh interpreter that imports this
+    checkout's latticeframes; past ``timeout`` seconds the child is killed and
+    subprocess.TimeoutExpired raised, so a hang fails its test."""
+    src = os.path.dirname(os.path.dirname(lf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=timeout).stdout
+
+
+def _child_error(code: str, timeout: float = 30.0) -> str:
+    """``"<type>: <message>"`` of the exception that ``code`` raises in a fresh
+    interpreter within ``timeout`` seconds, or "" when it raises none."""
+    wrapped = ("try:\n" + textwrap.indent(code, "    ")
+               + "\nexcept Exception as exc:\n    print(f'{type(exc).__name__}: {exc}')\n")
+    return _cold_python(wrapped, timeout).strip()
+
+
+@pytest.fixture(scope="session")
+def cold_python():
+    return _cold_python
+
+
+@pytest.fixture(scope="session")
+def child_error():
+    return _child_error
 
 
 @pytest.fixture(scope="session")
@@ -99,9 +131,6 @@ class Translated(lf.Generator):
 
     def decay_bound(self):
         return self.base.decay_bound()
-
-    def fourier_tail_radius(self, tol):
-        return self.base.fourier_tail_radius(tol)
 
 
 class MeshOnly(lf.Generator):

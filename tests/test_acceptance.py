@@ -102,14 +102,13 @@ def test_criterion_05_coefficient_duality(unit_lattice, sinc_table,
         (gauss_table, lf.Gaussian(1.0)),
     ]
     for table, g in cases:
-        coeffs = lf.phi_fourier_coeffs(table, 2)
-        for n in (-2, -1, 0, 1, 2):
+        ns, coeffs = lf.phi_fourier_coeffs(table, 2)
+        for n, c in zip(ns[:, 0].tolist(), coeffs):
             auto = lf.autocorrelation(g, unit_lattice, [n])
-            crit.check(f"{g.label} n={n}",
-                       abs(coeffs.get([n]) - auto) <= 1e-6)
-    coeffs = lf.phi_fourier_coeffs(bspline1_table, 2)
+            crit.check(f"{g.label} n={n}", abs(c - auto) <= 1e-6)
+    _, coeffs = lf.phi_fourier_coeffs(bspline1_table, 2)  # n = -2..2
     for n, ref in ((0, 2 / 3), (1, 1 / 6), (2, 0.0)):
-        crit.check(f"hat value n={n}", abs(coeffs.get([n]) - ref) <= 1e-6)
+        crit.check(f"hat value n={n}", abs(coeffs[2 + n] - ref) <= 1e-6)
     crit.done()
 
 

@@ -1,13 +1,9 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import latticeframes
 from latticeframes.cli import main, preset_config
 
 
@@ -222,24 +218,14 @@ def test_unknown_config_key_is_exit_2(capsys, tmp_path):
     assert "grid_rez" in err
 
 
-def _cold_python(code: str) -> str:
-    """Stdout of ``python -c code`` in a fresh interpreter that imports this
-    checkout's latticeframes."""
-    src = os.path.dirname(os.path.dirname(latticeframes.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
-
-
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(cold_python):
     # scipy is a test-only dependency; a cold import must not pull it in
     code = ("import sys, latticeframes; "
             "print([k for k in sys.modules if k.split('.')[0] == 'scipy'])")
-    assert _cold_python(code).strip() == "[]"
+    assert cold_python(code).strip() == "[]"
 
 
-def test_step_route_cli_loads_no_numpy_ma():
+def test_step_route_cli_loads_no_numpy_ma(cold_python):
     # np.unique imports numpy.ma, 12-17 ms of a cold call; the step route's
     # essential range sorts instead.  Runs ``python -m latticeframes.cli
     # classify --preset sinc`` and reads sys.modules after it
@@ -250,7 +236,7 @@ def test_step_route_cli_loads_no_numpy_ma():
             "except SystemExit as exit:\n"
             "    assert exit.code == 0\n"
             "print('numpy.ma' in sys.modules)\n")
-    out = _cold_python(code).splitlines()
+    out = cold_python(code).splitlines()
     assert json.loads("\n".join(out[:-1]))["verdict"] == "OrthonormalSequence"
     assert out[-1] == "False"
 

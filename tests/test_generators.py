@@ -17,17 +17,14 @@ from latticeframes.periodization import choose_truncation
 
 def test_sinc_fourier_is_indicator():
     g = lf.Sinc(1)
-    assert lf.eval_fourier(g, [0.0]) == pytest.approx(1.0)
-    assert lf.eval_fourier(g, [0.75]) == pytest.approx(0.0)
+    assert g.fourier([[0.0], [0.75]]) == pytest.approx([1.0, 0.0])
     # half-open convention: left edge in, right edge out
-    assert lf.eval_fourier(g, [-0.5]) == pytest.approx(1.0)
-    assert lf.eval_fourier(g, [0.5]) == pytest.approx(0.0)
+    assert g.fourier([[-0.5], [0.5]]) == pytest.approx([1.0, 0.0])
 
 
 def test_bspline_fourier():
     g = lf.BSpline(1)
-    assert lf.eval_fourier(g, [0.0]) == pytest.approx(1.0)
-    assert lf.eval_fourier(g, [0.5]) == pytest.approx(np.sinc(0.5) ** 2)
+    assert g.fourier([[0.0], [0.5]]) == pytest.approx([1.0, np.sinc(0.5) ** 2])
 
 
 def test_gaussian_fourier_self_dual():
@@ -35,18 +32,15 @@ def test_gaussian_fourier_self_dual():
     # oracle: quadrature of the transform integral (real part by symmetry)
     oracle, _ = quad(lambda x: math.exp(-math.pi * x * x) * math.cos(2 * math.pi * x),
                      -10, 10, limit=200)
-    val = lf.eval_fourier(g, [1.0])
+    val = g.fourier([[1.0]])[0]
     assert val.real == pytest.approx(oracle, abs=1e-8)
     assert val.real == pytest.approx(math.exp(-math.pi), abs=1e-12)
 
 
 def test_spatial_values():
-    assert lf.eval_spatial(lf.Sinc(1), [0.0]) == pytest.approx(1.0)
+    assert lf.Sinc(1).spatial([[0.0]]) == pytest.approx([1.0])
     b1 = lf.BSpline(1)
-    assert lf.eval_spatial(b1, [0.0]) == pytest.approx(1.0)
-    assert lf.eval_spatial(b1, [1.0]) == pytest.approx(0.0)
-    assert lf.eval_spatial(b1, [-1.0]) == pytest.approx(0.0)
-    assert lf.eval_spatial(b1, [0.5]) == pytest.approx(0.5)
+    assert b1.spatial([[0.0], [1.0], [-1.0], [0.5]]) == pytest.approx([1.0, 0.0, 0.0, 0.5])
 
 
 def test_bspline_spatial_zero_right_of_support():
@@ -57,20 +51,20 @@ def test_bspline_spatial_zero_right_of_support():
 
 def test_box_spatial_inverse_transform():
     g = lf.FrequencyBox([-1.0 / 3.0], [1.0 / 3.0])
-    assert lf.eval_spatial(g, [0.0]) == pytest.approx(2.0 / 3.0)
+    assert g.spatial([[0.0]]) == pytest.approx([2.0 / 3.0])
     # oracle: quadrature of the inverse transform at a generic point
     x = 0.7
     oracle, _ = quad(lambda xi: math.cos(2 * math.pi * xi * x), -1.0 / 3.0, 1.0 / 3.0)
-    assert lf.eval_spatial(g, [x]).real == pytest.approx(oracle, abs=1e-10)
+    assert g.spatial([[x]])[0].real == pytest.approx(oracle, abs=1e-10)
 
 
 def test_norms():
-    assert lf.l2_norm_squared(lf.Sinc(1)) == pytest.approx(1.0)
-    assert lf.l2_norm_squared(lf.FrequencyBox([-1 / 3], [1 / 3])) == pytest.approx(2 / 3)
+    assert lf.Sinc(1).norm_squared() == pytest.approx(1.0)
+    assert lf.FrequencyBox([-1 / 3], [1 / 3]).norm_squared() == pytest.approx(2 / 3)
     # oracle: direct integration of the squared hat function
     oracle, _ = quad(lambda x: (1 - abs(x)) ** 2, -1, 1)
-    assert lf.l2_norm_squared(lf.BSpline(1)) == pytest.approx(oracle, rel=1e-12)
-    assert lf.l2_norm_squared(lf.Gaussian(1.0)) == pytest.approx(1 / math.sqrt(2))
+    assert lf.BSpline(1).norm_squared() == pytest.approx(oracle, rel=1e-12)
+    assert lf.Gaussian(1.0).norm_squared() == pytest.approx(1 / math.sqrt(2))
 
 
 def test_plancherel_consistency():
@@ -265,7 +259,7 @@ def test_unknown_envelope_kind_rejected(unit_lattice):
     with pytest.raises(NoDecayInfo, match="_OpaqueDecay"):
         lf.tail_bound(g, unit_lattice, 4)
     with pytest.raises(NoDecayInfo, match="_OpaqueDecay"):
-        g.fourier_tail_radius(1e-9)
+        g.decay_bound().tail_radius(g.dim, 1e-9)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9])
@@ -275,7 +269,7 @@ def test_unknown_envelope_kind_rejected(unit_lattice):
 ], ids=lambda g: g.label)
 def test_fourier_tail_radius_certified(g, tol):
     # the energy of fhat outside [-R, R]^d, by quadrature inside, is at most tol
-    radius = g.fourier_tail_radius(tol)
+    radius = g.decay_bound().tail_radius(g.dim, tol)
     box = np.full(g.dim, radius)
     inside = sum(float(np.sum(w * np.abs(g.fourier(pts)) ** 2))
                  for _, pts, w in grid_blocks(-box, box, osc_freq=0.0))
@@ -304,9 +298,10 @@ def test_sampled_fourier_consistency():
 
 def test_sampled_interpolation():
     g = _hat_samples(1.0 / 64.0)
-    assert lf.eval_spatial(g, [0.0]).real == pytest.approx(1.0)
-    assert lf.eval_spatial(g, [0.25]).real == pytest.approx(0.75, abs=1e-12)
-    assert lf.eval_spatial(g, [3.0]).real == pytest.approx(0.0)
+    values = g.spatial([[0.0], [0.25], [3.0]]).real
+    assert values[0] == pytest.approx(1.0)
+    assert values[1] == pytest.approx(0.75, abs=1e-12)
+    assert values[2] == pytest.approx(0.0)
 
 
 def test_sampled_csv_round_trip(tmp_path):
@@ -364,15 +359,6 @@ def test_support_radius_must_be_finite_and_positive(radius):
     # in the tail bound
     with pytest.raises(ValueError, match="^support_radius must be finite and positive, got "):
         lf.SampledSpatial([0.5, 1.0, 0.5], [-0.5], 0.5, support_radius=radius)
-
-
-def test_eval_rejects_nonfinite():
-    from latticeframes.errors import NonFiniteInput
-
-    with pytest.raises(NonFiniteInput):
-        lf.eval_fourier(lf.Sinc(1), [np.nan])
-    with pytest.raises(NonFiniteInput):
-        lf.eval_spatial(lf.Sinc(1), [np.inf])
 
 
 @pytest.mark.parametrize("widths,dim", [((0.3, 1.0), 1), ((1.0, 3.0), 1), ((0.7, 1.3), 2),

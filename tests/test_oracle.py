@@ -787,6 +787,23 @@ def test_coefficient_vector_validation():
     assert c.norm_squared() == pytest.approx(5.0)
 
 
+def test_nonfinite_coefficient_fails_fast(child_error):
+    # a NaN coefficient made the direct route's tolerance NaN, and the Gaussian
+    # tail radius search never ended
+    code = ("import latticeframes as lf\n"
+            "g, Z = lf.Gaussian(1.0), lf.new_lattice([[1.0]])\n"
+            "c = lf.CoefficientVector({(0,): float('nan')})\n"
+            "lf.synthesis_norm(g, Z, c, lf.compute_phi(g, Z, 64))\n")
+    assert child_error(code) == "ValueError: coefficient at (0,) must be finite, got nan"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, complex(1.0, math.nan)])
+def test_coefficient_vector_rejects_nonfinite(value):
+    # an inf coefficient gave the norms (nan, inf, nan) without an error
+    with pytest.raises(ValueError, match=r"^coefficient at \(1, 0\) must be finite, got "):
+        lf.CoefficientVector({(0, 0): 1.0, (1, 0): value})
+
+
 @pytest.mark.parametrize("entries", [
     {(0.5,): 1.0}, {0: 1.0}, {(True,): 1.0}, {(0,): 1.0, (0, 1): 1.0}, {(0,): 1.0, 1: 1.0},
 ], ids=["float_key", "bare_int_key", "bool_key", "mixed_lengths", "tuple_then_int"])

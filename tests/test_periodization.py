@@ -129,6 +129,48 @@ def test_choose_truncation_unreachable_fails_fast(unit_lattice, monkeypatch):
     assert len(calls) == 1
 
 
+_NAN_TAIL = """
+import latticeframes as lf
+from latticeframes.periodization import choose_truncation
+"""
+
+
+@pytest.mark.parametrize("code,error", [
+    # a NaN target: no radius reaches it, and the doubling search never ended
+    ("choose_truncation(lf.Gaussian(1.0), lf.new_lattice([[1.0]]), float('nan'))",
+     "TailNotAchievable: gaussian(width=1.0,d=1): tail "),
+    # a NaN envelope: every tail is NaN
+    ("class Blurred(lf.Gaussian):\n"
+     "    def decay_bound(self):\n"
+     "        return lf.GaussianDecay(rate=1.0, constant=float('nan'))\n"
+     "choose_truncation(Blurred(1.0), lf.new_lattice([[1.0]]), 1e-10)",
+     "TailNotAchievable: gaussian(width=1.0,d=1): tail nan at radius cap 10000"),
+    # the integral tail radius of a Gaussian stepped until its bound met the tolerance
+    ("lf.Gaussian(1.0).decay_bound().tail_radius(1, float('nan'))",
+     "ValueError: tail tolerance must be finite and positive, got nan"),
+], ids=["nan_target", "nan_envelope", "nan_tolerance"])
+def test_radius_search_on_nan_fails_fast(child_error, code, error):
+    assert child_error(_NAN_TAIL + code).startswith(error)
+
+
+def test_nonfinite_transform_fails_fast(child_error):
+    # the default target 1e-10 * max(|k0|) was NaN, and the radius search spun
+    code = ("import numpy as np\n"
+            "import latticeframes as lf\n"
+            "class Spiked(lf.Generator):\n"
+            "    dim, label = 1, 'spiked'\n"
+            "    def fourier(self, xi):\n"
+            "        xi = np.asarray(xi, dtype=float)\n"
+            "        return np.where(xi[:, 0] == 0.0, np.nan, lf.Gaussian(1.0).fourier(xi))\n"
+            "    def spatial(self, x):\n"
+            "        return lf.Gaussian(1.0).spatial(x)\n"
+            "    def decay_bound(self):\n"
+            "        return lf.Gaussian(1.0).decay_bound()\n"
+            "lf.compute_phi(Spiked(), lf.new_lattice([[1.0]]), 16)\n")
+    assert child_error(code) == ("NonFiniteInput: spiked: k = 0 term not finite at 1 of 16 "
+                                 "grid points")
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("basis", [[[1.0]], [[0.7]], np.eye(2).tolist(),
                                    (0.7 * np.eye(2)).tolist(), _SHEAR, _rotation(0.37)])
@@ -596,33 +638,34 @@ def test_autocorrelation_sampled_matches_bspline(unit_lattice):
 
 
 def test_coeffs_sinc(sinc_table):
-    table = lf.phi_fourier_coeffs(sinc_table, 3)
-    assert table.get([0]).real == pytest.approx(1.0, abs=1e-12)
+    ns, coeffs = lf.phi_fourier_coeffs(sinc_table, 3)
+    assert ns[:, 0].tolist() == [-3, -2, -1, 0, 1, 2, 3]
+    assert coeffs[3].real == pytest.approx(1.0, abs=1e-12)
     for n in (-3, -2, -1, 1, 2, 3):
-        assert abs(table.get([n])) < 1e-10
+        assert abs(coeffs[3 + n]) < 1e-10
 
 
 def test_coeffs_bspline(bspline1_table, unit_lattice):
-    coeffs = lf.phi_fourier_coeffs(bspline1_table, 2)
-    assert coeffs.get([0]).real == pytest.approx(2 / 3, abs=1e-8)
-    assert coeffs.get([1]).real == pytest.approx(1 / 6, abs=1e-8)
-    assert coeffs.get([-1]).real == pytest.approx(1 / 6, abs=1e-8)
-    assert abs(coeffs.get([2])) < 1e-8
+    _, coeffs = lf.phi_fourier_coeffs(bspline1_table, 2)  # n = -2..2
+    assert coeffs[2].real == pytest.approx(2 / 3, abs=1e-8)
+    assert coeffs[3].real == pytest.approx(1 / 6, abs=1e-8)
+    assert coeffs[1].real == pytest.approx(1 / 6, abs=1e-8)
+    assert abs(coeffs[4]) < 1e-8
     # duality: matches the closed-form autocorrelation
     for n in (-2, -1, 0, 1, 2):
         auto = lf.autocorrelation(lf.BSpline(1), unit_lattice, [n])
-        assert coeffs.get([n]) == pytest.approx(auto, abs=1e-6)
+        assert coeffs[2 + n] == pytest.approx(auto, abs=1e-6)
 
 
 def test_coeffs_box_c0(example_table):
-    coeffs = lf.phi_fourier_coeffs(example_table, 2)
-    assert coeffs.get([0]).real == pytest.approx(2 / 3, abs=2 / 1024)
+    _, coeffs = lf.phi_fourier_coeffs(example_table, 2)
+    assert coeffs[2].real == pytest.approx(2 / 3, abs=2 / 1024)
 
 
 def test_coeffs_hermitian_symmetry(gauss_table):
-    coeffs = lf.phi_fourier_coeffs(gauss_table, 4)
+    _, coeffs = lf.phi_fourier_coeffs(gauss_table, 4)
     for n in range(5):
-        assert coeffs.get([-n]) == pytest.approx(np.conj(coeffs.get([n])), abs=1e-10)
+        assert coeffs[4 - n] == pytest.approx(np.conj(coeffs[4 + n]), abs=1e-10)
 
 
 def test_coeffs_alias_guard(sinc_table):
@@ -697,14 +740,15 @@ def test_coefficient_duality_nonunit_lattice(a, expected):
     L = lf.new_lattice([[a]])
     b1 = lf.BSpline(1)
     table = lf.compute_phi(b1, L, 2048)
-    coeffs = lf.phi_fourier_coeffs(table, max(expected))
+    n_max = max(expected)
+    _, coeffs = lf.phi_fourier_coeffs(table, n_max)
 
     xs = np.linspace(-1, 1, 200001)
     hat = np.maximum(0, 1 - np.abs(xs))
     for n, ref in expected.items():
         overlap = float(np.trapezoid(hat * np.maximum(0, 1 - np.abs(xs + a * n)), xs))
         assert overlap == pytest.approx(ref, abs=1e-9)  # oracle sanity
-        assert coeffs.get([n]).real == pytest.approx(ref, abs=1e-8)
+        assert coeffs[n_max + n].real == pytest.approx(ref, abs=1e-8)
         assert lf.autocorrelation(b1, L, [n]).real == pytest.approx(ref, abs=1e-9)
 
 

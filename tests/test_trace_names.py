@@ -16,7 +16,9 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # names the tracer still lists that were deleted from the package on purpose:
 # no workload calls them, so no per-layer metric read anything from them.
 # Drop them here when the tracer's lists drop them
-DELETED = ["lattice.lattice_points_in_box", "lattice.wrap_to_unit_cell"]
+DELETED = ["lattice.lattice_points_in_box", "lattice.wrap_to_unit_cell", "lattice.spectral_norm",
+           "generators.eval_fourier", "generators.eval_spatial", "generators.l2_norm_squared",
+           "generators.Generator.fourier_tail_radius"]
 
 
 def _tracing():
