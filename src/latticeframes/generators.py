@@ -106,6 +106,7 @@ class PolynomialDecay(DecayBound):
         return total / lattice.det_abs
 
     def tail_radius(self, dim, tol):
+        check_positive("tail tolerance", tol)
         excess = self._excess(dim)
         # integral over {|xi|_inf > R} of C/t^p d xi = d 2^d C R^(d-p)/(p-d)
         c = dim * (2.0**dim) * self.constant / excess

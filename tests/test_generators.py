@@ -276,6 +276,13 @@ def test_fourier_tail_radius_certified(g, tol):
     assert g.norm_squared() - inside <= tol
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+def test_polynomial_tail_radius_rejects_a_bad_tolerance(tol):
+    # NaN gave the radius 1 without an error, -1.0 a TypeError from a complex power
+    with pytest.raises(ValueError, match="^tail tolerance must be finite and positive, got "):
+        lf.BSpline(1).decay_bound().tail_radius(1, tol)
+
+
 def _hat_samples(step):
     xs = np.arange(-1.0, 1.0 + step / 2, step)
     return lf.SampledSpatial(np.maximum(0.0, 1.0 - np.abs(xs)), [xs[0]], step,
