@@ -296,9 +296,9 @@ def _frequency_integral(f: Generator, other: Generator, t: np.ndarray, tol: floa
             axis = _frequency_integral(fa, oa, values[:, None], eps)
             out *= np.prod(axis[inverse].reshape(-1, len(axes)), axis=1)
         return out
-    d, ef, eo = f.dim, f.decay_bound(), other.decay_bound()
+    d, ef = f.dim, f.decay_bound()
     radius = ef.tail_radius(d, tol) if other is f else min(
-        max(ef.tail_radius(d, tol), eo.tail_radius(d, tol)),
+        max(ef.tail_radius(d, tol), (eo := other.decay_bound()).tail_radius(d, tol)),
         ef.tail_radius(d, tol**2 / other.norm_squared()),
         eo.tail_radius(d, tol**2 / f.norm_squared()))
     # a factor's indicator box cuts the cube, so its faces are panel edges

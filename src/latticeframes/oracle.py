@@ -8,6 +8,7 @@ cross-check the grid classification without sharing its code path.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ class CoefficientVector:
             if not (isinstance(k, tuple) and len(k) == len(first) and all(map(is_integer, k))):
                 raise ValueError(f"coefficient keys must be tuples of integers, all as long "
                                  f"as the first key {first!r}; got {k!r}")
-            if not np.isfinite(c):
+            if not cmath.isfinite(c):
                 raise ValueError(f"coefficient at {k!r} must be finite, got {c!r}")
         if all(c == 0 for c in self.entries.values()):
             raise ValueError("coefficient vector must not be identically zero")
