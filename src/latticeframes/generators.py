@@ -357,8 +357,12 @@ class FrequencyBox(Generator):
         self._factors = tuple(made[ab] for ab in edges) if made else (self,)
 
     def fourier(self, xi):
+        # one axis column at a time: a reduction over the short last axis of
+        # an (m, d) array costs several times the comparisons
         xi = np.asarray(xi, dtype=float)
-        inside = np.all((xi >= self.lower) & (xi < self.upper), axis=-1)
+        inside = np.ones(xi.shape[:-1], dtype=bool)
+        for i, (a, b) in enumerate(zip(self.lower.tolist(), self.upper.tolist())):
+            inside &= (xi[..., i] >= a) & (xi[..., i] < b)
         return inside.astype(complex)
 
     def spatial(self, x):

@@ -44,7 +44,11 @@ class CoefficientVector:
             if not (isinstance(k, tuple) and len(k) == len(first) and all(map(is_integer, k))):
                 raise ValueError(f"coefficient keys must be tuples of integers, all as long "
                                  f"as the first key {first!r}; got {k!r}")
-            if not cmath.isfinite(c):
+            try:
+                finite = cmath.isfinite(c)
+            except TypeError:  # not a number
+                finite = False
+            if not finite:
                 raise ValueError(f"coefficient at {k!r} must be finite, got {c!r}")
         if all(c == 0 for c in self.entries.values()):
             raise ValueError("coefficient vector must not be identically zero")

@@ -22,8 +22,10 @@ of three routes:
   cells of a rectilinear grid in u = A gamma.  The count is taken once per
   cell; a grid point's cell counts the face crossings of its grid row, and
   points on a face take the lattice sum over the k that can reach them, so
-  the table equals the full sum bit for bit, with tail 0.  The distinct
-  counts are the essential range of phi;
+  the table equals the full sum bit for bit, with tail 0.  On a diagonal
+  basis in d >= 2 the count is a product over the axes, and the table is the
+  outer product of one 1-d count per distinct axis, equally exact.  The
+  distinct counts are the essential range of phi;
 * dual -- the series summed by one inverse FFT (real for the self pair,
   whose coefficients are Hermitian) over the exact box of nonzero
   coefficients when both sides declare a spatial box (B-splines, samples
@@ -302,48 +304,27 @@ def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
     return _cross_sum(g, psi, lattice, pts, ks).reshape((grid_res,) * lattice.dim)
 
 
-def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
-    """Grid samples, radius and essential range of phi for a generator whose
-    |fhat|^2 is the indicator of the half-open box [lo, hi), or None.
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of an array, ascending (sort and diff: np.unique
+    imports numpy.ma, a cost on every cold call)."""
+    values = np.sort(values, axis=None)
+    return values[np.append(True, np.diff(values) > 0)]
 
-    With A = inv(B.T) and u = A gamma, |det B| phi is the count of k with
-    lo - A k <= u < hi - A k, so it is constant on the cells of a rectilinear
-    grid whose faces on axis i are lo_i - (A k)_i and hi_i - (A k)_i.  All k
-    whose box meets the bounding box of the unit cell's image A [0,1]^d count,
-    so the count is exact there: the integer points of the largest box in its
-    image, widened by ``near``, under B.T; one that rounding drops has faces
-    about ``near`` outside it and adds 0 at every grid point.  Faces closer
-    than ``_MERGE_FRAC`` of the axis scale merge, so a cell that thin counts
-    as null; the count is taken at each cell midpoint.  Along a grid row (the
-    last axis) u is affine, so the row crosses each face cluster once: a ceil
-    or floor of (edge - u_0) / slope gives the first grid index past it.  The
-    row's crossings, sorted with their axis and start or end label, cut it
-    into runs, and a cumulative count of the labels gives each run's cell.  A
-    run within ``near`` (``_FACE_FRAC`` of the scale) of a face takes the
-    lattice sum over the kept k: its summands are 0 or 1, and the other k add
-    zeros, so the table equals ``cross_phi_values`` at the same radius bit for
-    bit.  The count is A Z^d-periodic, so the cells meeting the bounding box
-    show exactly the values phi takes on sets of positive measure.
 
-    The radius is the smallest one whose tail under ``g.decay_bound()`` is 0,
-    the one the direct route records: past ``K_CAP`` it raises at once
-    (TailNotAchievable); None when the cells times the kept k exceed one block.
-    """
-    box = g.indicator_box()
-    if box is None:
-        return None
-    d, a = lattice.dim, lattice.dual_basis
-    lo, hi = (np.asarray(c, dtype=float) for c in box)
-    envelope = g.decay_bound()  # vanishes past the box
-    radius, _ = _smallest_radius(lambda k: envelope.lattice_tail(lattice, k), K_CAP[d], 0.0,
-                                 g.label)
+def _box_cells(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, basis: np.ndarray, radius: int):
+    """The cells of the count #{k : lo <= a (gamma + k) < hi}, a = inv(basis.T),
+    at the lattice-sum radius ``radius``: the kept k (those whose box meets the
+    bounding box of the unit cell's image widened by ``near``), the count at
+    each cell midpoint, and per axis the cells that meet that bounding box and
+    the face clusters widened by ``near`` as (starts, ends); or None when the
+    cells times the kept k exceed one block.  Faces closer than ``_MERGE_FRAC``
+    of the axis scale merge, so a cell that thin counts as null."""
     cell_lo, cell_hi = np.minimum(a, 0.0).sum(axis=1), np.maximum(a, 0.0).sum(axis=1)
-    # bounds |A (gamma + k)| in the lattice sum and |lo|, |hi|
+    # bounds |a (gamma + k)| in the lattice sum and |lo|, |hi|
     scale = np.abs(a).sum(axis=1) * (radius + 1) + np.maximum(np.abs(lo), np.abs(hi))
     near = _FACE_FRAC * scale
-    # the k whose box meets the bounding box widened by near: A k in [q_lo, q_hi]
-    q_lo, q_hi = lo - cell_hi - near, hi - cell_lo + near
-    ks = _index_box(q_lo, q_hi, lattice.basis)  # B^T v per row
+    q_lo, q_hi = lo - cell_hi - near, hi - cell_lo + near  # kept: a k in [q_lo, q_hi]
+    ks = _index_box(q_lo, q_hi, basis)  # B^T v per row
     if ks is None:
         return None
     shift = ks @ a.T
@@ -362,15 +343,88 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
         return None
     inside = [((lows[:, i, None] <= m) & (m < highs[:, i, None])).astype(float)
               for i, m in enumerate(mids)]
-    axes = "abc"[:d]
+    axes = "abc"[:len(mids)]
     counts = np.einsum(",".join("k" + c for c in axes) + "->" + axes, *inside)
-    seen = np.sort(counts[np.ix_(*meets)], axis=None)
-    value_range = tuple((seen[np.append(True, np.diff(seen) > 0)] / lattice.det_abs).tolist())
+    return ks, counts, meets, bounds
+
+
+def _axis_counts(lo: float, hi: float, a: float, b: float, radius: int, grid_res: int):
+    """One axis of a step table on a diagonal lattice: the 1-d lattice sum
+    #{k : lo <= a (j / N + k) < hi} over the kept k at the N grid points, and
+    the distinct counts of the cells that meet the unit cell's image; or None
+    when those cells exceed one block."""
+    cells = _box_cells(np.array([lo]), np.array([hi]), np.array([[a]]), np.array([[b]]), radius)
+    if cells is None:
+        return None
+    ks, counts, (meets,), _ = cells
+    pts = (np.arange(grid_res) / grid_res)[:, None]
+    values = _lattice_sum(lambda u: ((lo <= u) & (u < hi)).astype(float), pts, ks,
+                          np.array([[a]]))
+    return values, _distinct(counts[meets])
+
+
+def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
+    """Grid samples, radius and essential range of phi for a generator whose
+    |fhat|^2 is the indicator of the half-open box [lo, hi), or None.
+
+    With A = inv(B.T) and u = A gamma, |det B| phi is the count of k with
+    lo - A k <= u < hi - A k, constant on the cells of ``_box_cells``.  All k
+    whose box meets the bounding box of the unit cell's image count, so the
+    count is exact there; one that rounding drops has faces about ``near``
+    outside it and adds 0 at every grid point.  The count is A Z^d-periodic,
+    so the distinct counts of the cells meeting the bounding box, over
+    |det B|, are the essential range.
+
+    On a diagonal A in d >= 2 the count is prod_i #{k_i : lo_i <= a_ii
+    (gamma_i + k_i) < hi_i}: the table is the outer product of one 1-d lattice
+    sum per distinct axis (``_axis_counts``) over |det B|, and the range the
+    distinct products of the axes' cell counts.  The full sum's matmul adds
+    exact zeros to fl(fl(gamma_i + k_i) a_ii) and the counts are small
+    integers, so the table equals ``cross_phi_values`` at the same radius bit
+    for bit.
+
+    Otherwise (and in 1-d, where that sum would cost the kept k times N) u is
+    affine along a grid row (the last axis), so the row crosses each face
+    cluster once: a ceil or floor of (edge - u_0) / slope gives the first grid
+    index past it.  The row's crossings, sorted with their axis and start or
+    end label, cut it into runs, and a cumulative count of the labels gives
+    each run's cell.  A run within ``near`` (``_FACE_FRAC`` of the scale) of a
+    face takes the lattice sum over the kept k: its summands are 0 or 1, and
+    the other k add zeros, so again the table is that sum bit for bit.
+
+    The radius is the smallest one whose tail under ``g.decay_bound()`` is 0,
+    the one the direct route records: past ``K_CAP`` it raises at once
+    (TailNotAchievable); None when the cells times the kept k exceed one block
+    (on one axis, for a diagonal A).
+    """
+    box = g.indicator_box()
+    if box is None:
+        return None
+    d, a = lattice.dim, lattice.dual_basis
+    lo, hi = (np.asarray(c, dtype=float) for c in box)
+    envelope = g.decay_bound()  # vanishes past the box
+    radius, _ = _smallest_radius(lambda k: envelope.lattice_tail(lattice, k), K_CAP[d], 0.0,
+                                 g.label)
+    if d > 1 and np.array_equal(a, np.diag(np.diagonal(a))):
+        axis_keys = list(zip(lo.tolist(), hi.tolist(), np.diagonal(a).tolist(),
+                             np.diagonal(lattice.basis).tolist()))
+        per_axis = {key: _axis_counts(*key, radius, grid_res) for key in dict.fromkeys(axis_keys)}
+        if None in per_axis.values():
+            return None
+        axes = [per_axis[key] for key in axis_keys]
+        values = math.prod(np.ix_(*(v for v, _ in axes))) / lattice.det_abs
+        seen = _distinct(math.prod(np.ix_(*(c for _, c in axes))))
+        return values, radius, tuple((seen / lattice.det_abs).tolist())
+    cells = _box_cells(lo, hi, a, lattice.basis, radius)
+    if cells is None:
+        return None
+    ks, counts, meets, bounds = cells
+    value_range = tuple((_distinct(counts[np.ix_(*meets)]) / lattice.det_abs).tolist())
     # label 0 opens a row, 2i + 1 and 2i + 2 pass a start and an end of a cluster
     # of axis i: starts step the flat cell index by the axis's stride (down where u
     # falls), and starts less ends, negated there so that none is < 0, count faces
     base = _integrate.mesh([np.arange(grid_res) / grid_res] * (d - 1) + [[0.0]]) @ a.T
-    slope, size = a[:, -1] / grid_res, [m.size for m in mids]
+    slope, size = a[:, -1] / grid_res, counts.shape
     keys, to_cell, to_face = [np.zeros((1, base.shape[0]), np.intp)], [0], [0]
     with np.errstate(over="ignore"):  # a crossing far off the row, clipped below
         for i, (starts, ends) in enumerate(bounds):
@@ -398,6 +452,13 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     return values.reshape((grid_res,) * d), radius, value_range
 
 
+def _require_finite(values: np.ndarray, what: str, where: str):
+    """Raise NonFiniteInput with the count of ``values`` that are not finite."""
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise NonFiniteInput(f"{what} not finite at {bad} of {values.size} {where}")
+
+
 def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_res: int,
                       target_tail: float | None = None) -> PeriodizationTable:
     """The table of the mixed periodization of psihat * conj(fhat), with the
@@ -410,7 +471,9 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
     Dual route: the Fourier coefficients a_n = <psi, g(. + B n)>, the
     autocorrelations for the self pair (``lattice_coefficients``), over
     ``_coefficient_set``, whose coefficient cube has the default target
-    1e-10 ||f||^2, the mean of phi.
+    1e-10 ||f||^2, the mean of phi.  Coefficients that are not finite raise
+    NonFiniteInput with their count, as a k = 0 term that is not finite does
+    on the direct route.
     Direct route: the lattice sum of ``cross_phi_values``, its k = 0 term
     first and then the ring 1 <= |k|_inf <= R, at the smallest radius R whose
     tail bound is at most ``target_tail``: T_g(R) for the self pair
@@ -444,12 +507,11 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
         ns, tail = cut
         coeffs = (lattice_coefficients(g, lattice, ns) if psi is g
                   else g.cross_correlation(psi, ns @ lattice.basis.T))
+        _require_finite(coeffs, f"{tag}: Fourier coefficient", "lattice shifts")
         radius = int(np.abs(ns).max(initial=0))  # 0 for an empty set: every a_n vanishes
         return table(_series_values(ns, coeffs, grid_res, psi is g), "dual", radius, tail)
     k0 = cross_phi_values(g, psi, lattice, grid_res, 0)
-    bad = int(np.count_nonzero(~np.isfinite(k0)))
-    if bad:
-        raise NonFiniteInput(f"{tag}: k = 0 term not finite at {bad} of {k0.size} grid points")
+    _require_finite(k0, f"{tag}: k = 0 term", "grid points")
     if target_tail is None:
         target_tail = 1e-10 * max(float(np.abs(k0).max()), 1e-30)
     if psi is g:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -409,10 +410,14 @@ def test_tensor_pair_quadrature_is_the_product_of_its_axes(name, flipped, t, mes
        tol=st.floats(1e-16, 10.0))
 def test_axis_tolerance_keeps_the_product_within_tol(norms, tol):
     # the worst product error of axis integrals |I_a| <= N_a taken within eps:
-    # every I_a = N_a and every error +eps, prod (N_a + eps) - prod N_a
+    # every I_a = N_a and every error +eps, prod (N_a + eps) - prod N_a, in
+    # exact arithmetic: in floats the rounding of a product near 1 exceeds a
+    # tol of 1e-16 by itself
     eps = _axis_tolerance(norms, tol)
     assert 0.0 < eps <= 1.0
-    assert math.prod(n + eps for n in norms) - math.prod(norms) <= tol * (1.0 + 1e-12)
+    exact = [Fraction(n) for n in norms]
+    grown = math.prod(n + Fraction(eps) for n in exact) - math.prod(exact)
+    assert grown <= Fraction(tol) * (1 + Fraction(1, 10**12))
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-8])

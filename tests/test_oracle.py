@@ -797,9 +797,10 @@ def test_nonfinite_coefficient_fails_fast(child_error):
     assert child_error(code) == "ValueError: coefficient at (0,) must be finite, got nan"
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, complex(1.0, math.nan)])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, complex(1.0, math.nan), "a", None])
 def test_coefficient_vector_rejects_nonfinite(value):
-    # an inf coefficient gave the norms (nan, inf, nan) without an error
+    # an inf coefficient gave the norms (nan, inf, nan) without an error; a
+    # value that is no number raised an untyped TypeError naming no key
     with pytest.raises(ValueError, match=r"^coefficient at \(1, 0\) must be finite, got "):
         lf.CoefficientVector({(0, 0): 1.0, (1, 0): value})
 

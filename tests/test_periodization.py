@@ -171,6 +171,19 @@ def test_nonfinite_transform_fails_fast(child_error):
                                  "grid points")
 
 
+def test_nonfinite_dual_coefficients_fail_fast():
+    # NaN autocorrelations off the centre gave a NaN dual table, classified
+    # NotBessel without an error
+    class Blotted(lf.Gaussian):
+        def autocorrelation(self, t):
+            return np.where(np.any(t != 0.0, axis=1), np.nan, super().autocorrelation(t))
+
+    with pytest.raises(lf.errors.NonFiniteInput,
+                       match=r"^gaussian\(width=1.0,d=1\): Fourier coefficient not finite "
+                             r"at 6 of 7 lattice shifts$"):
+        lf.compute_phi(Blotted(1.0), lf.new_lattice([[1.0]]), 16)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("basis", [[[1.0]], [[0.7]], np.eye(2).tolist(),
                                    (0.7 * np.eye(2)).tolist(), _SHEAR, _rotation(0.37)])

@@ -50,6 +50,14 @@ _EQUIVALENCE_CASES = [
     # falling on the other: each row crosses 16 face clusters, and on a 1/8
     # grid crossings tie at one grid index
     (lf.FrequencyBox([-1.25, -0.75], [1.5, 1.0]), [[0.375, 0.125], [0.125, -0.25]], 64),
+    # diagonal lattices, whose tables are outer products of per-axis counts:
+    # non-unit, negative and mixed entries, and a box a dozen cells wide on
+    # each axis of Z^3, whose d-dimensional cells times kept k pass one block
+    (lf.FrequencyBox([-0.5, -_THIRD], [0.5, _THIRD]), [[0.7, 0.0], [0.0, 1.3]], 64),
+    (lf.Sinc(2), [[-0.8, 0.0], [0.0, 1.25]], 64),
+    (lf.Sinc(3), np.diag([0.5, 1.0, 2.0]).tolist(), 16),
+    (lf.FrequencyBox([-1.25, -0.75], [1.5, 1.0]), [[0.375, 0.0], [0.0, -0.25]], 64),
+    (lf.FrequencyBox([-5.6] * 3, [5.7] * 3), np.eye(3).tolist(), 8),
 ]
 
 
@@ -184,6 +192,16 @@ def test_zero_set_comes_from_the_range_and_its_fraction_from_the_grid():
     assert cls.verdict is lf.Verdict.FRAME_SEQUENCE
     assert cls.lower == cls.upper == 1.0 / 1.24
     assert cls.evidence["zero_fraction"] == np.count_nonzero(table.values == 0.0) / 64**2
+
+
+def test_essential_range_of_a_box_on_a_diagonal_lattice():
+    # gamma_i meets the box on intervals of length 1 x 0.7 and 2/3 x 1.3, both
+    # under 1: each axis counts 0 or 1, and phi takes 0 and 1 / |det B|, where
+    # |det B| is 0.91 to rounding
+    box = lf.FrequencyBox([-0.5, -_THIRD], [0.5, _THIRD])
+    L = lf.new_lattice([[0.7, 0.0], [0.0, 1.3]])
+    assert L.det_abs == pytest.approx(0.91, rel=1e-15)
+    assert lf.compute_phi(box, L, 64).essential_range == (0.0, 1.0 / L.det_abs)
 
 
 def test_other_routes_carry_no_range(unit_lattice):
