@@ -7,10 +7,11 @@ For every workload that ``BENCHMARK.json`` lists it runs the benchmark's
 command at its ``run_seconds`` with ``--trace 0`` ``PAIRS`` times on each
 checkout (this repository and ``--parent``), in pairs that alternate which
 side goes first, and then once per side with ``--trace 1`` for the per-layer
-metrics.  Each side records the seed, the run length and the checkout's
-commit; its ``end_to_end`` value per metric is the median of its plain runs
-(every run's value is kept under ``runs``), ``cases`` holds each case's
-median ``median_s`` over them and ``case_runs`` every run's.  ``comparison``
+metrics.  Each side records the seed, the run length, the checkout's commit
+and the line count of its package modules (``src_lines``); its
+``end_to_end`` value per metric is the median of its plain runs (every run's
+value is kept under ``runs``), ``cases`` holds each case's median
+``median_s`` over them and ``case_runs`` every run's.  ``comparison``
 holds per workload and end-to-end metric each side's median and quartiles,
 the pairs the change won (ties count for neither) and a reading:
 
@@ -51,6 +52,13 @@ PAIRS = 10  # plain runs per side and workload
 def git(checkout: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the package's modules, ``src/latticeframes/*.py``, as
+    ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "latticeframes").glob("*.py"))
 
 
 def machine_state() -> dict:
@@ -171,6 +179,7 @@ def main(argv=None) -> int:
             "commit": git(checkout, "rev-parse", "HEAD"),
             # tracked files that differ from the commit; untracked ones do not count
             "dirty": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
+            "src_lines": src_lines(checkout),
             "workloads": {name: sides[side] for name, sides in records.items()},
         }
     comparison = {

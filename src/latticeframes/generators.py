@@ -149,17 +149,14 @@ class GaussianDecay(DecayBound):
 
     def tail_radius(self, dim, tol):
         check_positive("tail tolerance", tol)
-        a, c = self.rate, self.constant
+        a = self.rate
+        # {|xi|_inf > r} lies in the dim slabs |xi_i| > r, on each of which the
+        # envelope integrates to constant (pi/a)^(dim/2) erfc(r sqrt a)
+        scale = dim * self.constant * (math.pi / a) ** (dim / 2)
         r = max(1.0, math.sqrt(dim / a))
-        while True:
-            if dim <= 2:
-                bound = dim * (2.0**dim) * c * r ** (dim - 2) * math.exp(-a * r**2) / (2 * a)
-            else:
-                bound = (dim * (2.0**dim) * c * math.exp(-a * r**2)
-                         * (r / a + 1.0 / (2 * a**2 * r)))
-            if bound <= tol:
-                return r
+        while scale * math.erfc(r * math.sqrt(a)) > tol:
             r += 0.25
+        return r
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +529,9 @@ class SampledSpatial(Generator):
         if np.sum(np.abs(v) ** 2) * step**self.dim < 1e-14:
             raise ZeroGenerator("sampled generator is numerically zero")
         self.label = f"sampled(h={step},n={v.shape})"
-        # sample axes for the transform sum, and the flat coordinates for overlaps
+        # sample axes for the transform sum, and the flat sample indices for overlaps
         self._axes = [o + self.step * np.arange(n) for o, n in zip(self.origin, v.shape)]
-        self._coords = mesh(self._axes)
+        self._index = mesh([np.arange(n, dtype=float) for n in v.shape])
         self._flat = v.ravel()
 
     def fourier(self, xi):
@@ -542,24 +539,23 @@ class SampledSpatial(Generator):
         out = grid_exp_sum(self._flat, self._axes, xi.reshape(-1, self.dim))
         return (self.step**self.dim) * out.reshape(xi.shape[:-1])
 
-    def spatial(self, x):
-        # multilinear interpolation on the sample grid; zero outside
-        x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, self.dim)
-        rel = (flat - self.origin) / self.step
+    def _interpolate(self, rel):
+        """The multilinear interpolant at (..., d) index coordinates (x - origin) / step."""
+        rel, out_shape = rel.reshape(-1, self.dim), rel.shape[:-1]
         base = np.floor(rel).astype(int)
         frac = rel - base
-        out = np.zeros(flat.shape[0], dtype=complex)
+        out = np.zeros(rel.shape[0], dtype=complex)
         shape = self.values.shape
         for corner in range(2**self.dim):
             offs = np.array([(corner >> i) & 1 for i in range(self.dim)])
             idx = base + offs
             ok = np.all((idx >= 0) & (idx < shape), axis=1)
             w = np.prod(np.where(offs, frac, 1.0 - frac), axis=1)
-            if np.any(ok):
-                vals = self.values[tuple(idx[ok].T)]
-                out[ok] += w[ok] * vals
-        return out.reshape(x.shape[:-1])
+            out[ok] += w[ok] * self.values[tuple(idx[ok].T)]
+        return out.reshape(out_shape)
+
+    def spatial(self, x):
+        return self._interpolate((np.asarray(x, dtype=float) - self.origin) / self.step)
 
     def cross_correlation(self, other, t):
         # <other, f(. + t)> = h^d sum_j conj(v_j) other(x_j - t) for a partner
@@ -569,10 +565,14 @@ class SampledSpatial(Generator):
         if other.comb and other is not self:
             return super().cross_correlation(other, t)
         t = np.asarray(t, dtype=float)
+        if other is self:  # at index coordinates j - t / h: exact at shifts on the grid
+            grid, t, at = self._index, t / self.step, self._interpolate
+        else:
+            grid, at = self.origin + self.step * self._index, other.spatial
         out = np.empty(t.shape[0], dtype=complex)
         for sl in row_blocks(t.shape[0], self._flat.size):
-            pts = (self._coords - t[sl, None, :]).reshape(-1, self.dim)
-            out[sl] = other.spatial(pts).reshape(-1, self._flat.size) @ self._flat.conj()
+            pts = (grid - t[sl, None, :]).reshape(-1, self.dim)
+            out[sl] = at(pts).reshape(-1, self._flat.size) @ self._flat.conj()
         return out * self.step**self.dim
 
     def spatial_box(self):

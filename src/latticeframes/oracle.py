@@ -263,13 +263,13 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
                  quadrature of |fhat|^2 exp(-2 pi i xi . t) over R^d, taken
                  once per distinct difference
     spectral  -- grid quadrature of |trig poly of c|^2 times the table
-    quadratic -- the Gram quadratic form over the support of c
+    quadratic -- the Gram quadratic form, its entries c_n at those differences
 
     All three estimate the same quantity; their agreement validates both the
-    table and the Gram section, built here over the support of c.  The direct
-    route shares no closed form with the Gram route: Q takes d one-dimensional
-    rules when g has ``axis_factors``, else one d-dimensional mesh, which
-    raises TooLarge past the panel cap of ``_integrate.grid_blocks``.
+    table and the Gram entries.  The direct route shares no closed form with
+    the Gram route: Q takes d one-dimensional rules when g has
+    ``axis_factors``, else one d-dimensional mesh, which raises TooLarge past
+    the panel cap of ``_integrate.grid_blocks``.
     """
     check_dims(lattice, g)
     check_table(lattice, table)
@@ -298,9 +298,10 @@ def synthesis_norm(g: Generator, lattice: LatticeSpec, c: CoefficientVector,
     poly = _series_values(-ks, cs, table.grid_res)
     spectral = float(np.mean(np.abs(poly) ** 2 * table.values))
 
-    # quadratic form through the Gram section over the support of c: entry
-    # [j, k] is <f(. - B k_k), f(. - B k_j)>, so the norm is conj(c)^T G c
-    gram = gram_matrix(g, lattice, max(1, r))._block(ks, ks)
+    # quadratic form: Gram entry [j, k] is c_(k_k - k_j) = <f(. - B k_k),
+    # f(. - B k_j)>, read at the same differences; the norm is conj(c)^T G c
+    full = np.concatenate([diffs, -diffs[-2::-1]])
+    gram = lattice_coefficients(g, lattice, full)[inverse].reshape(len(cs), -1).T
     return direct, spectral, float((cs.conj() @ gram @ cs).real)
 
 

@@ -19,12 +19,12 @@ of three routes:
 * step -- for the self pair of a generator whose |fhat|^2 is the indicator
   of a half-open box [lo, hi) (boxes and sincs), |det B| phi is the count
   #{k : lo <= A (gamma + k) < hi}, A = inv(B.T), which is constant on the
-  cells of a rectilinear grid in u = A gamma.  The count is taken once per
+  cells of a rectilinear grid in u = A gamma.  On a diagonal basis (every
+  1-d one) it is a product over the axes, and the table the outer product of
+  one 1-d count per distinct axis.  Otherwise the count is taken once per
   cell; a grid point's cell counts the face crossings of its grid row, and
-  points on a face take the lattice sum over the k that can reach them, so
-  the table equals the full sum bit for bit, with tail 0.  On a diagonal
-  basis in d >= 2 the count is a product over the axes, and the table is the
-  outer product of one 1-d count per distinct axis, equally exact.  The
+  points on a face take the lattice sum over the k that can reach them.
+  Either way the table equals the full sum bit for bit, with tail 0, and the
   distinct counts are the essential range of phi;
 * dual -- the series summed by one inverse FFT (real for the self pair,
   whose coefficients are Hermitian) over the exact box of nonzero
@@ -352,14 +352,18 @@ def _axis_counts(lo: float, hi: float, a: float, b: float, radius: int, grid_res
     """One axis of a step table on a diagonal lattice: the 1-d lattice sum
     #{k : lo <= a (j / N + k) < hi} over the kept k at the N grid points, and
     the distinct counts of the cells that meet the unit cell's image; or None
-    when those cells exceed one block."""
+    when those cells exceed one block.  fl(fl(j / N + k) a) is monotone in j,
+    so a k inside [lo, hi) at the first and last grid point counts 1 at every
+    one, and only the k whose faces cross the grid take the sum."""
     cells = _box_cells(np.array([lo]), np.array([hi]), np.array([[a]]), np.array([[b]]), radius)
     if cells is None:
         return None
     ks, counts, (meets,), _ = cells
     pts = (np.arange(grid_res) / grid_res)[:, None]
-    values = _lattice_sum(lambda u: ((lo <= u) & (u < hi)).astype(float), pts, ks,
-                          np.array([[a]]))
+    ends = (ks + pts[[0, -1], 0]) * a
+    whole = np.all((lo <= ends) & (ends < hi), axis=1)
+    values = np.count_nonzero(whole) + _lattice_sum(
+        lambda u: ((lo <= u) & (u < hi)).astype(float), pts, ks[~whole], np.array([[a]]))
     return values, _distinct(counts[meets])
 
 
@@ -375,7 +379,7 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     so the distinct counts of the cells meeting the bounding box, over
     |det B|, are the essential range.
 
-    On a diagonal A in d >= 2 the count is prod_i #{k_i : lo_i <= a_ii
+    On a diagonal A, 1-d included, the count is prod_i #{k_i : lo_i <= a_ii
     (gamma_i + k_i) < hi_i}: the table is the outer product of one 1-d lattice
     sum per distinct axis (``_axis_counts``) over |det B|, and the range the
     distinct products of the axes' cell counts.  The full sum's matmul adds
@@ -383,14 +387,14 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     integers, so the table equals ``cross_phi_values`` at the same radius bit
     for bit.
 
-    Otherwise (and in 1-d, where that sum would cost the kept k times N) u is
-    affine along a grid row (the last axis), so the row crosses each face
-    cluster once: a ceil or floor of (edge - u_0) / slope gives the first grid
-    index past it.  The row's crossings, sorted with their axis and start or
-    end label, cut it into runs, and a cumulative count of the labels gives
-    each run's cell.  A run within ``near`` (``_FACE_FRAC`` of the scale) of a
-    face takes the lattice sum over the kept k: its summands are 0 or 1, and
-    the other k add zeros, so again the table is that sum bit for bit.
+    Otherwise (a basis that mixes axes, so d >= 2) u is affine along a grid
+    row (the last axis), so the row crosses each face cluster once: a ceil or
+    floor of (edge - u_0) / slope gives the first grid index past it.  The
+    row's crossings, sorted with their axis and start or end label, cut it
+    into runs, and a cumulative count of the labels gives each run's cell.  A
+    run within ``near`` (``_FACE_FRAC`` of the scale) of a face takes the
+    lattice sum over the kept k: its summands are 0 or 1, and the other k add
+    zeros, so again the table is that sum bit for bit.
 
     The radius is the smallest one whose tail under ``g.decay_bound()`` is 0,
     the one the direct route records: past ``K_CAP`` it raises at once
@@ -405,7 +409,7 @@ def _step_table(g: Generator, lattice: LatticeSpec, grid_res: int):
     envelope = g.decay_bound()  # vanishes past the box
     radius, _ = _smallest_radius(lambda k: envelope.lattice_tail(lattice, k), K_CAP[d], 0.0,
                                  g.label)
-    if d > 1 and np.array_equal(a, np.diag(np.diagonal(a))):
+    if np.array_equal(a, np.diag(np.diagonal(a))):
         axis_keys = list(zip(lo.tolist(), hi.tolist(), np.diagonal(a).tolist(),
                              np.diagonal(lattice.basis).tolist()))
         per_axis = {key: _axis_counts(*key, radius, grid_res) for key in dict.fromkeys(axis_keys)}

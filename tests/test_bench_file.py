@@ -13,7 +13,13 @@ def bench_file(monkeypatch, tmp_path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "ROOT", tmp_path)
-    (tmp_path / "parent").mkdir()
+    # package modules of 3 + 2 lines in the change and 4 in the parent
+    for checkout, texts in ((tmp_path, ["a\nb\nc\n", "d\ne\n"]),
+                            (tmp_path / "parent", ["f\n" * 4])):
+        package = checkout / "src" / "latticeframes"
+        package.mkdir(parents=True)
+        for i, text in enumerate(texts):
+            (package / f"m{i}.py").write_text(text)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "command": ["python3", "perfbench/run.py"], "run_seconds": 30,
         "workloads": [{"name": "phi_grid"}, {"name": "gram_oracle"}],
@@ -52,6 +58,7 @@ def test_bench_file_records_both_checkouts_and_all_metrics(bench_file, tmp_path)
     assert set(doc["runs"]) == {"parent", "change"}
     for side, run in doc["runs"].items():
         assert (run["commit"], run["dirty"]) == ("abc123", False)
+        assert run["src_lines"] == (4 if side == "parent" else 5)
         assert set(run["workloads"]) == {"phi_grid", "gram_oracle"}
         gram = run["workloads"]["gram_oracle"]
         # the end-to-end value is the median of the ten plain runs

@@ -10,8 +10,8 @@ from scipy.integrate import quad
 import latticeframes as lf
 from latticeframes._integrate import grid_blocks
 from latticeframes.errors import NoDecayInfo, TailNotAchievable, ZeroGenerator
-from latticeframes.generators import (CompactFrequencySupport, DecayBound, _axis_tolerance,
-                                      _frequency_integral, _gaussian_moment_sum)
+from latticeframes.generators import (CompactFrequencySupport, DecayBound, GaussianDecay,
+                                      _axis_tolerance, _frequency_integral, _gaussian_moment_sum)
 from latticeframes.lattice import operator_inf_norm
 from latticeframes.periodization import choose_truncation
 
@@ -457,3 +457,45 @@ def test_sampled_self_correlation_is_discrete_overlap(dim):
     assert norm == pytest.approx(step**dim * np.sum(np.abs(values) ** 2), rel=1e-14)
     np.testing.assert_allclose(g.autocorrelation(t), ref, rtol=0, atol=1e-14 * norm)
     np.testing.assert_allclose(g.cross_correlation(g, t), ref, rtol=0, atol=1e-14 * norm)
+
+
+def test_sampled_self_overlaps_are_exact_at_grid_shifts_far_from_the_origin():
+    # at t = m h the overlap is h sum_j conj(v_j) v_(j - m); rebuilding the
+    # indices from x_j - t - origin rounded below the integer at origin 44.1,
+    # mixing in neighbouring samples (1.5e-13 off, Im c_0 1.3e-14)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    h = 0.03
+    g = lf.SampledSpatial(v, [44.1], h)
+    ms = np.arange(-5, 6)
+    want = [h * np.vdot(v[max(0, m):40 + min(0, m)], v[max(0, -m):40 - max(0, m)]) for m in ms]
+    got = g.autocorrelation((ms * h)[:, None])
+    scale = h * np.sum(np.abs(v) ** 2)
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * scale
+    assert got[5].imag == 0.0
+
+
+def _old_gaussian_tail_radius(a, c, dim, tol):
+    # the dimension-specific bounds that one slab bound replaced
+    r = max(1.0, math.sqrt(dim / a))
+    while True:
+        if dim <= 2:
+            bound = dim * (2.0**dim) * c * r ** (dim - 2) * math.exp(-a * r**2) / (2 * a)
+        else:
+            bound = dim * (2.0**dim) * c * math.exp(-a * r**2) * (r / a + 1.0 / (2 * a**2 * r))
+        if bound <= tol:
+            return r
+        r += 0.25
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rate,constant,tol", [(2 * math.pi, 1.0, 1e-12), (0.05, 3.0, 1e-9),
+                                               (40.0, 0.2, 1e-6), (1.0, 1.0, 1e-300)])
+def test_gaussian_tail_radius_bounds_the_exact_tail(dim, rate, constant, tol):
+    # the integral of C exp(-a |xi|^2) over {|xi|_inf > R} is
+    # C (pi/a)^(d/2) (1 - erf(R sqrt a)^d), with 1 - erf^d taken as
+    # -expm1(d log1p(-erfc)) so that no digits cancel
+    r = GaussianDecay(rate, constant).tail_radius(dim, tol)
+    outside = -math.expm1(dim * math.log1p(-math.erfc(r * math.sqrt(rate))))
+    assert constant * (math.pi / rate) ** (dim / 2) * outside <= tol
+    assert r <= _old_gaussian_tail_radius(rate, constant, dim, tol)

@@ -99,10 +99,10 @@ def _exp_sum_case(draw):
     budget = draw(st.sampled_from([1, 7, 50, _integrate.BLOCK_BUDGET]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     axes = [rng.uniform(-3.0, 3.0, size) for size in sizes]
-    # shifts B k for integer k and a sheared basis B
+    # points B k for integer k and a sheared basis B
     shear = np.eye(d) + np.triu(rng.uniform(-2.0, 2.0, (d, d)), 1)
     scattered = rng.integers(-3, 4, (n, d)) @ shear.T
-    m = max(n, int(np.prod(sizes)))
+    m = int(np.prod(sizes))
     coeffs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return axes, scattered, coeffs, budget
 
@@ -110,29 +110,24 @@ def _exp_sum_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(_exp_sum_case())
 def test_grid_exp_sum_matches_exponential_matrix(case):
-    # the tensor grid on either side of the sum, at budgets that split every
-    # contraction down to single rows and columns
-    axes, scattered, coeffs, budget = case
-    grid = _points(axes)
-    scattered_c, grid_c = coeffs[:len(scattered)], coeffs[:len(grid)]
+    # coefficients on the tensor grid at scattered points, at budgets that
+    # split every contraction down to single rows and columns
+    axes, scattered, c, budget = case
     default, _integrate.BLOCK_BUDGET = _integrate.BLOCK_BUDGET, budget
     try:
-        grid_points = _integrate.grid_exp_sum(scattered_c, scattered, axes)
-        grid_shifts = _integrate.grid_exp_sum(grid_c, axes, scattered)
+        got = _integrate.grid_exp_sum(c, axes, scattered)
     finally:
         _integrate.BLOCK_BUDGET = default
-    for got, want, c in ((grid_points, _naive_exp_sum(scattered_c, scattered, grid), scattered_c),
-                         (grid_shifts, _naive_exp_sum(grid_c, grid, scattered), grid_c)):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(c))
+    want = _naive_exp_sum(c, _points(axes), scattered)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(c))
 
 
 # exp(-2 pi i q / 4) for q mod 4
 _QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
 
 
-@pytest.mark.parametrize("grid_side", ["points", "shifts"])
-def test_grid_exp_sum_is_exact_at_large_quarter_integer_phases(grid_side):
+def test_grid_exp_sum_is_exact_at_large_quarter_integer_phases():
     # axes near +-1e6 on a quarter grid against integer vectors: every phase
     # x . s is an exact quarter-integer near 1e6 cycles, so each term is
     # exactly +-1 or +-i, which an exponential of 2 pi 1e6 radians misses by
@@ -140,14 +135,9 @@ def test_grid_exp_sum_is_exact_at_large_quarter_integer_phases(grid_side):
     rng = np.random.default_rng(5)
     axes = [1e6 + np.arange(5) / 4, -1e6 + 0.5 + np.arange(3) / 4]
     ints = rng.integers(-3, 4, (7, 2)).astype(float)
-    grid = _points(axes)
-    turns = np.rint(4 * ints @ grid.T).astype(np.int64) % 4  # (7, 15)
-    if grid_side == "points":
-        c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        got, want = _integrate.grid_exp_sum(c, ints, axes), _QUARTER_TURNS[turns.T] @ c
-    else:
-        c = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-        got, want = _integrate.grid_exp_sum(c, axes, ints), _QUARTER_TURNS[turns] @ c
+    turns = np.rint(4 * ints @ _points(axes).T).astype(np.int64) % 4  # (7, 15)
+    c = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+    got, want = _integrate.grid_exp_sum(c, axes, ints), _QUARTER_TURNS[turns] @ c
     assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(c))
 
 

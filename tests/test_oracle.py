@@ -557,6 +557,17 @@ def test_synthesis_three_way_random(maker, unit_lattice):
         assert abs(s - q) <= 1e-6 * scale
 
 
+def test_synthesis_of_a_sparse_support_reads_entries_at_its_differences():
+    # two coefficients 8 apart on Z^3 have three distinct differences; a Gram
+    # section of half-width 8 holding them has 17^3 = 4913 rows, past the cap
+    g, L = lf.Gaussian(1.0, 3), lf.new_lattice(np.eye(3).tolist())
+    c = lf.CoefficientVector({(0, 0, 0): 1.0, (8, 0, 0): 0.5})
+    d, s, q = lf.synthesis_norm(g, L, c, lf.compute_phi(g, L, 16))
+    assert max(abs(d - s), abs(d - q), abs(s - q)) <= 1e-9
+    # the translates 8 apart barely overlap: the norm is (1 + 0.25) ||g||^2
+    assert q == pytest.approx(1.25 * g.norm_squared(), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # analysis coefficients
 # ---------------------------------------------------------------------------

@@ -58,6 +58,10 @@ _EQUIVALENCE_CASES = [
     (lf.Sinc(3), np.diag([0.5, 1.0, 2.0]).tolist(), 16),
     (lf.FrequencyBox([-1.25, -0.75], [1.5, 1.0]), [[0.375, 0.0], [0.0, -0.25]], 64),
     (lf.FrequencyBox([-5.6] * 3, [5.7] * 3), np.eye(3).tolist(), 8),
+    # 1-d boxes many cells wide, most k inside at every grid point: on a
+    # negative spacing, and on a 1/4 spacing whose faces fall on grid points
+    (lf.FrequencyBox([-50.3], [49.9]), [[-0.7]], 256),
+    (lf.FrequencyBox([-4.25], [3.5]), [[0.25]], 64),
 ]
 
 
