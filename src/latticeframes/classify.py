@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NotCompactlySupported
 from .generators import Generator
 from .lattice import LatticeSpec, check_positive, check_table
-from .periodization import PeriodizationTable, grid_gamma, perturbed_phi
+from .periodization import PeriodizationTable, _require_finite, grid_gamma, perturbed_phi
 
 DEFAULT_CLASS_TOL = 1e-6
 # below this fraction of the sup, an off-zero infimum is treated as
@@ -180,6 +180,7 @@ def classify_weighted_exponentials(psi_samples, eps_zero: float,
     samples = np.asarray(psi_samples)
     if samples.size == 0:
         raise ValueError("sample list must be nonempty")
+    _require_finite(samples, "weight", "samples")
     power = np.abs(samples.ravel()) ** 2
     bounds = _bounds_from_values(power, 0.0, eps_zero)
     return classify_translates(bounds, class_tol)

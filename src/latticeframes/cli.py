@@ -48,7 +48,7 @@ class RunConfig:
     target_tail: float | None = None
     eps_zero: float | None = None
     class_tol: float = _classify.DEFAULT_CLASS_TOL
-    gram_half_width: int = 8
+    gram_half_width: int | None = None  # by default the largest M <= 8 under the size cap
     out: str | None = None
 
     def validate(self):
@@ -59,7 +59,8 @@ class RunConfig:
             accepted, noun = _FIELD_TYPES[kind]
             if isinstance(v, bool) or not (isinstance(v, accepted) or v is None and optional):
                 raise ValueError(f"{f.name} must be {noun}, got {v!r}")
-        _periodization._validate_grid(self.grid_res)
+        # a grid too large for the lattice's dimension fails where a table is built
+        _periodization._validate_grid(self.grid_res, 1)
         # np.asarray(dtype=object) keeps leaves as given, and rows of unequal
         # length as lists, which are not numbers either
         leaves = np.asarray(self.lattice, dtype=object).ravel()
@@ -69,6 +70,9 @@ class RunConfig:
         for name in ("target_tail", "eps_zero", "class_tol"):
             if getattr(self, name) is not None:
                 check_positive(name, getattr(self, name))
+        if self.gram_half_width is None:
+            self.gram_half_width = next((m for m in range(8, 0, -1) if (2 * m + 1) ** len(
+                self.lattice) <= _oracle.MAX_GRAM_SIZE), 1)
         check_integer("gram_half_width", self.gram_half_width, 1)
 
     def resolved(self) -> dict:
@@ -262,7 +266,9 @@ COMMANDS = {
 
 def _example(out: str | None) -> int:
     """Run the built-in box example end to end and check its verdict."""
-    report = _classify_report(preset_config("example"), None)
+    cfg = preset_config("example")
+    cfg.validate()
+    report = _classify_report(cfg, None)
     ok = (
         report["verdict"] == "ParsevalFrameSequence"
         and abs(report["lower"] - 1.0) <= 1e-6

@@ -12,7 +12,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -28,6 +27,9 @@ from .periodization import (
 
 MAX_GRAM_SIZE = 4096
 MEMBER_TOL = 1e-6  # residual share of ||psi||^2 that still counts as in the span
+# the partitions of the axes into two or more blocks, finest first
+_PARTITIONS = {2: [((0,), (1,))],
+               3: [((0,), (1,), (2,)), ((0, 1), (2,)), ((0, 2), (1,)), ((1, 2), (0,))]}
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,10 @@ class GramMatrix:
     reads the section as centrohermitian.  ``dense()`` materializes the full
     ((2M+1)^d)^2 matrix in lexicographic index order; it serves the CLI
     ``gram`` CSV and is the reference in the tests.  ``gram_eigen_bounds``
-    forms neither: entries that factor, c_n = c_0 prod_a u_a(n_a) within its
-    bound, take d Toeplitz sections of order 2M+1; the rest take real
-    symmetric blocks, one per even / odd pattern of the axis flips that the
-    entries respect (to eps max|c| in l1), for real and complex entries alike.
+    forms neither: entries that factor over blocks of axes within its bound,
+    c_n = c_0 prod_P u_P(n_P), take one section per block, and each block of
+    two or more axes, or section that factors over none, splits into real
+    symmetric halves under the joint flip n -> -n.
     """
 
     half_width: int
@@ -93,21 +95,15 @@ class GramMatrix:
             raise ValueError(f"gram difference entries must satisfy c_(-n) = conj(c_n); "
                              f"the largest |c_(-n) - conj(c_n)| is {gap:.3g}")
 
-    def _offsets(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Offsets into the flat ``diffs`` of entries [j, k] for (p, d) index
-        rows j and (q, d) columns k; they are linear in the index, so no
-        (p, q, d) difference array is formed."""
+    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entries [j, k] for (p, d) index rows j and (q, d) columns k."""
         rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
         r = 2 * self.half_width
         if rows.size and cols.size and (
                 np.any(cols.max(axis=0) - rows.min(axis=0) > r)
                 or np.any(cols.min(axis=0) - rows.max(axis=0) < -r)):
             raise KeyError(f"index difference beyond the stored radius {r}")
-        strides = (2 * r + 1) ** np.arange(self.dim - 1, -1, -1)
-        return (cols @ strides + r * int(strides.sum()))[None, :] - (rows @ strides)[:, None]
-
-    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self.diffs.reshape(-1)[self._offsets(rows, cols)]
+        return self.diffs.reshape(-1)[_offsets(rows, cols, r)]
 
     def entry(self, j, k) -> complex:
         return complex(self._block(np.atleast_1d(j)[None], np.atleast_1d(k)[None])[0, 0])
@@ -115,6 +111,14 @@ class GramMatrix:
     def dense(self) -> np.ndarray:
         idx = integer_box(self.dim, self.half_width)
         return self._block(idx, idx)
+
+
+def _offsets(rows: np.ndarray, cols: np.ndarray, r: int) -> np.ndarray:
+    """Offsets into flat difference entries of shape (2r+1,)^d of the entries
+    c_(k-j) for (p, d) index rows j and (q, d) columns k, |k - j|_inf <= r;
+    they are linear in the index, so no (p, q, d) difference array is formed."""
+    strides = (2 * r + 1) ** np.arange(rows.shape[1] - 1, -1, -1)
+    return (cols @ strides + r * int(strides.sum()))[None, :] - (rows @ strides)[:, None]
 
 
 def gram_matrix(g: Generator, lattice: LatticeSpec, half_width: int) -> GramMatrix:
@@ -139,44 +143,30 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
     """Extreme eigenvalues of the Gram section, from small Hermitian solves.
 
     A row of the section holds each c_n at most once, so by Weyl a change dc
-    of the entries moves no eigenvalue more than ||dc||_1, nor more than
-    (2M+1)^d max|dc|; and max|c| <= ||G||_2.  Entries with |c_n| <=
-    eps^2 max|c| are zeroed first, as smooth autocorrelations reach the
-    subnormal range, where the solver is slow: under the size cap that moves
-    no eigenvalue more than 4096 eps^2 max|c| ~ 2e-28 ||G||_2.
+    of the entries moves no eigenvalue more than ||dc||_1; and max|c| <=
+    ||G||_2.  Entries with |c_n| <= eps^2 max|c|, which slow the solver in
+    the subnormal range, are zeroed first: under the size cap that moves no
+    eigenvalue more than 4096 eps^2 max|c| ~ 2e-28 ||G||_2.
 
-    Entries that factor (d >= 2, M >= 1, |c_0| = max|c|, as Cauchy-Schwarz
-    gives every autocorrelation): with u_a the Hermitian part of
-    c(j e_a) / c_0, c^(n) = c_0 prod_a u_a(n_a) has the section
-    c_0 (x)_a T(u_a), T(u_a) Toeplitz of order 2M+1, so its eigenvalues are
-    the products c_0 prod_a lambda_a of theirs (Horn & Johnson, Topics in
-    Matrix Analysis, 1991, Thm 4.2.12).  They stand for G's when
-    ||c - c^||_1 <= (2M+1)^d eps max|c| <= (2M+1)^d eps ||G||_2, within the
-    dense solver's own backward error at order (2M+1)^d.  Tensor-product
-    kinds factor on diagonal lattices, the Gaussian on orthogonal ones too.
+    Factor (d >= 2, M >= 1, |c_0| = max|c|, as for every autocorrelation):
+    with u_P the Hermitian part of c on the axes of block P, over c_0,
+    c^(n) = c_0 prod_P u_P(n_P) has the section c_0 (x)_P T(u_P), whose
+    eigenvalues are the products of the blocks' (Horn & Johnson, Topics in
+    Matrix Analysis, 1991, Thm 4.2.12).  The first partition of the axes,
+    finest first, with ||c - c^||_1 <= (2M+1)^d eps max|c|, within the dense
+    solver's own backward error, stands for G.  A one-axis block is a
+    Toeplitz section of order 2M+1.
 
-    Otherwise axis a is invariant when D_a = sum_n |c(P_a n) - c(n)| <=
-    eps max|c|, P_a negating coordinate a; averaging c over those flips moves
-    it by at most sum_a D_a / 2 <= d eps max|c| / 2.  The flip groups are
-    each invariant axis alone and the other axes jointly.  An invariant
-    group's flip sigma is unitary, G[sigma j, sigma k] = G[j, k]; as
-    c_(-n) = conj(c_n), the joint flip gives conj G[j, k], antiunitary
-    unless c is real, as it is up to rounding with every axis invariant.
-    On the points j, k up to each group's centre, a pattern's even / odd half
-    sums c(k - sigma_U j) over the sets U of flipped groups, signed -1 per
-    odd group in U and weighted 1/sqrt 2 for each of j, k at an even group's
-    fixed point; odd groups skip their fixed points.  These are the blocks
-    of G in the bases (e_x +- e_(sigma x))/sqrt 2 (Cantoni & Butler, Linear
-    Algebra Appl. 13, 1976), so real entries solve every half.  For complex
-    ones, within a pattern of the invariant groups let X be the points
-    before the joint centre, S = G[X, X], R = G[X, sigma X]: the joint halves
-    are E = S + conj R, with the centre, and O = S - conj R.  The unitary
-    taking e_x, e_0, e_(sigma x) to (e_x + e_(sigma x))/sqrt 2, e_0,
-    i(e_x - e_(sigma x))/sqrt 2 makes the pattern the real symmetric
-    K = [[Re E, Im O_r^T], [Im O_r, Re O_rr]] (A. Lee, Linear Algebra Appl.
-    29, 1980), O_r being O without its rows at the centre, O_rr without its
-    columns there too: S is Hermitian and R, by the antiunitary flip,
-    symmetric, so Im(R - S) = Im O^T.
+    Split: a block of two or more axes, or a section that factors over no
+    partition, takes the joint flip sigma n = -n, G[sigma j, sigma k] =
+    conj G[j, k].  On the points up to the centre, with S = G[j, k] and
+    R = G[j, sigma k], the halves E = S + conj R and O = S - conj R, weighted
+    1/sqrt 2 per index at the centre, are G in the bases
+    (e_x +- e_(sigma x))/sqrt 2 (Cantoni & Butler, Linear Algebra Appl. 13,
+    1976); real entries solve E and O without its centre.  Complex ones take
+    the real symmetric K = [[Re E, Im O_r^T], [Im O_r, Re O_rr]] (A. Lee,
+    Linear Algebra Appl. 29, 1980), O_r being O without its rows at the
+    centre, O_rr without its columns there too.
     ``eigvalsh(gram.dense())`` is the test reference.
     """
     bad = int(np.count_nonzero(~np.isfinite(gram.diffs)))
@@ -184,68 +174,52 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
         raise ConvergenceFailure(
             f"gram difference entries hold {bad} non-finite value(s) of {gram.diffs.size}")
     eps = np.finfo(float).eps
-    c = np.where(np.abs(gram.diffs) > eps ** 2 * np.abs(gram.diffs).max(), gram.diffs, 0)
+    mag = np.abs(gram.diffs)
+    top = mag.max()  # the flush below keeps it
+    c = np.where(mag > eps ** 2 * top, gram.diffs, 0)
     if not np.any(c.imag):
         c = c.real
     d, m = gram.dim, gram.half_width
     c0 = c[(2 * m,) * d].real
-    if d > 1 and m and 0 < np.abs(c).max() <= abs(c0):
-        fibres = [c[(2 * m,) * a + (slice(None),) + (2 * m,) * (d - a - 1)] for a in range(d)]
-        fibres = [(f + f[::-1].conj()) / (2 * c0) for f in fibres]
-        gap = np.abs(c - c0 * functools.reduce(np.multiply.outer, fibres)).sum()
-        if gap <= (2 * m + 1) ** d * eps * abs(c0):
-            idx = np.arange(2 * m + 1)
-            toeplitz = 2 * m + idx - idx[:, None]  # entry [j, k] is u(k - j)
-            eig = c0 * functools.reduce(np.multiply.outer, _eigvalsh(u[toeplitz] for u in fibres))
-            return float(eig.min()), float(eig.max())
-    axes = [a for a in range(d) if np.abs(np.flip(c, a) - c).sum() <= eps * np.abs(c).max()]
-    for a in axes:
-        c = 0.5 * (c + np.flip(c, a))
-    rest = [a for a in range(d) if a not in axes]
-    if not rest:  # even and Hermitian
-        c = c.real
-    groups = [[a] for a in axes] + ([rest] if rest else [])
-    n_groups = len(groups)
-    # the box with its axes in group order is the product of the groups'
-    # sub-boxes; each keeps its points up to its centre, the fixed point
-    sizes = [(2 * m + 1) ** len(g) for g in groups]
-    shape = tuple((size + 1) // 2 for size in sizes)
-    reps = integer_box(d, m).reshape(sizes + [d])[tuple(map(slice, shape))]
-    reps = reps[..., np.argsort(sum(groups, []))].reshape(-1, d)
-    flips = np.array(list(product((False, True), repeat=n_groups)))
-    member = np.array([[a in g for a in range(d)] for g in groups])
-    # sums[U][j, k] = c(k - sigma_U j); U runs over the subsets of groups,
-    # flipped in lex order
-    rows = (np.where(flips @ member, -1, 1)[:, None, :] * reps).reshape(-1, d)
-    sums = c.reshape(-1)[gram._offsets(rows, reps)].reshape((2,) * n_groups + shape * 2)
-    for i in range(n_groups):  # unflipped, flipped -> even, odd in group i
-        lo, hi = np.moveaxis(sums, i, 0)
-        lo[...], hi[...] = lo + hi, lo - hi
-        # 1/sqrt 2 for each of j, k at the group's fixed point
-        at = np.moveaxis(sums, (n_groups + i, 2 * n_groups + i), (0, 1))
-        at[-1, :-1] *= math.sqrt(0.5)
-        at[:-1, -1] *= math.sqrt(0.5)
-        at[-1, -1] *= 0.5
-
-    def half(odd, cols=True):  # odd groups skip their fixed points, in cols if asked
-        keep = tuple(slice(-1 if o else None) for o in odd)
-        block = sums[tuple(odd.astype(int))][keep + (keep if cols else keep[:-1] + (slice(None),))]
-        return block.reshape(math.prod(block.shape[:n_groups]), math.prod(block.shape[n_groups:]))
-
-    if np.iscomplexobj(c):  # one K per pattern of the invariant groups
-        blocks = []
-        for even, odd in zip(flips[::2], flips[1::2]):
-            o_r = half(odd, cols=False)
-            blocks.append(np.block([[half(even).real, o_r.imag.T], [o_r.imag, half(odd).real]]))
+    for blocks in _PARTITIONS.get(d, []) if m and 0 < top <= abs(c0) else []:
+        us = [c[tuple(slice(None) if a in p else 2 * m for a in range(d))] for p in blocks]
+        us = [(u + np.flip(u).conj()) / (2 * c0) for u in us]
+        # the product's axes run block by block, as those of c transposed
+        gap = np.abs(c.transpose(sum(blocks, ())) - c0 * functools.reduce(np.multiply.outer, us))
+        if gap.sum() <= (2 * m + 1) ** d * eps * abs(c0):
+            box = integer_box(1, m)  # a one-axis block is Toeplitz: entry [j, k] is u(k - j)
+            eig = c0 * functools.reduce(np.multiply.outer, (
+                _eigvalsh(u[_offsets(box, box, 2 * m)]) if u.ndim == 1 else _flip_split(u)
+                for u in us))
+            break
     else:
-        blocks = [half(odd) for odd in flips]
-    eig = np.concatenate(_eigvalsh(blocks))
+        eig = _flip_split(c)
     return float(eig.min()), float(eig.max())
 
 
-def _eigvalsh(blocks) -> list:
+def _flip_split(c: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the section of Hermitian entries c, of shape
+    (4M+1,)^k, from its halves under the joint flip."""
+    k, m = c.ndim, (len(c) - 1) // 4
+    h = ((2 * m + 1) ** k - 1) // 2
+    reps = integer_box(k, m)[:h + 1]  # the points up to the centre, which is last
+    # lo[j, k] = c(k - j), hi[j, k] = c(k + j)
+    lo, hi = c.reshape(-1)[_offsets(np.concatenate([reps, -reps]), reps, 2 * m)].reshape(
+        2, h + 1, h + 1)
+    even, odd = halves = np.stack([lo + hi, lo - hi])
+    halves[:, -1, :-1] *= math.sqrt(0.5)  # 1/sqrt 2 for each of j, k at the centre
+    halves[:, :-1, -1] *= math.sqrt(0.5)
+    halves[:, -1, -1] *= 0.5
+    if np.any(c.imag):
+        return _eigvalsh(np.block([[even.real, odd[:-1].imag.T],
+                                   [odd[:-1].imag, odd[:-1, :-1].real]]))
+    return _eigvalsh(even.real, odd[:-1, :-1].real)
+
+
+def _eigvalsh(*blocks) -> np.ndarray:
+    """The eigenvalues of real symmetric or Hermitian blocks, concatenated."""
     try:
-        return [np.linalg.eigvalsh(k) for k in blocks]
+        return np.concatenate([np.linalg.eigvalsh(k) for k in blocks])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from exc
 

@@ -58,6 +58,9 @@ from .lattice import LatticeSpec, check_dims, check_integer, check_positive, int
 K_CAP = {1: 10_000, 2: 1_000, 3: 100}
 
 _MIN_GRID = 8
+# the most grid points a table may have: a grid of N^d points past it raises
+# TooLarge before any route allocates (2-d at N = 4096 fits)
+MAX_GRID_POINTS = 2**24
 
 # default zero threshold over the grid max: separates true zeros of
 # indicator-type tables from truncation noise (tails are ~1e-10 of the max)
@@ -122,9 +125,11 @@ def grid_gamma(dim: int, n: int) -> np.ndarray:
     return _integrate.mesh([np.arange(n) / n] * dim)
 
 
-def _validate_grid(n: int):
+def _validate_grid(n: int, d: int):
     if n < _MIN_GRID or (n & (n - 1)) != 0:
         raise ValueError(f"grid resolution must be a power of two >= {_MIN_GRID}, got {n}")
+    if n**d > MAX_GRID_POINTS:
+        raise TooLarge(f"grid of {n}^{d} = {n**d} points exceeds cap {MAX_GRID_POINTS}")
 
 
 def _sum_box(dim: int, radius: int, points: int) -> np.ndarray:
@@ -298,7 +303,7 @@ def cross_phi_values(g: Generator, psi: Generator, lattice: LatticeSpec,
     ``compute_cross_phi``.  For the self pair the summand is |fhat|^2, real,
     with one transform evaluation per point.
     """
-    _validate_grid(grid_res)
+    _validate_grid(grid_res, lattice.dim)
     ks = _sum_box(lattice.dim, radius, grid_res**lattice.dim)
     pts = grid_gamma(lattice.dim, grid_res)
     return _cross_sum(g, psi, lattice, pts, ks).reshape((grid_res,) * lattice.dim)
@@ -486,8 +491,8 @@ def compute_cross_phi(g: Generator, psi: Generator, lattice: LatticeSpec, grid_r
     is 1e-10 times the grid maximum of the k = 0 term; for the self pair
     every term is >= 0, so that is a lower bound on max phi.
     """
-    _validate_grid(grid_res)
     check_dims(lattice, g, psi)
+    _validate_grid(grid_res, lattice.dim)
     if target_tail is not None:
         check_positive("target_tail", target_tail)
     tag = g.label if psi is g else f"{psi.label} against {g.label}"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import latticeframes as lf
 from latticeframes.classify import Verdict
-from latticeframes.errors import EpsilonTooSmall, NotCompactlySupported
+from latticeframes.errors import EpsilonTooSmall, NonFiniteInput, NotCompactlySupported
 
 
 def _family(verdict):
@@ -52,6 +52,9 @@ def test_bounds_epsilon_guard(gauss_table):
     assert gauss_table.tail > 0.0
     with pytest.raises(EpsilonTooSmall):
         lf.spectral_bounds(gauss_table, eps_zero=gauss_table.tail)
+    # an explicit threshold at 4 * tail is taken as given
+    assert lf.spectral_bounds(gauss_table, eps_zero=4 * gauss_table.tail).eps_zero == (
+        4 * gauss_table.tail)
 
 
 def test_every_table_consumer_guards_epsilon(unit_lattice):
@@ -139,6 +142,13 @@ def test_weighted_exponentials_ramp():
 def test_weighted_exponentials_empty():
     with pytest.raises(ValueError):
         lf.classify_weighted_exponentials([], eps_zero=1e-8)
+
+
+@pytest.mark.parametrize("samples", [[math.nan, 1.0], [1.0, math.inf], [1.0, complex(0, math.nan)]])
+def test_weighted_exponentials_nonfinite(samples):
+    # a NaN weight was read as NotBessel
+    with pytest.raises(NonFiniteInput, match="weight not finite at 1 of 2 samples"):
+        lf.classify_weighted_exponentials(samples, 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from latticeframes import periodization
 from latticeframes.cli import main, preset_config
 
 
@@ -154,6 +155,30 @@ def test_numeric_failure_is_exit_3(capsys, tmp_path):
     assert code == 3
     assert "numerical failure" in err
     assert "support_radius" in err
+
+
+@pytest.mark.parametrize("dim, half_width", [(1, 8), (2, 8), (3, 7)])
+def test_default_gram_half_width_fits_the_cap(dim, half_width, capsys, tmp_path):
+    # without gram_half_width a config takes the largest M <= 8 whose section,
+    # of order (2M+1)^d, fits MAX_GRAM_SIZE: M = 8 in 3-d exited 3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"generator": {"kind": "gaussian", "dim": dim},
+                                "lattice": np.eye(dim).tolist(), "grid_res": 16}))
+    code, out, err = _run(capsys, ["classify", "--config", str(path)])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["oracle"]["half_width"] == report["config"]["gram_half_width"] == half_width
+
+
+def test_oversized_grid_is_exit_3(monkeypatch, capsys, tmp_path):
+    # the cap lowered to 2^12 points, so no large grid is laid out
+    monkeypatch.setattr(periodization, "MAX_GRID_POINTS", 2**12)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"generator": {"kind": "gaussian", "dim": 3},
+                                "lattice": np.eye(3).tolist(), "grid_res": 32}))
+    code, out, err = _run(capsys, ["classify", "--config", str(path)])
+    assert (code, out) == (3, "")
+    assert "grid of 32^3 = 32768 points exceeds cap 4096" in err
 
 
 def test_config_file_round_trip(capsys, tmp_path):

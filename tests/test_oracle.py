@@ -199,6 +199,7 @@ _ASYMMETRIC_BOX = lf.FrequencyBox([-0.2, -0.4], [0.45, 0.3])
 _HALF_SYMMETRIC_BOX = lf.FrequencyBox([-0.5, -0.2], [0.5, 0.4])  # flip of axis 0 only
 _ROTATED = [[math.cos(0.37), -math.sin(0.37)], [math.sin(0.37), math.cos(0.37)]]
 _SHEAR = [[1.0, 0.5], [0.0, 1.0]]
+_HEX = [[1.0, 0.5], [0.0, math.sqrt(3) / 2]]
 # complex samples far from their origin: the overlap at shift 0 rebuilds each
 # grid index as (x_j - origin) / step, which can round below the integer and
 # leave an imaginary part of 1.3e-14 in the autocorrelation at 0
@@ -287,43 +288,37 @@ def _bounds_and_block_orders(gram):
 
 
 @settings(max_examples=80, deadline=None)
-@given(dim=st.integers(1, 3), half_width=st.integers(0, 3), flipped=st.sets(st.integers(0, 2)),
-       complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_eigen_bounds_split_by_axis_flips(dim, half_width, flipped, complex_entries, seed):
-    # random Hermitian entries, made exactly invariant under the flips of a
-    # random set of axes; the rest of the axes flip jointly.  Real entries are
-    # even, so an axis left alone is invariant too, by the central flip, and
-    # every group pattern is a block; complex ones get Lee's K per pattern of
-    # the invariant groups, unless every axis is flipped, which makes c real
+@given(labels=st.lists(st.integers(0, 2), min_size=1, max_size=3), half_width=st.integers(0, 3),
+       complex_blocks=st.lists(st.booleans(), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_eigen_bounds_factor_over_blocks(labels, half_width, complex_blocks, seed):
+    # c_0 times a product of random Hermitian blocks, 1 at 0 and below
+    # 2^(1/2-|n|_1) elsewhere like an autocorrelation, over the partition of
+    # the axes a by labels[a]; a block is complex when complex_blocks says so.
+    # Two or more blocks (M >= 1) take one Toeplitz solve of order 2M+1 per
+    # one-axis block and the joint-flip split of each larger one: two halves
+    # when real, Lee's K when complex.  One block, or M = 0, splits whole
     rng = np.random.default_rng(seed)
-    shape = (4 * half_width + 1,) * dim
-    c = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_entries else 0)
-    c = c + np.flip(c).conj()
-    flipped = sorted(flipped & set(range(dim)))
-    for a in flipped:
-        c = c + np.flip(c, a)
-    # a single entry (M = 0) respects every flip; the factor route needs M >= 1
-    lee = complex_entries and len(flipped) < dim and half_width > 0
-    if lee:
-        blocks = 2 ** len(flipped)
-    else:
-        blocks = 2 ** (len(flipped) + 1 if dim - len(flipped) >= 2 and half_width else dim)
+    dim = len(labels)
+    blocks = [[a for a in range(dim) if labels[a] == label] for label in sorted(set(labels))]
+    c, axes, orders = rng.uniform(0.5, 2.0), [], []
+    for block in blocks:
+        shape = (4 * half_width + 1,) * len(block)
+        v = rng.uniform(-1, 1, shape) + (1j * rng.uniform(-1, 1, shape)
+                                         if complex_blocks[labels[block[0]]] else 0)
+        n1 = np.abs(integer_box(len(block), 2 * half_width)).sum(axis=1).reshape(shape)
+        v = (v + np.flip(v).conj()) * 0.5 ** (n1 + 1)
+        v[(2 * half_width,) * len(block)] = 1.0
+        c, axes = np.multiply.outer(c, v), axes + block
+        n, real = (2 * half_width + 1) ** len(block), not np.any(v.imag)
+        orders += [n] if len(block) == 1 else [n // 2 + 1, n // 2] if real else [n]
+    c = c.transpose(np.argsort(axes))
+    if len(blocks) == 1 or not half_width:
+        n, real = (2 * half_width + 1) ** dim, not np.any(c.imag)
+        orders = [n // 2 + 1, n // 2] if real else [n]
     gram = GramMatrix(half_width=half_width, dim=dim, diffs=c + 0j)
     _assert_matches_dense_reference(gram)
-    _, orders = _bounds_and_block_orders(gram)
-    assert len(orders) == blocks and sum(orders) == (2 * half_width + 1) ** dim
-    if half_width:
-        # 5 eps max|c| at n = (1, ..., 1) and its conjugate at -n: an l1
-        # perturbation of ten times the invariance threshold breaks every
-        # single-axis flip but the central one of real entries, the only flip
-        # in d = 1
-        c[(2 * half_width + 1,) * dim] += 5 * np.finfo(float).eps * np.abs(c).max()
-        c[(2 * half_width - 1,) * dim] = np.conj(c[(2 * half_width + 1,) * dim])
-        gram = GramMatrix(half_width=half_width, dim=dim, diffs=c + 0j)
-        _assert_matches_dense_reference(gram)
-        _, orders = _bounds_and_block_orders(gram)
-        h = ((2 * half_width + 1) ** dim - 1) // 2
-        assert orders == ([2 * h + 1] if lee else [h + 1, h])
+    assert sorted(_bounds_and_block_orders(gram)[1]) == sorted(orders)
 
 
 def _centrosymmetric_bounds(gram):
@@ -373,20 +368,20 @@ def _section(g, basis, half_width):
     (lambda: _section(lf.Gaussian(1.0, 2), np.eye(2).tolist(), 15), [31, 31]),
     (lambda: _section(lf.Gaussian(1.0, 2), _ROTATED, 15), [31, 31]),
     (lambda: _section(lf.BSpline(1, 3), [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 2),
-     [39, 36, 26, 24]),
+     [13, 12, 5]),
     (lambda: _section(lf.Sinc(2), [[1.0, 1.0], [0.0, 1.0]], 2), [5, 5]),
     (lambda: _section(_ASYMMETRIC_BOX, np.eye(2).tolist(), 3), [7, 7]),
     (lambda: _section(_HALF_SYMMETRIC_BOX, np.eye(2).tolist(), 3), [7, 7]),
     (lambda: _section(lf.FrequencyBox([-0.2, -0.5, -0.4], [0.45, 0.5, 0.3]),
                       np.eye(3).tolist(), 2), [5, 5, 5]),
-    (lambda: _two_products("ee", 15, real=True), [256, 240, 240, 225]),
+    (lambda: _two_products("ee", 15, real=True), [481, 480]),
     (lambda: _section(lf.Gaussian(1.0, 2), _SHEAR, 1), [5, 4]),
     (lambda: _section(lf.Gaussian(1.0, 2), _SHEAR, 2), [13, 12]),
     (lambda: _section(lf.Gaussian(1.0, 2), _SHEAR, 15), [481, 480]),
     (lambda: _two_products("hh", 2, real=True), [13, 12]),
     (lambda: _two_products("hh", 3), [49]),
-    (lambda: _two_products("eh", 3), [28, 21]),
-    (lambda: _two_products("heh", 2), [75, 50]),
+    (lambda: _two_products("eh", 3), [49]),
+    (lambda: _two_products("heh", 2), [125]),
 ], ids=["gauss_d2", "gauss_d2_rotated", "bspline1_d3_shear_axis2", "sinc2_shear",
         "asymmetric_box", "half_symmetric_box", "half_symmetric_box_d3_axis1",
         "two_even_products_d2", "gauss_d2_shear_M1", "gauss_d2_shear_M2",
@@ -395,15 +390,14 @@ def _section(g, basis, half_width):
 def test_eigen_bounds_block_orders(make, orders):
     # entries that factor, the catalog's tensor kinds on diagonal lattices,
     # the Gaussian rotated and the sinc's delta on its shear, take one
-    # Toeplitz section of order 2M+1 per axis.  The rest split by flips: the
-    # sheared B-spline respects only the flip of axis 2, and axes 0 and 1
-    # flip jointly; two products of even sequences respect both flips.  The
-    # sheared Gaussian, c_n = exp(-pi |B n|^2 / 2) with a cross term
-    # n_0 n_1 in the exponent, and the real part of two products of
-    # Hermitian sequences respect none, and neither do the complex products, so those
-    # keep the centrosymmetric split bit for bit.  Complex products even in
-    # axis 0 in d = 2, or axis 1 in d = 3, take one K per even / odd pattern
-    # of that axis
+    # Toeplitz section of order 2M+1 per axis.  The sheared 3-d B-spline
+    # factors over the block of axes 0 and 1, split by the joint flip, and
+    # axis 2.  The rest factor over no partition and take the joint split
+    # whole, bit for bit as the split built from the dense section: two
+    # halves of the real sheared Gaussian and of the real parts of products,
+    # one K of complex products, though two even products respect the flip
+    # of each axis, and complex products that of axis 0 in d = 2, or of
+    # axis 1 in d = 3
     gram = make()
     bounds, got = _bounds_and_block_orders(gram)
     assert got == orders
@@ -453,6 +447,25 @@ def test_eigen_bounds_gauss_d3_past_the_dense_reference():
     assert mu[0] > 0
     assert abs(lo - mu[0] ** 3) <= 1e-12 * mu[-1] ** 3
     assert abs(hi - mu[-1] ** 3) <= 1e-12 * mu[-1] ** 3
+
+
+@pytest.mark.parametrize("make, block", [
+    (lambda dim: lf.BSpline(1, dim), _SHEAR),
+    (lambda dim: lf.Gaussian(1.0, dim), _HEX),
+    (lambda dim: lf.Sinc(dim), _HEX),
+], ids=["bspline1_shear_by_z", "gauss_hex_by_z", "sinc_hex_by_z"])
+def test_eigen_bounds_block_lattice_d3_past_the_dense_reference(make, block):
+    # order 3375: on the block-diagonal basis diag(block, 1) the section is
+    # the Kronecker product of the 2-d section on the block and the 1-d one
+    # on Z; both are Gram sections, positive semidefinite, so the extremes
+    # are the products of theirs
+    basis = [row[:2] + [0.0] for row in block] + [[0.0, 0.0, 1.0]]
+    (lo, hi), orders = _bounds_and_block_orders(lf.gram_matrix(make(3), lf.new_lattice(basis), 7))
+    assert orders == [113, 112, 15]
+    mu = np.linalg.eigvalsh(lf.gram_matrix(make(2), lf.new_lattice(block), 7).dense())
+    nu = np.linalg.eigvalsh(lf.gram_matrix(make(1), lf.new_lattice([[1.0]]), 7).dense())
+    assert abs(lo - mu[0] * nu[0]) <= 1e-12 * mu[-1] * nu[-1]
+    assert abs(hi - mu[-1] * nu[-1]) <= 1e-12 * mu[-1] * nu[-1]
 
 
 def test_eigen_bounds_form_no_dense_section(monkeypatch, unit_lattice):

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import latticeframes as lf
+from latticeframes import periodization
 from latticeframes.errors import AliasRisk, NoDecayInfo, TailNotAchievable, TooLarge
 from latticeframes.generators import tail_bound
 from latticeframes.periodization import (
@@ -267,6 +268,27 @@ def test_direct_cross_sum_past_the_point_cap_raises_at_once():
     with pytest.raises(TooLarge, match=r"658503 terms at 262144 points: .* cap 1024000000"):
         compute_cross_phi(lf.Gaussian(0.05, 3), lf.Gaussian(0.06, 3), lf.new_lattice(np.eye(3)), 64)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda L: compute_cross_phi(lf.Sinc(3), lf.Sinc(3), L, 32),  # step route
+    lambda L: lf.compute_phi(lf.Gaussian(1.0, 3), L, 32),  # dual route
+    lambda L: compute_cross_phi(lf.Sinc(3), lf.FrequencyBox([-0.2] * 3, [0.3] * 3), L, 32),
+    lambda L: periodization.cross_phi_values(lf.Sinc(3), lf.Sinc(3), L, 32, 1),
+], ids=["step", "dual", "direct", "lattice_sum"])
+def test_oversized_grid_fails_fast(monkeypatch, make):
+    # the cap lowered to 2^12 points: a 3-d grid at N = 32 has 2^15.  At the
+    # real cap, 2^24, a 3-d Gaussian at N = 4096 asked the dual route for
+    # 512 GiB and a 3-d sinc at N = 1024 the step route for 8 GiB
+    monkeypatch.setattr(periodization, "MAX_GRID_POINTS", 2**12)
+    with pytest.raises(TooLarge, match=r"grid of 32\^3 = 32768 points exceeds cap 4096"):
+        make(lf.new_lattice(np.eye(3)))
+
+
+def test_grid_cap_admits_2d_at_4096():
+    assert periodization._validate_grid(4096, 2) is None
+    with pytest.raises(TooLarge, match=r"4096\^3"):
+        periodization._validate_grid(4096, 3)
 
 
 def test_route_per_catalog_kind(unit_lattice, translate_sum):
