@@ -51,7 +51,7 @@ class RunConfig:
     gram_half_width: int | None = None  # by default the largest M <= 8 under the size cap
     out: str | None = None
 
-    def validate(self):
+    def validate(self) -> RunConfig:
         # annotations are strings such as "float | None": a type name, maybe optional
         for f in fields(self):
             v = getattr(self, f.name)
@@ -74,6 +74,7 @@ class RunConfig:
             self.gram_half_width = next((m for m in range(8, 0, -1) if (2 * m + 1) ** len(
                 self.lattice) <= _oracle.MAX_GRAM_SIZE), 1)
         check_integer("gram_half_width", self.gram_half_width, 1)
+        return self
 
     def resolved(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
@@ -129,8 +130,7 @@ def load_config(args) -> RunConfig:
         cfg.grid_res = args.grid
     if args.out is not None:
         cfg.out = args.out
-    cfg.validate()
-    return cfg
+    return cfg.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +266,7 @@ COMMANDS = {
 
 def _example(out: str | None) -> int:
     """Run the built-in box example end to end and check its verdict."""
-    cfg = preset_config("example")
-    cfg.validate()
-    report = _classify_report(cfg, None)
+    report = _classify_report(preset_config("example").validate(), None)
     ok = (
         report["verdict"] == "ParsevalFrameSequence"
         and abs(report["lower"] - 1.0) <= 1e-6

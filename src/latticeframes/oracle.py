@@ -187,9 +187,10 @@ def gram_eigen_bounds(gram: GramMatrix) -> tuple[float, float]:
         # the product's axes run block by block, as those of c transposed
         gap = np.abs(c.transpose(sum(blocks, ())) - c0 * functools.reduce(np.multiply.outer, us))
         if gap.sum() <= (2 * m + 1) ** d * eps * abs(c0):
-            box = integer_box(1, m)  # a one-axis block is Toeplitz: entry [j, k] is u(k - j)
+            idx = np.arange(2 * m + 1)
+            toeplitz = 2 * m + idx - idx[:, None]  # a one-axis block's entry [j, k] is u(k - j)
             eig = c0 * functools.reduce(np.multiply.outer, (
-                _eigvalsh(u[_offsets(box, box, 2 * m)]) if u.ndim == 1 else _flip_split(u)
+                _eigvalsh(u[toeplitz]) if u.ndim == 1 else _flip_split(u)
                 for u in us))
             break
     else:

@@ -146,7 +146,7 @@ def test_weighted_exponentials_empty():
 
 @pytest.mark.parametrize("samples", [[math.nan, 1.0], [1.0, math.inf], [1.0, complex(0, math.nan)]])
 def test_weighted_exponentials_nonfinite(samples):
-    # a NaN weight was read as NotBessel
+    # a NaN weight must not read as NotBessel
     with pytest.raises(NonFiniteInput, match="weight not finite at 1 of 2 samples"):
         lf.classify_weighted_exponentials(samples, 1e-3)
 

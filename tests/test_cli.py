@@ -160,7 +160,7 @@ def test_numeric_failure_is_exit_3(capsys, tmp_path):
 @pytest.mark.parametrize("dim, half_width", [(1, 8), (2, 8), (3, 7)])
 def test_default_gram_half_width_fits_the_cap(dim, half_width, capsys, tmp_path):
     # without gram_half_width a config takes the largest M <= 8 whose section,
-    # of order (2M+1)^d, fits MAX_GRAM_SIZE: M = 8 in 3-d exited 3
+    # of order (2M+1)^d, fits MAX_GRAM_SIZE: in 3-d, M = 8 is past it
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"generator": {"kind": "gaussian", "dim": dim},
                                 "lattice": np.eye(dim).tolist(), "grid_res": 16}))

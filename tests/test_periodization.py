@@ -278,7 +278,7 @@ def test_direct_cross_sum_past_the_point_cap_raises_at_once():
 ], ids=["step", "dual", "direct", "lattice_sum"])
 def test_oversized_grid_fails_fast(monkeypatch, make):
     # the cap lowered to 2^12 points: a 3-d grid at N = 32 has 2^15.  At the
-    # real cap, 2^24, a 3-d Gaussian at N = 4096 asked the dual route for
+    # real cap, 2^24, a 3-d Gaussian at N = 4096 would ask the dual route for
     # 512 GiB and a 3-d sinc at N = 1024 the step route for 8 GiB
     monkeypatch.setattr(periodization, "MAX_GRID_POINTS", 2**12)
     with pytest.raises(TooLarge, match=r"grid of 32\^3 = 32768 points exceeds cap 4096"):
