@@ -214,13 +214,12 @@ def _flip_split(c: np.ndarray) -> np.ndarray:
     if np.any(c.imag):
         return _eigvalsh(np.block([[even.real, odd[:-1].imag.T],
                                    [odd[:-1].imag, odd[:-1, :-1].real]]))
-    return _eigvalsh(even.real, odd[:-1, :-1].real)
+    return np.concatenate([_eigvalsh(even.real), _eigvalsh(odd[:-1, :-1].real)])
 
 
-def _eigvalsh(*blocks) -> np.ndarray:
-    """The eigenvalues of real symmetric or Hermitian blocks, concatenated."""
+def _eigvalsh(k: np.ndarray) -> np.ndarray:
     try:
-        return np.concatenate([np.linalg.eigvalsh(k) for k in blocks])
+        return np.linalg.eigvalsh(k)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from exc
 
