@@ -31,7 +31,9 @@ The file is written at the repository root.  Runs on one machine only compare
 with each other; the file records ``nproc`` and the library versions of each
 workload so that a reader can tell, and under ``"machine"`` the load averages and
 the machine's total CPU steal time (``/proc/stat``) read just before and just
-after each run, so that runs slowed by other load can be told apart.
+after each run, so that runs slowed by other load can be told apart, and
+whether the run's interpreters write no bytecode (``dont_write_bytecode``), in
+which case every fresh interpreter compiles the package's source.
 """
 
 from __future__ import annotations
@@ -73,6 +75,12 @@ def machine_state() -> dict:
     return {"loadavg": list(os.getloadavg()), "steal_s": steal}
 
 
+def bytecode_off() -> bool:
+    """True when the benchmark's interpreters write no bytecode: they inherit
+    this environment, where a non-empty ``PYTHONDONTWRITEBYTECODE`` acts as -B."""
+    return bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+
+
 def run_workload(checkout: Path, bench: dict, workload: str, seed: int, trace: int):
     """One run of the benchmark's command; returns its report and its result line."""
     cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
@@ -86,7 +94,8 @@ def measured_run(checkout: Path, bench: dict, workload: str, seed: int, trace: i
     """``run_workload`` with the machine state read around it."""
     before = machine_state()
     report, result = run_workload(checkout, bench, workload, seed, trace)
-    return report, result, {"before": before, "after": machine_state()}
+    return report, result, {"before": before, "after": machine_state(),
+                            "dont_write_bytecode": bytecode_off()}
 
 
 def side_record(plain: list, traced: tuple) -> dict:

@@ -31,7 +31,13 @@ POINT_CAP = ORDER**2 * BLOCK_BUDGET
 
 def mesh(axes) -> np.ndarray:
     """Flat (m, len(axes)) array of all combinations of axis values, in lex order."""
-    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
+    axes = [np.asarray(a) for a in axes]
+    out = np.empty((math.prod(a.size for a in axes), len(axes)), dtype=np.result_type(*axes))
+    # column i of the (n_1, ..., n_d, d) view takes axis i broadcast along the others
+    grid = out.reshape(*(a.size for a in axes), len(axes))
+    for i, a in enumerate(axes):
+        grid[..., i] = a.reshape(-1, *[1] * (len(axes) - 1 - i))
+    return out
 
 
 def row_blocks(n_rows: int, row_size: int):

@@ -179,8 +179,11 @@ class Generator(ABC):
     # with a partner are finite sums of the partner's spatial values, which the
     # comb's own cross_correlation takes
     comb: bool = False
-    # the factors ``axis_factors`` returns, set once by each tensor-product kind
+    # ``axis_factors`` and ``norm_squared``, kept on first use: each is a pure
+    # function of fields fixed at construction, so a race between threads only
+    # repeats the work
     _factors: tuple[Generator, ...] | None = None
+    _norm_squared: float | None = None
 
     @abstractmethod
     def fourier(self, xi: np.ndarray) -> np.ndarray:
@@ -218,7 +221,13 @@ class Generator(ABC):
         factors on both sides the frequency integral of ``cross_correlation``
         takes d one-dimensional rules, not a d-dimensional mesh.  A subclass
         that changes ``fourier`` must override this too."""
+        if self._factors is None:
+            self._factors = self._make_factors()
         return self._factors
+
+    def _make_factors(self) -> tuple[Generator, ...] | None:
+        """The factors ``axis_factors`` keeps, built on its first call."""
+        return None
 
     def spatial_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Corners (lower, upper) of a closed box outside which the inverse
@@ -243,7 +252,9 @@ class Generator(ABC):
 
     def norm_squared(self) -> float:
         """The squared L2 norm of f: the autocorrelation at shift zero."""
-        return float(self.autocorrelation(np.zeros((1, self.dim)))[0].real)
+        if self._norm_squared is None:
+            self._norm_squared = float(self.autocorrelation(np.zeros((1, self.dim)))[0].real)
+        return self._norm_squared
 
     def decay_bound(self) -> DecayBound:
         raise NoDecayInfo(f"no decay information for {self.label}")
@@ -336,22 +347,29 @@ class FrequencyBox(Generator):
     """
 
     def __init__(self, lower, upper):
-        lo = np.atleast_1d(np.asarray(lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(upper, dtype=float))
+        # copies, set read-only below, so the kept factors and norm cannot go stale
+        lo = np.array(lower, dtype=float, ndmin=1)
+        hi = np.array(upper, dtype=float, ndmin=1)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box corners must be 1-d arrays of equal length")
         check_finite("box lower corner", lo)
         check_finite("box upper corner", hi)
         if not np.all(lo < hi):
             raise ValueError("box corners must satisfy lower < upper componentwise")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
         self.lower = lo
         self.upper = hi
         self.dim = lo.size
         self.label = f"box{lo.tolist()}..{hi.tolist()}"
+
+    def _make_factors(self):
         # one factor per distinct edge pair, so that equal axes share a rule
-        edges = list(zip(lo.tolist(), hi.tolist()))
-        made = {ab: FrequencyBox(*ab) for ab in edges} if self.dim > 1 else {}
-        self._factors = tuple(made[ab] for ab in edges) if made else (self,)
+        if self.dim == 1:
+            return (self,)
+        edges = list(zip(self.lower.tolist(), self.upper.tolist()))
+        made = {ab: FrequencyBox(*ab) for ab in set(edges)}
+        return tuple(made[ab] for ab in edges)
 
     def fourier(self, xi):
         # one axis column at a time: a reduction over the short last axis of
@@ -425,7 +443,9 @@ class BSpline(Generator):
         self.order = int(order)
         self.dim = int(dim)
         self.label = f"bspline{order}(d={dim})"
-        self._factors = (BSpline(order),) * self.dim if self.dim > 1 else (self,)
+
+    def _make_factors(self):
+        return (BSpline(self.order),) * self.dim if self.dim > 1 else (self,)
 
     def fourier(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -463,7 +483,9 @@ class Gaussian(Generator):
         self.width = float(width)
         self.dim = int(dim)
         self.label = f"gaussian(width={width},d={dim})"
-        self._factors = (Gaussian(width),) * self.dim if self.dim > 1 else (self,)
+
+    def _make_factors(self):
+        return (Gaussian(self.width),) * self.dim if self.dim > 1 else (self,)
 
     def fourier(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -513,11 +535,14 @@ class SampledSpatial(Generator):
     comb = True
 
     def __init__(self, values, origin, step: float, support_radius: float | None = None):
-        v = np.asarray(values, dtype=complex)
+        # copies, read-only like a box's corners
+        v = np.array(values, dtype=complex)
         check_finite("sample values", v)
+        v.setflags(write=False)
         self.values = v
         self.dim = v.ndim
-        self.origin = np.atleast_1d(np.asarray(origin, dtype=float))
+        self.origin = np.array(origin, dtype=float, ndmin=1)
+        self.origin.setflags(write=False)
         if self.origin.shape != (self.dim,):
             raise ValueError("origin must have one coordinate per value axis")
         check_finite("sample origin", self.origin)

@@ -33,7 +33,8 @@ class LatticeSpec:
     basis : d x d matrix whose integer combinations form the lattice
     det_abs : |det basis|, the volume of the fundamental cell
     dual_basis : inv(basis.T); generates the dual lattice
-    basis_norm : largest singular value of basis, computed on first use
+    basis_norm : largest singular value of basis; ``new_lattice`` fills it from
+                 its SVD, ``dual()`` computes it on first use
     """
 
     dim: int
@@ -64,7 +65,8 @@ def new_lattice(matrix) -> LatticeSpec:
         for d > 3 (grid sizes grow as N^d and are not worth supporting).
     SingularMatrix
         when |det| falls below 1e-10 * (max |entry|)^d or the condition
-        number exceeds ``CONDITION_LIMIT``.
+        number, the ratio of the extreme singular values of basis.T, exceeds
+        ``CONDITION_LIMIT``.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -79,14 +81,19 @@ def new_lattice(matrix) -> LatticeSpec:
     scale = np.max(np.abs(a))
     if scale == 0.0 or abs(det) < 1e-10 * scale**d:
         raise SingularMatrix(f"matrix is numerically singular (det={det:.3e})")
-    cond = np.linalg.cond(a)
+    # one SVD of B^T: its extremes give the condition number, and its largest
+    # value is the one np.linalg.norm(basis.T, 2) takes, so it fills basis_norm
+    singular = np.linalg.svd(a.T, compute_uv=False)
+    cond = singular[0] / singular[-1]
     if cond > CONDITION_LIMIT:
         raise SingularMatrix(
             f"matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
 
     dual = np.linalg.inv(a.T)
-    return LatticeSpec(dim=d, basis=a.copy(), det_abs=abs(det), dual_basis=dual)
+    spec = LatticeSpec(dim=d, basis=a.copy(), det_abs=abs(det), dual_basis=dual)
+    vars(spec)["basis_norm"] = float(singular[0])
+    return spec
 
 
 def check_dims(lattice: LatticeSpec, *generators):

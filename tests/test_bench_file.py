@@ -95,6 +95,24 @@ def test_bench_file_records_both_checkouts_and_all_metrics(bench_file, tmp_path)
     assert b["change"] == pytest.approx({"median": 0.125, "q1": 0.125, "q3": 0.125})
 
 
+@pytest.mark.parametrize("value, off", [("1", True), ("", False), (None, False)])
+def test_bench_file_records_whether_bytecode_writing_is_off(bench_file, tmp_path, monkeypatch,
+                                                            value, off):
+    # the children inherit the environment; a non-empty value turns writing off
+    module, _ = bench_file
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    assert module.main(["--pr", "7", "--parent", str(tmp_path / "parent")]) == 0
+    doc = json.loads((tmp_path / "BENCH_7.json").read_text())
+    for run in doc["runs"].values():
+        for workload in run["workloads"].values():
+            machine = workload["machine"]
+            assert [m["dont_write_bytecode"] for m in machine["plain"] + [machine["traced"]]] \
+                == [off] * (module.PAIRS + 1)
+
+
 def test_bench_file_alternates_which_side_runs_first(bench_file, tmp_path):
     module, calls = bench_file
     assert module.main(["--pr", "7", "--parent", str(tmp_path / "parent")]) == 0

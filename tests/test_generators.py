@@ -499,3 +499,68 @@ def test_gaussian_tail_radius_bounds_the_exact_tail(dim, rate, constant, tol):
     outside = -math.expm1(dim * math.log1p(-math.erfc(r * math.sqrt(rate))))
     assert constant * (math.pi / rate) ** (dim / 2) * outside <= tol
     assert r <= _old_gaussian_tail_radius(rate, constant, dim, tol)
+
+
+def test_box_factors_are_built_on_first_use_and_kept(monkeypatch):
+    # the step route never reads a box's factors, so none is built until
+    # axis_factors() is first called: one 1-d box per distinct edge pair, the
+    # box that its edges make
+    made = []
+    init = lf.FrequencyBox.__init__
+
+    def counting(self, *args):
+        made.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(lf.FrequencyBox, "__init__", counting)
+    t = np.linspace(-2.5, 2.5, 11)[:, None]
+    partner = lf.BSpline(1)
+    for g, edges in ((lf.Sinc(3), [(-0.5, 0.5)] * 3),
+                     (lf.FrequencyBox([-0.5, -0.2, -0.5], [0.5, 0.7, 0.5]),
+                      [(-0.5, 0.5), (-0.2, 0.7), (-0.5, 0.5)])):
+        made.clear()
+        factors = g.axis_factors()
+        assert made == ["FrequencyBox"] * len(set(edges))
+        assert g.axis_factors() is factors and factors[0] is factors[2]
+        for got, (a, b) in zip(factors, edges):
+            want = lf.FrequencyBox(a, b)
+            assert got.label == want.label
+            assert (got.lower.tolist(), got.upper.tolist()) == ([a], [b])
+            for other in (got, partner):
+                np.testing.assert_array_equal(got.cross_correlation(other, t),
+                                              want.cross_correlation(other, t))
+    made.clear()
+    lf.Sinc(3)
+    assert made == ["Sinc"]
+
+
+def test_norm_squared_runs_autocorrelation_once(monkeypatch):
+    for g in (lf.Gaussian(1.3, 2), lf.Sinc(2), lf.BSpline(2)):
+        calls = []
+        autocorrelation = g.autocorrelation
+
+        def counting(t, autocorrelation=autocorrelation):
+            calls.append(t)
+            return autocorrelation(t)
+
+        monkeypatch.setattr(g, "autocorrelation", counting)
+        first = g.norm_squared()
+        assert [g.norm_squared() for _ in range(3)] == [first] * 3
+        assert len(calls) == 1
+        assert first == float(autocorrelation(np.zeros((1, g.dim)))[0].real)
+
+
+@pytest.mark.parametrize("name", ["box.lower", "box.upper", "sampled.values", "sampled.origin"])
+def test_generator_parameter_arrays_are_read_only_copies(name):
+    # the kept factors and norm are functions of these arrays; the caller's
+    # own array stays writable
+    lower, origin = np.array([-0.5, -0.25]), np.array([-0.5])
+    values = np.array([0.5, 1.0, 0.5], dtype=complex)
+    kinds = {"box": lf.FrequencyBox(lower, [0.5, 0.25]),
+             "sampled": lf.SampledSpatial(values, origin, 0.5, support_radius=2.0)}
+    kind, field = name.split(".")
+    array = getattr(kinds[kind], field)
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 0.0
+    for own in (lower, values, origin):
+        own[0] = own[0]

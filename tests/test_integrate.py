@@ -91,6 +91,26 @@ def _points(axes):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+# int and float axes as arrays and as tuples, empty ones included
+_MESH_AXIS = st.one_of(
+    st.lists(st.integers(-5, 5), max_size=4).map(lambda v: np.array(v, dtype=int)),
+    st.lists(st.floats(-3.0, 3.0), max_size=4).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.integers(-5, 5), max_size=4).map(tuple),
+    st.lists(st.floats(-3.0, 3.0), max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_MESH_AXIS, min_size=1, max_size=3))
+def test_mesh_matches_the_stacked_meshgrid(axes):
+    got, want = _integrate.mesh(axes), _points(axes)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    np.testing.assert_array_equal(got, want)
+    # a fresh array: writing to it leaves the axes alone
+    assert got.flags.writeable
+    assert not any(np.shares_memory(got, a) for a in axes if isinstance(a, np.ndarray))
+
+
 @st.composite
 def _exp_sum_case(draw):
     d = draw(st.integers(1, 3))

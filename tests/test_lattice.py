@@ -3,6 +3,7 @@ import pytest
 
 import latticeframes as lf
 from latticeframes.errors import NonFiniteInput, SingularMatrix, UnsupportedDimension
+from latticeframes.lattice import CONDITION_LIMIT
 
 
 def test_identity_lattice():
@@ -75,6 +76,36 @@ def test_basis_norm_is_the_spectral_norm_of_the_basis():
         for lat in (L, L.dual()):
             assert lat.basis_norm == float(np.linalg.norm(lat.basis.T, 2))
             assert lat.basis_norm is lat.basis_norm
+
+
+def test_new_lattice_and_basis_norm_take_one_svd(monkeypatch):
+    # the condition check and basis_norm read the same singular values;
+    # np.linalg.cond and np.linalg.norm call the module's own svd
+    linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    calls = []
+
+    def spy(*args, svd=np.linalg.svd, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(linalg, "svd", spy)
+    L = lf.new_lattice([[1.0, 0.3, 0.0], [0.2, 0.9, 0.1], [0.0, 0.4, 1.3]])
+    assert L.basis_norm > 0.0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("past", [True, False])
+def test_condition_limit_is_the_ratio_of_singular_values(past):
+    # a rotated diagonal basis whose singular values are 1 and 1 / cond
+    cond = CONDITION_LIMIT * (1.01 if past else 0.99)
+    c, s = np.cos(0.4), np.sin(0.4)
+    basis = np.array([[c, -s], [s, c]]) @ np.diag([1.0, 1.0 / cond])
+    if past:
+        with pytest.raises(SingularMatrix, match="condition number"):
+            lf.new_lattice(basis)
+    else:
+        assert lf.new_lattice(basis).basis_norm == pytest.approx(1.0, rel=1e-12)
 
 
 # every entry point that pairs a generator with a lattice checks that their
