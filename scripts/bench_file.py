@@ -75,12 +75,6 @@ def machine_state() -> dict:
     return {"loadavg": list(os.getloadavg()), "steal_s": steal}
 
 
-def bytecode_off() -> bool:
-    """True when the benchmark's interpreters write no bytecode: they inherit
-    this environment, where a non-empty ``PYTHONDONTWRITEBYTECODE`` acts as -B."""
-    return bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
-
-
 def run_workload(checkout: Path, bench: dict, workload: str, seed: int, trace: int):
     """One run of the benchmark's command; returns its report and its result line."""
     cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
@@ -94,8 +88,10 @@ def measured_run(checkout: Path, bench: dict, workload: str, seed: int, trace: i
     """``run_workload`` with the machine state read around it."""
     before = machine_state()
     report, result = run_workload(checkout, bench, workload, seed, trace)
+    # the run's interpreters inherit this environment, where a non-empty
+    # PYTHONDONTWRITEBYTECODE acts as -B
     return report, result, {"before": before, "after": machine_state(),
-                            "dont_write_bytecode": bytecode_off()}
+                            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def side_record(plain: list, traced: tuple) -> dict:
